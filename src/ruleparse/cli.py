@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .conllu import (Sentence, parse_conllu, read_morph_sidecar, write_conllu)
+from .conllu import Sentence, parse_conllu, read_morph_sidecar
 from .engine import (ALL_RULES, Diagnostics, RuleCode, RuleConfig, run)
 from .errors import AlignmentError, EngineError, InputFormatError
 from .evaluate import ablate, ablation_steps, randomization_test, score
@@ -322,7 +322,7 @@ def cmd_ablate(args) -> int:
     sidecar = read_morph_sidecar(_read_text_file(args.sidecar))
     lexicon = load_lexicon(args.lexicons)
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
-    results = ablate(gold, gold, sidecar, lexicon, steps)
+    results = ablate(gold, sidecar, lexicon, steps)
     text = json.dumps({"steps": [r.to_dict() for r in results]},
                       indent=2, sort_keys=True) + "\n"
     _emit(text, args.output, "ablate", [args.gold, args.sidecar],

@@ -9,7 +9,7 @@ list; empty-node lines are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 from .errors import ConlluError, SidecarError
 from .morpho import MorphAnalysis
@@ -228,31 +228,43 @@ def _token_from_columns(line_no: int, cols: list[str], ordinal: int) -> Token:
         raise ConlluError(ordinal, line_no, str(exc)) from exc
 
 
-def _token_line(token: Token) -> str:
+def format_misc(items: Sequence[tuple[str, str | None]]) -> str:
+    """The MISC column text of ``(key, value)`` items; ``_`` when empty."""
+    if not items:
+        return "_"
+    return "|".join(k if v is None else f"{k}={v}" for k, v in items)
+
+
+def _token_line(token: Token, misc: str | None = None) -> str:
     def col(value):
         return "_" if value is None else str(value)
 
     feats = "|".join(f"{k}={v}" for k, v in token.feats) if token.feats else "_"
-    misc = "|".join(k if v is None else f"{k}={v}" for k, v in token.misc) \
-        if token.misc else "_"
     return "\t".join([
         str(token.id), token.form, col(token.lemma), col(token.upos),
         col(token.xpos), feats, col(token.head), col(token.deprel),
-        col(token.deps), misc,
+        col(token.deps), format_misc(token.misc) if misc is None else misc,
     ])
 
 
-def write_conllu(sentences: list[Sentence]) -> str:
-    """Serialize sentences; inverse of :func:`parse_conllu` on its output."""
+def write_conllu(sentences: Sequence[Sentence],
+                 misc: Sequence[Sequence[str]] | None = None) -> str:
+    """Serialize sentences; inverse of :func:`parse_conllu` on its output.
+
+    ``misc``, when given, holds one MISC column text per token of every
+    sentence and is written in place of the tokens' own MISC items.
+    """
     chunks = []
-    for sentence in sentences:
+    for s_index, sentence in enumerate(sentences):
         lines = list(sentence.comments)
         range_at: dict[int, list[str]] = {}
         for idx, raw in sentence.ranges:
             range_at.setdefault(idx, []).append(raw)
+        sentence_misc = misc[s_index] if misc is not None else None
         for i, token in enumerate(sentence.tokens):
             lines.extend(range_at.get(i, ()))
-            lines.append(_token_line(token))
+            lines.append(_token_line(
+                token, sentence_misc[i] if sentence_misc is not None else None))
         lines.extend(range_at.get(len(sentence.tokens), ()))
         chunks.append("\n".join(lines) + "\n\n")
     return "".join(chunks)

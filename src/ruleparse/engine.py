@@ -26,16 +26,30 @@ overgenerate on free word order.
 Every assignment is checked against the partial head graph and skipped
 (counted in diagnostics) if it would create a cycle.  Rule codes are
 recorded on the dependent token.
+
+The facts the rules test never change during a run: a token's POS, its
+folded and de-duplicated word forms (surface form, analysis lemma,
+treebank lemma), and its genitive, accusative, possessive and bare
+flags.  A :class:`SentenceView` computes them once per sentence, indexed
+by token id, so lexicon tests are plain set lookups on the lexicon's
+already-folded sets.  The view is also the sentence's analysis mapping:
+``run`` reuses a view passed as ``analyses`` and builds one otherwise,
+so a caller that runs the same sentence under several rule sets (the
+ablation harness) builds each view once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
-from .conllu import Sentence, Token
+# ``fold`` is looked up on the module at call time, never bound by a
+# from-import, so a replacement installed on the module (as the
+# benchmark's call counter does) sees every call.
+from . import lexicon as _lexicon
+from .conllu import Sentence
 from .errors import EngineError
 from .lexicon import Lexicon
 from .morpho import MorphAnalysis, ROOT_POS_TO_UPOS
@@ -65,8 +79,8 @@ ALL_RULES = DEFAULT_RULES | {RuleCode.AV, RuleCode.NV}
 
 _NOMINAL = {"NOUN", "PROPN"}
 _NV_DEPENDENTS = {"NOUN", "PROPN", "PRON"}
-_POSSESSIVE_TAGS = {"P1sg", "P2sg", "P3sg", "P1pl", "P2pl", "P3pl"}
-_OVERT_CASE_TAGS = {"Acc", "Dat", "Loc", "Abl", "Gen", "Ins", "Equ"}
+_POSSESSIVE_TAGS = frozenset({"P1sg", "P2sg", "P3sg", "P1pl", "P2pl", "P3pl"})
+_OVERT_CASE_TAGS = frozenset({"Acc", "Dat", "Loc", "Abl", "Gen", "Ins", "Equ"})
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,76 @@ class Diagnostics:
         }
 
 
+class SentenceView(Mapping):
+    """The static per-token facts of one sentence, built once.
+
+    A read-only ``Mapping[int, MorphAnalysis]`` over the analyses it was
+    built from, so it can stand in for them in :func:`run`, which then
+    reuses it instead of building a new one.  The per-token tuples are
+    indexed by token id (slot 0 is unused):
+
+    ``pos``         UPOS, falling back to the analysis root POS
+    ``forms``       folded, de-duplicated surface form, analysis lemma
+                    and treebank lemma
+    ``genitive``, ``accusative``, ``possessive``, ``bare``
+                    case and possessive marking from the analysis tags
+                    or the CoNLL-U features
+
+    Nothing in a view changes after construction, so one view may be
+    shared by any number of runs.
+    """
+
+    __slots__ = ("sentence", "analyses", "pos", "forms", "genitive",
+                 "accusative", "possessive", "bare")
+
+    def __init__(self, sentence: Sentence, analyses: Mapping[int, MorphAnalysis]):
+        pos: list[str | None] = [None]
+        forms: list[tuple[str, ...]] = [()]
+        genitive, accusative, possessive, bare = [False], [False], [False], [False]
+        fold = _lexicon.fold
+        for token in sentence.tokens:
+            analysis = analyses.get(token.id)
+            if analysis is None:
+                raise ValueError(
+                    f"token {token.id} ({token.form!r}) has no morphological analysis")
+            tags = analysis.tags
+            case = None
+            psor_feature = False
+            for key, value in token.feats:
+                if key == "Case":
+                    case = value
+                psor_feature = psor_feature or key.endswith("[psor]")
+            has_possessive = psor_feature or not _POSSESSIVE_TAGS.isdisjoint(tags)
+            raw = [token.form, analysis.lemma]
+            if token.lemma:
+                raw.append(token.lemma)
+            pos.append(token.upos if token.upos is not None
+                       else ROOT_POS_TO_UPOS.get(analysis.pos))
+            forms.append(tuple(dict.fromkeys(fold(word) for word in dict.fromkeys(raw))))
+            genitive.append("Gen" in tags or case == "Gen")
+            accusative.append("Acc" in tags or case == "Acc")
+            possessive.append(has_possessive)
+            bare.append(not has_possessive and case in (None, "Nom")
+                        and _OVERT_CASE_TAGS.isdisjoint(tags))
+        self.sentence = sentence
+        self.analyses = analyses
+        self.pos = tuple(pos)
+        self.forms = tuple(forms)
+        self.genitive = tuple(genitive)
+        self.accusative = tuple(accusative)
+        self.possessive = tuple(possessive)
+        self.bare = tuple(bare)
+
+    def __getitem__(self, token_id: int) -> MorphAnalysis:
+        return self.analyses[token_id]
+
+    def __iter__(self):
+        return iter(self.analyses)
+
+    def __len__(self) -> int:
+        return len(self.analyses)
+
+
 class _DeferredPair:
     __slots__ = ("first", "second", "resolved")
 
@@ -125,14 +209,13 @@ class _DeferredPair:
 
 
 class EngineState:
-    """Mutable per-sentence working state of a rule run."""
+    """Mutable per-sentence working state of a rule run over a view."""
 
-    def __init__(self, sentence: Sentence, analyses: Mapping[int, MorphAnalysis],
-                 lexicon: Lexicon, diagnostics: Diagnostics):
-        self.tokens: dict[int, Token] = {t.id: t for t in sentence.tokens}
-        self.analyses = analyses
+    def __init__(self, view: SentenceView, lexicon: Lexicon,
+                 diagnostics: Diagnostics):
+        self.view = view
         self.lexicon = lexicon
-        self.remaining: list[int] = [t.id for t in sentence.tokens]
+        self.remaining: list[int] = [t.id for t in view.sentence.tokens]
         self.heads: dict[int, int] = {}
         self.assignments: list[RuleAssignment] = []
         self.consecutive_adverbs: list[_DeferredPair] = []
@@ -140,57 +223,16 @@ class EngineState:
         self.cp_marked: set[int] = set()
         self.diagnostics = diagnostics
 
-    # -- token views ---------------------------------------------------
-
-    def pos(self, token_id: int) -> str | None:
-        token = self.tokens[token_id]
-        if token.upos is not None:
-            return token.upos
-        return ROOT_POS_TO_UPOS.get(self.analyses[token_id].pos)
-
-    def _word_forms(self, token_id: int) -> tuple[str, ...]:
-        token = self.tokens[token_id]
-        forms = [token.form, self.analyses[token_id].lemma]
-        if token.lemma:
-            forms.append(token.lemma)
-        return tuple(dict.fromkeys(forms))
-
     def pair_in(self, cls: str, first_id: int, second_id: int) -> bool:
         """Lexicon pair match over every surface/lemma combination."""
-        for first in self._word_forms(first_id):
-            for second in self._word_forms(second_id):
-                if self.lexicon.match_pair(cls, first, second):
+        pairs = self.lexicon.pairs[cls]
+        forms = self.view.forms
+        seconds = forms[second_id]
+        for first in forms[first_id]:
+            for second in seconds:
+                if f"{first} {second}" in pairs:
                     return True
         return False
-
-    def _tags(self, token_id: int) -> tuple[str, ...]:
-        return self.analyses[token_id].tags
-
-    def _feat(self, token_id: int, key: str) -> str | None:
-        for k, v in self.tokens[token_id].feats:
-            if k == key:
-                return v
-        return None
-
-    def has_genitive(self, token_id: int) -> bool:
-        return "Gen" in self._tags(token_id) or self._feat(token_id, "Case") == "Gen"
-
-    def has_accusative(self, token_id: int) -> bool:
-        return "Acc" in self._tags(token_id) or self._feat(token_id, "Case") == "Acc"
-
-    def has_possessive(self, token_id: int) -> bool:
-        if any(tag in _POSSESSIVE_TAGS for tag in self._tags(token_id)):
-            return True
-        return any(k.endswith("[psor]") for k, _ in self.tokens[token_id].feats)
-
-    def is_bare(self, token_id: int) -> bool:
-        """No overt case marking and no possessive suffix."""
-        if any(tag in _OVERT_CASE_TAGS for tag in self._tags(token_id)):
-            return False
-        case = self._feat(token_id, "Case")
-        if case is not None and case != "Nom":
-            return False
-        return not self.has_possessive(token_id)
 
     # -- assignment ----------------------------------------------------
 
@@ -248,20 +290,24 @@ def _scan(state: EngineState, try_pair) -> None:
     pair; a consumed pair always shrinks the remaining list, so the scan
     stays at the same index to examine the freshly adjacent pair next.
     """
+    remaining = state.remaining  # shrinks in place, never rebound
     i = 0
-    while i + 1 < len(state.remaining):
-        before = len(state.remaining)
-        fired = try_pair(state.remaining[i], state.remaining[i + 1])
-        if not fired or len(state.remaining) == before:
+    while i + 1 < len(remaining):
+        before = len(remaining)
+        fired = try_pair(remaining[i], remaining[i + 1])
+        if not fired or len(remaining) == before:
             i += 1
 
 
 def _rule_ac(state: EngineState) -> None:
     """Consecutive adverbs: attach degree adverbs, queue the rest."""
+    pos, forms = state.view.pos, state.view.forms
+    degree = state.lexicon.degree_adverbs
+
     def try_pair(x: int, y: int) -> bool:
-        if state.pos(x) != "ADV" or state.pos(y) != "ADV":
+        if pos[x] != "ADV" or pos[y] != "ADV":
             return False
-        if state.lexicon.is_degree_adverb(*state._word_forms(x)):
+        if not degree.isdisjoint(forms[x]):
             return state.assign(x, y, RuleCode.AC)
         state.defer(state.consecutive_adverbs, x, y)
         return True
@@ -271,8 +317,10 @@ def _rule_ac(state: EngineState) -> None:
 
 def _rule_ajc(state: EngineState) -> None:
     """Consecutive adjectives: queue every adjacent pair for late binding."""
+    pos = state.view.pos
+
     def try_pair(x: int, y: int) -> bool:
-        if state.pos(x) != "ADJ" or state.pos(y) != "ADJ":
+        if pos[x] != "ADJ" or pos[y] != "ADJ":
             return False
         state.defer(state.consecutive_adjectives, x, y)
         return True
@@ -307,12 +355,14 @@ def _rule_cpi(state: EngineState) -> None:
     The first word, when it is a noun, is marked CP so the noun-verb
     rule never reattaches it later.
     """
+    pos = state.view.pos
+
     def try_pair(x: int, y: int) -> bool:
         if not state.pair_in("cpi", x, y):
             return False
         if not state.assign(y, x, RuleCode.CPI):
             return False
-        if state.pos(x) == "NOUN":
+        if pos[x] == "NOUN":
             state.cp_marked.add(x)
         _chain_forward(state, "cpi", RuleCode.CPI, x, y)
         return True
@@ -346,13 +396,16 @@ def _rule_pc(state: EngineState) -> None:
     collapse onto the first proper noun, and a determiner attaches to
     the nominal after it.
     """
+    view = state.view
+    pos, genitive, bare = view.pos, view.genitive, view.bare
+    possessive, accusative = view.possessive, view.accusative
+
     def try_pair(x: int, y: int) -> bool:
-        pos_x, pos_y = state.pos(x), state.pos(y)
+        pos_x, pos_y = pos[x], pos[y]
         if pos_x in _NOMINAL and pos_y in _NOMINAL:
-            if state.has_genitive(x):
+            if genitive[x]:
                 return state.assign(x, y, RuleCode.PC)
-            if state.is_bare(x) and state.has_possessive(y) \
-                    and not state.has_accusative(y):
+            if bare[x] and possessive[y] and not accusative[y]:
                 return state.assign(x, y, RuleCode.PC)
         if pos_x == "PROPN" and pos_y == "PROPN":
             return state.assign(y, x, RuleCode.PC)
@@ -365,9 +418,11 @@ def _rule_pc(state: EngineState) -> None:
 
 def _rule_aaj(state: EngineState) -> None:
     """A degree adverb attaches to the adjective directly after it."""
+    pos, forms = state.view.pos, state.view.forms
+    degree = state.lexicon.degree_adverbs
+
     def try_pair(x: int, y: int) -> bool:
-        if state.pos(x) == "ADV" and state.pos(y) == "ADJ" \
-                and state.lexicon.is_degree_adverb(*state._word_forms(x)):
+        if pos[x] == "ADV" and pos[y] == "ADJ" and not degree.isdisjoint(forms[x]):
             return state.assign(x, y, RuleCode.AAJ)
         return False
 
@@ -377,10 +432,13 @@ def _rule_aaj(state: EngineState) -> None:
 def _rule_av(state: EngineState) -> None:
     """An adverb attaches to the verb after it, unless it is one of the
     adverbs that emphasize the preceding word, which attach backwards."""
+    pos, forms = state.view.pos, state.view.forms
+    emphasizing = state.lexicon.head_emphasizing_adverbs
+
     def try_pair(x: int, y: int) -> bool:
-        if state.pos(x) != "ADV" or state.pos(y) != "VERB":
+        if pos[x] != "ADV" or pos[y] != "VERB":
             return False
-        if state.lexicon.is_emphasizing_adverb(*state._word_forms(x)):
+        if not emphasizing.isdisjoint(forms[x]):
             if x == 1:
                 return False
             return state.assign(x, x - 1, RuleCode.AV)
@@ -391,8 +449,10 @@ def _rule_av(state: EngineState) -> None:
 
 def _rule_ajn(state: EngineState) -> None:
     """An adjective attaches to the nominal directly after it."""
+    pos = state.view.pos
+
     def try_pair(x: int, y: int) -> bool:
-        if state.pos(x) == "ADJ" and state.pos(y) in _NOMINAL \
+        if pos[x] == "ADJ" and pos[y] in _NOMINAL \
                 and not state.is_deferred_first(x):
             return state.assign(x, y, RuleCode.AJN)
         return False
@@ -403,9 +463,11 @@ def _rule_ajn(state: EngineState) -> None:
 def _rule_nv(state: EngineState) -> None:
     """An unassigned noun or pronoun attaches to the verb after it,
     unless it was marked as part of a complex predicate."""
+    pos = state.view.pos
+
     def try_pair(x: int, y: int) -> bool:
-        if state.pos(x) in _NV_DEPENDENTS and x not in state.cp_marked \
-                and state.pos(y) == "VERB":
+        if pos[x] in _NV_DEPENDENTS and x not in state.cp_marked \
+                and pos[y] == "VERB":
             return state.assign(x, y, RuleCode.NV)
         return False
 
@@ -428,17 +490,19 @@ def run(sentence: Sentence,
         diagnostics: Diagnostics | None = None) -> list[RuleAssignment]:
     """Apply the enabled rules to one sentence.
 
-    ``analyses`` must map every token id to its morphological analysis.
-    Returns the assignments in the order they were made; pass a
-    :class:`Diagnostics` to accumulate fire counts across sentences.
+    ``analyses`` must map every token id to its morphological analysis;
+    it may be a :class:`SentenceView` of this sentence, which is then
+    used as is instead of being rebuilt.  Returns the assignments in the
+    order they were made; pass a :class:`Diagnostics` to accumulate fire
+    counts across sentences.
     """
     config = config or RuleConfig()
-    for token in sentence.tokens:
-        if token.id not in analyses:
-            raise ValueError(
-                f"token {token.id} ({token.form!r}) has no morphological analysis")
-    state = EngineState(sentence, analyses,
-                        lexicon, diagnostics if diagnostics is not None else Diagnostics())
+    if isinstance(analyses, SentenceView) and analyses.sentence is sentence:
+        view = analyses
+    else:
+        view = SentenceView(sentence, analyses)
+    state = EngineState(view, lexicon,
+                        diagnostics if diagnostics is not None else Diagnostics())
 
     if RuleCode.AC in config.enabled:
         _rule_ac(state)

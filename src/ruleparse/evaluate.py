@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .conllu import Sentence
-from .engine import Diagnostics, RuleCode, RuleConfig, run
+from .engine import Diagnostics, RuleCode, RuleConfig, SentenceView, run
 from .errors import AlignmentError
 from .lexicon import Lexicon
 from .morpho import MorphAnalysis
@@ -234,40 +234,35 @@ def ablation_steps(include_av_nv: bool = True) -> list[RuleConfig]:
 
 
 def ablate(gold: Sequence[Sentence],
-           sentences: Sequence[Sentence],
            analyses: dict[tuple[int, int], MorphAnalysis],
            lexicon: Lexicon,
            steps: Iterable[RuleConfig] | None = None,
            diagnostics: Diagnostics | None = None) -> list[AblationStep]:
     """Run the engine under each step and report coverage and precision.
 
-    Coverage is the fraction of tokens that received a head; precision is
-    the fraction of assigned heads that match the gold head (None when
-    nothing was assigned).  ``analyses`` is keyed by
-    ``(sentence_ordinal, token_id)`` as read from a sidecar file.
+    The engine runs on the gold sentences themselves; it never reads
+    their heads.  Coverage is the fraction of tokens that received a
+    head; precision is the fraction of assigned heads that match the gold
+    head (None when nothing was assigned).  ``analyses`` is keyed by
+    ``(sentence_ordinal, token_id)`` as read from a sidecar file.  Each
+    sentence's :class:`SentenceView` is built once and shared by every
+    step.
     """
-    if len(gold) != len(sentences):
-        raise AlignmentError(
-            f"sentence counts differ: gold has {len(gold)}, "
-            f"input has {len(sentences)}")
     steps = list(steps) if steps is not None else ablation_steps()
     by_sentence: dict[int, dict[int, MorphAnalysis]] = {}
     for (s, tok), analysis in analyses.items():
         by_sentence.setdefault(s, {})[tok] = analysis
+    views = [SentenceView(sent, by_sentence.get(ordinal, {}))
+             for ordinal, sent in enumerate(gold, start=1)]
+    gold_heads = [{t.id: t.head for t in sent.tokens} for sent in gold]
+    total = sum(len(sent.tokens) for sent in gold)
     results = []
     for step_no, config in enumerate(steps, start=1):
-        total = assigned = matching = 0
-        for ordinal, (gold_sent, sent) in enumerate(zip(gold, sentences), start=1):
-            if len(gold_sent.tokens) != len(sent.tokens):
-                raise AlignmentError(
-                    f"sentence {ordinal}: token counts differ")
-            assignments = run(sent, by_sentence.get(ordinal, {}), lexicon, config,
-                              diagnostics=diagnostics)
-            gold_heads = {t.id: t.head for t in gold_sent.tokens}
-            total += len(sent.tokens)
+        assigned = matching = 0
+        for sent, view, heads in zip(gold, views, gold_heads):
+            assignments = run(sent, view, lexicon, config, diagnostics)
             assigned += len(assignments)
-            matching += sum(1 for a in assignments
-                            if gold_heads[a.dependent] == a.head)
+            matching += sum(1 for a in assignments if heads[a.dependent] == a.head)
         rules = tuple(sorted(code.value for code in config.enabled))
         results.append(AblationStep(step=step_no, rules=rules, total=total,
                                     assigned=assigned, matching=matching))

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .conllu import Sentence, Token, write_conllu
+from .conllu import Sentence, Token, format_misc, write_conllu
 from .engine import RuleAssignment, RuleCode
 from .errors import InputFormatError
 from .morpho import (LemmaSuffixMatrix, MorphAnalysis, SuffixInventory,
@@ -154,25 +154,19 @@ def bundle_from_token(token: Token) -> FeatureBundle:
     )
 
 
-def _with_features(sentence: Sentence, bundles: Sequence[FeatureBundle],
-                   header: bool) -> Sentence:
+def _misc_columns(sentence: Sentence,
+                  bundles: Sequence[FeatureBundle]) -> list[str]:
+    """MISC text per token: the non-reserved items, then the bundle's."""
     if len(bundles) != len(sentence.tokens):
         raise InputFormatError(
             f"feature bundles ({len(bundles)}) do not align with tokens "
             f"({len(sentence.tokens)})")
-    tokens = []
+    columns = []
     for token, bundle in zip(sentence.tokens, bundles):
-        kept = tuple((k, v) for k, v in token.misc if k not in RESERVED_MISC_KEYS)
-        tokens.append(Token(
-            id=token.id, form=token.form, lemma=token.lemma, upos=token.upos,
-            xpos=token.xpos, feats=token.feats, head=token.head,
-            deprel=token.deprel, deps=token.deps,
-            misc=kept + tuple(_bundle_misc(bundle)),
-        ))
-    comments = sentence.comments
-    if header and RULE_CODE_HEADER not in comments:
-        comments = (RULE_CODE_HEADER,) + comments
-    return Sentence(tuple(tokens), comments, sentence.ranges)
+        items = [item for item in token.misc if item[0] not in RESERVED_MISC_KEYS]
+        items += _bundle_misc(bundle)
+        columns.append(format_misc(items))
+    return columns
 
 
 def export(sentences: Sequence[Sentence],
@@ -180,15 +174,22 @@ def export(sentences: Sequence[Sentence],
     """Annotated CoNLL-U with feature MISC keys and a rule-code header.
 
     The closed rule-code vocabulary is written as a comment on the first
-    sentence (once; re-export does not duplicate it).
+    sentence (once; re-export does not duplicate it).  Only the MISC
+    column and that comment change; every other column is written as
+    parsed.
     """
     if len(sentences) != len(bundles):
         raise InputFormatError(
             f"feature bundles for {len(bundles)} sentences do not align "
             f"with {len(sentences)} sentences")
-    annotated = [_with_features(sent, per_sent, header=(i == 0))
-                 for i, (sent, per_sent) in enumerate(zip(sentences, bundles))]
-    return write_conllu(annotated)
+    misc = [_misc_columns(sent, per_sent)
+            for sent, per_sent in zip(sentences, bundles)]
+    sentences = list(sentences)
+    if sentences and RULE_CODE_HEADER not in sentences[0].comments:
+        first = sentences[0]
+        sentences[0] = Sentence(first.tokens, (RULE_CODE_HEADER,) + first.comments,
+                                first.ranges)
+    return write_conllu(sentences, misc)
 
 
 def export_jsonl(sentences: Sequence[Sentence],

@@ -48,7 +48,8 @@ class Lexicon:
     ``pairs`` map holds, per compound class, every matchable adjacent
     bigram: a two-word entry contributes itself, a longer entry
     contributes each consecutive word pair so it can be matched greedily
-    left to right.
+    left to right.  Every set holds folded text only: the rule engine
+    looks already-folded words up in them directly.
     """
 
     complex_predicates: frozenset[str]
@@ -58,20 +59,6 @@ class Lexicon:
     degree_adverbs: frozenset[str]
     head_emphasizing_adverbs: frozenset[str]
     pairs: dict[str, frozenset[str]]
-
-    def entries(self, cls: str) -> frozenset[str]:
-        return {
-            "cpi": self.complex_predicates,
-            "nc": self.noun_compounds,
-            "pc": self.possessive_compounds,
-            "redup": self.reduplicated_compounds,
-            "degree": self.degree_adverbs,
-            "emph": self.head_emphasizing_adverbs,
-        }[cls]
-
-    def counts(self) -> dict[str, int]:
-        return {cls: len(self.entries(cls))
-                for cls in (*COMPOUND_CLASSES, "degree", "emph")}
 
     def match_pair(self, cls: str, first: str, second: str) -> bool:
         """True iff the folded, space-joined pair is matchable in ``cls``."""
@@ -84,11 +71,6 @@ class Lexicon:
 
     def is_emphasizing_adverb(self, *words: str) -> bool:
         return any(fold(w) in self.head_emphasizing_adverbs for w in words if w)
-
-
-def match_multiword(lex: Lexicon, cls: str, pair: tuple[str, str]) -> bool:
-    """Membership test for an ordered word pair in a compound class."""
-    return lex.match_pair(cls, pair[0], pair[1])
 
 
 def _read_entries(path: Path, require_compound: bool) -> list[tuple[str, ...]]:

@@ -69,9 +69,9 @@ def test_criterion_ablation_harness(lexicon):
     with criterion("ablation schedules and monotone coverage, < 30s"):
         started = time.perf_counter()
         rng = random.Random(40)
-        gold, bare, raw = random_treebank(rng, 1000)
+        gold, _, raw = random_treebank(rng, 1000)
         sidecar = read_morph_sidecar(sidecar_text(raw))
-        results = ablate(gold, bare, sidecar, lexicon)
+        results = ablate(gold, sidecar, lexicon)
         assert len(results) == 8
         coverages = [r.coverage for r in results]
         assert all(b >= a for a, b in zip(coverages, coverages[1:]))

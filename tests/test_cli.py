@@ -231,6 +231,15 @@ def test_ablate_emits_cumulative_steps(corpus, capsys):
     assert len(report["steps"]) == 6
 
 
+def test_ablate_sidecar_missing_a_sentence_exits_2(corpus, tmp_path, capsys):
+    treebank, _ = corpus
+    sidecar = tmp_path / "partial.morph"
+    sidecar.write_text("".join(line + "\n" for line in SIDECAR.splitlines()
+                               if not line.startswith("2\t")), encoding="utf-8")
+    assert main(["ablate", str(treebank), str(sidecar)]) == 2
+    assert "has no morphological analysis" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(capsys):
     assert main(["score", "/nonexistent/gold.conllu",
                  "/nonexistent/sys.conllu"]) == 2

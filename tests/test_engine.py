@@ -9,9 +9,12 @@ import random
 import pytest
 
 from ruleparse import (ALL_RULES, DEFAULT_RULES, Diagnostics, EngineError,
-                       RuleCode, RuleConfig, assigned_heads, run)
+                       RuleCode, RuleConfig, ablation_steps, assigned_heads,
+                       fold, run)
+from ruleparse.engine import SentenceView
+from ruleparse.morpho import ROOT_POS_TO_UPOS
 
-from conftest import ma, random_sentence, sent, tok
+from conftest import ma, random_conllu_sentence, random_sentence, sent, tok
 
 AV_ENABLED = RuleConfig(enabled=DEFAULT_RULES | {RuleCode.AV})
 EVERYTHING = RuleConfig(enabled=ALL_RULES)
@@ -461,3 +464,111 @@ def test_random_sentences_obey_invariants(lexicon, config):
         check_invariants(sentence, first)
         again = run(sentence, analyses, lexicon, config)
         assert results(first) == results(again)
+
+
+# -- shared sentence views ---------------------------------------------------
+
+
+def traced_run(sentence, analyses, lexicon, config):
+    diagnostics = Diagnostics()
+    assignments = run(sentence, analyses, lexicon, config, diagnostics)
+    return assignments, diagnostics.to_dict()
+
+
+def view_snapshot(view):
+    return [getattr(view, name) for name in
+            ("pos", "forms", "genitive", "accusative", "possessive", "bare")]
+
+
+def test_shared_view_matches_fresh_runs_on_every_ablation_step(lexicon):
+    rng = random.Random(2718)
+    for _ in range(150):
+        sentence, analyses = random_sentence(rng)
+        view = SentenceView(sentence, analyses)
+        for config in ablation_steps():
+            assert traced_run(sentence, view, lexicon, config) \
+                == traced_run(sentence, dict(analyses), lexicon, config)
+
+
+def test_running_a_view_twice_leaves_it_unchanged(lexicon):
+    rng = random.Random(3141)
+    for _ in range(150):
+        sentence, analyses = random_sentence(rng)
+        view = SentenceView(sentence, analyses)
+        before = view_snapshot(view)
+        first = traced_run(sentence, view, lexicon, EVERYTHING)
+        assert traced_run(sentence, view, lexicon, EVERYTHING) == first
+        assert view_snapshot(view) == before
+        assert dict(view) == analyses
+
+
+def test_view_of_another_sentence_is_rebuilt(lexicon):
+    short = sent(tok(1, "kabul", "NOUN", "kabul"))
+    longer = sent(tok(1, "kabul", "NOUN", "kabul"), tok(2, "etti", "VERB", "et"))
+    analyses = {1: ma("kabul", "Noun", "A3sg", "Nom"),
+                2: ma("et", "Verb", "Past", "A3sg")}
+    view = SentenceView(short, analyses)
+    assert results(run(longer, view, lexicon)) == [(2, 1, RuleCode.CPI)]
+
+
+def test_missing_analysis_message_is_unchanged(lexicon):
+    sentence = sent(tok(1, "ev", "NOUN"), tok(2, "kapı", "NOUN"))
+    partial = {1: ma("ev", "Noun", "A3sg", "Nom")}
+    message = "token 2 ('kapı') has no morphological analysis"
+    with pytest.raises(ValueError) as direct:
+        run(sentence, partial, lexicon)
+    assert str(direct.value) == message
+    with pytest.raises(ValueError) as building:
+        SentenceView(sentence, partial)
+    assert str(building.value) == message
+    short_view = SentenceView(sent(tok(1, "ev", "NOUN")), partial)
+    with pytest.raises(ValueError) as reused:
+        run(sentence, short_view, lexicon)
+    assert str(reused.value) == message
+
+
+# Reference definitions of the per-token facts, evaluated on demand the
+# way the rules once computed them on every test.
+
+_TAG_POOL = ("A3sg", "A3pl", "P1sg", "P3sg", "P3pl", "Nom", "Acc", "Dat",
+             "Loc", "Abl", "Gen", "Ins", "Equ", "Past", "Prog1")
+
+
+def reference_facts(token, analysis):
+    feats = dict(token.feats)
+    tags = analysis.tags
+    possessive = any(t in ("P1sg", "P2sg", "P3sg", "P1pl", "P2pl", "P3pl")
+                     for t in tags) \
+        or any(k.endswith("[psor]") for k in feats)
+    case = feats.get("Case")
+    overt = any(t in ("Acc", "Dat", "Loc", "Abl", "Gen", "Ins", "Equ")
+                for t in tags)
+    words = [token.form, analysis.lemma] + ([token.lemma] if token.lemma else [])
+    return {
+        "pos": token.upos if token.upos is not None
+        else ROOT_POS_TO_UPOS.get(analysis.pos),
+        "forms": {fold(w) for w in words},
+        "genitive": "Gen" in tags or case == "Gen",
+        "accusative": "Acc" in tags or case == "Acc",
+        "possessive": possessive,
+        "bare": not overt and case in (None, "Nom") and not possessive,
+    }
+
+
+def test_view_facts_match_reference_definitions():
+    rng = random.Random(1618)
+    pos_tags = sorted(ROOT_POS_TO_UPOS) + ["Zz"]
+    for _ in range(400):
+        sentence = random_conllu_sentence(rng)
+        analyses = {
+            t.id: ma(rng.choice(("ev", "EV", "Işık", "İstanbul", t.form)),
+                     rng.choice(pos_tags),
+                     *rng.sample(_TAG_POOL, rng.randint(0, 3)))
+            for t in sentence.tokens}
+        view = SentenceView(sentence, analyses)
+        for token in sentence.tokens:
+            got = {name: getattr(view, name)[token.id] for name in
+                   ("pos", "genitive", "accusative", "possessive", "bare")}
+            got["forms"] = set(view.forms[token.id])
+            assert len(view.forms[token.id]) == len(got["forms"])
+            assert got == reference_facts(token, analyses[token.id])

@@ -7,7 +7,7 @@ import pytest
 
 from ruleparse import (AlignmentError, RuleCode, ablate, ablation_steps,
                        randomization_test, score)
-
+import ruleparse.lexicon as lexicon_module
 from ruleparse.conllu import read_morph_sidecar
 
 from conftest import ma, random_treebank, sent, sidecar_text, tok, with_random_tree
@@ -202,9 +202,9 @@ def test_ablation_schedule_without_free_order_rules():
 
 def test_ablation_coverage_is_monotone(lexicon):
     rng = random.Random(31)
-    gold, bare, analyses = random_treebank(rng, 120)
+    gold, _, analyses = random_treebank(rng, 120)
     sidecar = read_morph_sidecar(sidecar_text(analyses))
-    results = ablate(gold, bare, sidecar, lexicon)
+    results = ablate(gold, sidecar, lexicon)
     assert [r.step for r in results] == list(range(1, 9))
     assert results[0].assigned == 0
     assert results[0].precision is None
@@ -215,22 +215,39 @@ def test_ablation_coverage_is_monotone(lexicon):
         assert 0 <= r.matching <= r.assigned <= r.total
 
 
-def test_ablation_alignment_check(lexicon):
-    gold = [headed(["a"], [0])]
-    with pytest.raises(AlignmentError):
-        ablate(gold, [], {}, lexicon)
+def test_ablation_sidecar_missing_a_sentence(lexicon):
+    gold, _, analyses = random_treebank(random.Random(32), 5)
+    without_third = {key: a for key, a in analyses.items() if key[0] != 3}
+    with pytest.raises(ValueError, match="has no morphological analysis"):
+        ablate(gold, without_third, lexicon)
 
 
 def test_ablation_step_to_dict(lexicon):
     gold = [headed(["Kuru", "yemiş"], [2, 0])]
-    bare = [sent(tok(1, "Kuru", "NOUN", "kuru"), tok(2, "yemiş", "NOUN", "yemiş"))]
     analyses = {(1, 1): ma("kuru", "Noun", "A3sg", "Nom"),
                 (1, 2): ma("yemiş", "Noun", "A3sg", "Nom")}
     steps = ablation_steps()[:3]  # up to and including the compound rule
-    results = ablate(gold, bare, analyses, lexicon, steps)
+    results = ablate(gold, analyses, lexicon, steps)
     last = results[-1].to_dict()
     assert last["rules"] == ["CPI", "NC"]
     assert last["assigned"] == 1
     # The compound head (yemiş -> Kuru) disagrees with this gold tree.
     assert last["precision"] == 0.0
     assert results[-1].coverage == 0.5
+
+
+def test_ablation_folds_each_word_once_whatever_the_step_count(lexicon, monkeypatch):
+    gold, _, analyses = random_treebank(random.Random(33), 40)
+    calls = []
+    original = lexicon_module.fold
+
+    def counting_fold(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(lexicon_module, "fold", counting_fold)
+    ablate(gold, analyses, lexicon, ablation_steps()[:1])
+    one_step = len(calls)
+    calls.clear()
+    ablate(gold, analyses, lexicon)
+    assert len(calls) == one_step > 0

@@ -1,15 +1,20 @@
 """Feature encoding and its CoNLL-U / JSON-lines exports."""
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
-from ruleparse import (HybridConfig, RuleAssignment, RuleCode, bundle_from_token,
-                       build_matrix, encode, export, export_jsonl, parse_conllu)
+from ruleparse import (FeatureBundle, HybridConfig, RuleAssignment, RuleCode,
+                       Sentence, Token, bundle_from_token, build_matrix, encode,
+                       export, export_jsonl, parse_conllu, write_conllu)
+from ruleparse.errors import InputFormatError
 from ruleparse.features import (MODE_INFL, MODE_LAST, MODE_RULE, MODE_SUFVEC,
-                                RESERVED_MISC_KEYS, RULE_CODE_HEADER)
+                                RESERVED_MISC_KEYS, RULE_CODE_HEADER,
+                                _bundle_misc)
 
-from conftest import ma, sent, tok
+from conftest import ma, random_conllu_sentence, sent, tok
 
 RULE_ONLY = HybridConfig(frozenset({MODE_RULE}))
 RULE_LAST = HybridConfig(frozenset({MODE_RULE, MODE_LAST}))
@@ -189,3 +194,91 @@ def test_reserved_key_list_matches_header_constant():
     assert RESERVED_MISC_KEYS == ("Rule", "LastSuffix", "InflSuffixes", "SufVec")
     assert RULE_CODE_HEADER == (
         "# rule-codes = CPI NC PC AC AJC AAJ AV AJN NV NONE")
+
+
+# -- export against the token-rebuilding reference ---------------------------
+
+
+def reference_export(sentences, bundles):
+    """Rebuild every token with its new MISC items and serialize that."""
+    if len(sentences) != len(bundles):
+        raise InputFormatError("feature bundles do not align with sentences")
+    annotated = []
+    for i, (sentence, per_sent) in enumerate(zip(sentences, bundles)):
+        if len(per_sent) != len(sentence.tokens):
+            raise InputFormatError("feature bundles do not align with tokens")
+        tokens = []
+        for token, bundle in zip(sentence.tokens, per_sent):
+            kept = tuple((k, v) for k, v in token.misc
+                         if k not in RESERVED_MISC_KEYS)
+            tokens.append(Token(
+                id=token.id, form=token.form, lemma=token.lemma,
+                upos=token.upos, xpos=token.xpos, feats=token.feats,
+                head=token.head, deprel=token.deprel, deps=token.deps,
+                misc=kept + tuple(_bundle_misc(bundle))))
+        comments = sentence.comments
+        if i == 0 and RULE_CODE_HEADER not in comments:
+            comments = (RULE_CODE_HEADER,) + comments
+        annotated.append(Sentence(tuple(tokens), comments, sentence.ranges))
+    return write_conllu(annotated)
+
+
+_RESERVED_ITEMS = (("Rule", "NV"), ("Rule", None), ("LastSuffix", "Gen"),
+                   ("InflSuffixes", ""), ("SufVec", "0.5,0.5"))
+
+
+def random_bundle(rng):
+    def maybe(value):
+        return value if rng.random() < 0.5 else None
+    return FeatureBundle(
+        rule_code=maybe(rng.choice([c.value for c in RuleCode])),
+        last_suffix=maybe(rng.choice(("Gen", "Acc", "P3sg"))),
+        inflectional_suffixes=maybe(tuple(rng.sample(("A3pl", "Gen", "Loc"),
+                                                     rng.randint(0, 2)))),
+        suffix_vector=maybe(tuple(rng.random() for _ in range(rng.randint(0, 3)))),
+    )
+
+
+def with_reserved_items(rng, token):
+    """The token with reserved MISC items mixed into its own."""
+    items = list(token.misc) + rng.sample(_RESERVED_ITEMS, rng.randint(0, 2))
+    rng.shuffle(items)
+    return replace(token, misc=tuple(items))
+
+
+def random_export_input(rng):
+    sentences = []
+    for _ in range(rng.randint(0, 6)):
+        sentence = random_conllu_sentence(rng)
+        tokens = tuple(with_reserved_items(rng, t) for t in sentence.tokens)
+        comments = sentence.comments
+        if rng.random() < 0.3:
+            at = rng.randint(0, len(comments))
+            comments = comments[:at] + (RULE_CODE_HEADER,) + comments[at:]
+        sentences.append(Sentence(tokens, comments, sentence.ranges))
+    bundles = [[random_bundle(rng) for _ in s.tokens] for s in sentences]
+    return sentences, bundles
+
+
+def test_export_matches_token_rebuilding_reference():
+    rng = random.Random(4242)
+    for _ in range(300):
+        sentences, bundles = random_export_input(rng)
+        assert export(sentences, bundles) == reference_export(sentences, bundles)
+
+
+def test_export_rejects_what_the_reference_rejects():
+    rng = random.Random(4243)
+    checked = 0
+    while checked < 50:
+        sentences, bundles = random_export_input(rng)
+        if not sentences:
+            continue
+        at = rng.randrange(len(sentences))
+        bundles[at] = bundles[at][:-1] + [random_bundle(rng)] * rng.choice((0, 2))
+        for candidate in (bundles, bundles[:-1]):
+            with pytest.raises(InputFormatError):
+                reference_export(sentences, candidate)
+            with pytest.raises(InputFormatError, match="align"):
+                export(sentences, candidate)
+        checked += 1

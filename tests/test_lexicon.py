@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ruleparse import LexiconError, default_lexicon_dir, fold, load_lexicon
-from ruleparse.lexicon import _FILENAMES, match_multiword
+from ruleparse.lexicon import _FILENAMES
 
 
 def test_fold_handles_turkish_i():
@@ -21,8 +21,10 @@ def test_fold_is_idempotent(text):
 
 
 def test_default_lexicons_load(lexicon):
-    counts = lexicon.counts()
-    assert all(counts[cls] > 0 for cls in counts)
+    for entries in (lexicon.complex_predicates, lexicon.noun_compounds,
+                    lexicon.possessive_compounds, lexicon.reduplicated_compounds,
+                    lexicon.degree_adverbs, lexicon.head_emphasizing_adverbs):
+        assert len(entries) > 0
     assert "kuru yemiş" in lexicon.noun_compounds
     assert "çok" in lexicon.degree_adverbs
     assert "bile" in lexicon.head_emphasizing_adverbs
@@ -50,8 +52,8 @@ def test_long_entries_match_each_adjacent_bigram(lexicon):
     assert not lexicon.match_pair("cpi", "göz", "ol")
 
 
-def test_match_multiword_helper(lexicon):
-    assert match_multiword(lexicon, "redup", ("arka", "arkaya"))
+def test_match_pair_reduplicated_compound(lexicon):
+    assert lexicon.match_pair("redup", "arka", "arkaya")
 
 
 def test_adverb_membership_ignores_empty_variants(lexicon):
