@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="cumulative rule ablation over a gold treebank")
     p.add_argument("gold")
     p.add_argument("sidecar")
-    _add_common(p, jobs=True, lexicons=True)
+    _add_common(p, lexicons=True)
     p.add_argument("--no-av-nv", action="store_true",
                    help="use the six-step schedule without AV and NV")
     return parser

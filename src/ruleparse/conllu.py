@@ -315,9 +315,3 @@ def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnal
                 line_no, f"duplicate entry for sentence {key[0]} token {key[1]}")
         result[key] = analysis
     return result
-
-
-def sentence_analyses(sidecar: dict[tuple[int, int], MorphAnalysis],
-                      ordinal: int) -> dict[int, MorphAnalysis]:
-    """Slice a sidecar map down to one sentence, keyed by token id."""
-    return {tok: a for (sent, tok), a in sidecar.items() if sent == ordinal}

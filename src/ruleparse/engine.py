@@ -7,21 +7,29 @@ deferred by a consecutive-adverb/adjective rule) it is removed, so rule
 adjacency is adjacency in the shrinking remaining list, not surface
 adjacency.
 
-Scheduling is fixed:
+The schedule is one ordered table (``_ONCE``, then ``_REPEATED``):
 
 1. AC scans adverb pairs: a degree adverb attaches to the adverb after
-   it; any other adverb pair is queued for late binding.
-2. AJC queues every adjacent adjective pair for late binding.
+   it; any other adverb pair is deferred for late binding.
+2. AJC defers every adjacent adjective pair for late binding.
 3. CPI (complex predicates/idioms) and NC (lexicon compounds) each run
    once.
 4. PC, AAJ, AV, AJN, NV repeat in that order until a full pass assigns
    nothing.
 
-Queued pairs resolve as soon as the second member receives a head from
-any rule: the first member then attaches to the same head with code AC
-(adverbs) or AJC (adjectives).  Disabling a rule skips it without
-reordering the others; AV and NV are disabled by default because they
-overgenerate on free word order.
+Each run builds every rule's pair test once over the sentence's view,
+keeps the enabled ones in schedule order, and sends each through the
+same left-to-right scan.  Disabling a rule skips it without reordering
+the others; AV and NV are disabled by default because they overgenerate
+on free word order.
+
+Late binding is one map, ``waiting``, from a deferred pair's second
+member to its first member and code.  Deferring takes the first member
+out of the remaining list; as soon as the second member receives a head
+from any rule, the first member attaches to the same head with code AC
+(adverbs) or AJC (adjectives).  A second member is deferred at most
+once: AC and AJC each run once, the scan only moves forward, and an
+adverb pair never shares a member with an adjective pair.
 
 Every assignment is checked against the partial head graph and skipped
 (counted in diagnostics) if it would create a cycle.  Rule codes are
@@ -41,7 +49,7 @@ ablation harness) builds each view once.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -199,15 +207,6 @@ class SentenceView(Mapping):
         return len(self.analyses)
 
 
-class _DeferredPair:
-    __slots__ = ("first", "second", "resolved")
-
-    def __init__(self, first: int, second: int):
-        self.first = first
-        self.second = second
-        self.resolved = False
-
-
 class EngineState:
     """Mutable per-sentence working state of a rule run over a view."""
 
@@ -218,8 +217,8 @@ class EngineState:
         self.remaining: list[int] = [t.id for t in view.sentence.tokens]
         self.heads: dict[int, int] = {}
         self.assignments: list[RuleAssignment] = []
-        self.consecutive_adverbs: list[_DeferredPair] = []
-        self.consecutive_adjectives: list[_DeferredPair] = []
+        # second member of a deferred pair -> (first member, its code)
+        self.waiting: dict[int, tuple[int, RuleCode]] = {}
         self.cp_marked: set[int] = set()
         self.diagnostics = diagnostics
 
@@ -248,8 +247,8 @@ class EngineState:
         """Record ``dependent -> head`` unless it would break an invariant.
 
         Returns False (and counts a diagnostic) when the edge would close
-        a cycle.  On success the dependent leaves the remaining list and
-        any deferred pair waiting on it is resolved recursively.
+        a cycle.  On success the dependent leaves the remaining list, and
+        a first member waiting on it attaches to the same head.
         """
         if dependent == head or dependent in self.heads:
             return False
@@ -261,29 +260,23 @@ class EngineState:
         self.diagnostics.fire_counts[code.value] += 1
         if dependent in self.remaining:
             self.remaining.remove(dependent)
-        self._resolve_deferred(dependent, head)
+        waiting = self.waiting.pop(dependent, None)
+        if waiting is not None:
+            first, first_code = waiting
+            self.assign(first, head, first_code)
         return True
 
-    def _resolve_deferred(self, resolved_id: int, head: int) -> None:
-        for pairs, code in ((self.consecutive_adverbs, RuleCode.AC),
-                            (self.consecutive_adjectives, RuleCode.AJC)):
-            for pair in pairs:
-                if pair.resolved or pair.second != resolved_id:
-                    continue
-                pair.resolved = True
-                if pair.first != head and pair.first not in self.heads:
-                    self.assign(pair.first, head, code)
-
-    def defer(self, pairs: list[_DeferredPair], first: int, second: int) -> None:
-        pairs.append(_DeferredPair(first, second))
+    def defer(self, first: int, second: int, code: RuleCode) -> None:
+        """Take ``first`` out of the remaining list until ``second`` has a
+        head; it then attaches to that head with ``code``."""
+        self.waiting[second] = (first, code)
         self.remaining.remove(first)
 
-    def is_deferred_first(self, token_id: int) -> bool:
-        return any(not p.resolved and p.first == token_id
-                   for p in self.consecutive_adjectives)
+
+TryPair = Callable[[int, int], bool]
 
 
-def _scan(state: EngineState, try_pair) -> None:
+def _scan(state: EngineState, try_pair: TryPair) -> None:
     """One left-to-right pass over adjacent remaining pairs.
 
     ``try_pair(first, second) -> bool`` reports whether it consumed the
@@ -297,35 +290,6 @@ def _scan(state: EngineState, try_pair) -> None:
         fired = try_pair(remaining[i], remaining[i + 1])
         if not fired or len(remaining) == before:
             i += 1
-
-
-def _rule_ac(state: EngineState) -> None:
-    """Consecutive adverbs: attach degree adverbs, queue the rest."""
-    pos, forms = state.view.pos, state.view.forms
-    degree = state.lexicon.degree_adverbs
-
-    def try_pair(x: int, y: int) -> bool:
-        if pos[x] != "ADV" or pos[y] != "ADV":
-            return False
-        if not degree.isdisjoint(forms[x]):
-            return state.assign(x, y, RuleCode.AC)
-        state.defer(state.consecutive_adverbs, x, y)
-        return True
-
-    _scan(state, try_pair)
-
-
-def _rule_ajc(state: EngineState) -> None:
-    """Consecutive adjectives: queue every adjacent pair for late binding."""
-    pos = state.view.pos
-
-    def try_pair(x: int, y: int) -> bool:
-        if pos[x] != "ADJ" or pos[y] != "ADJ":
-            return False
-        state.defer(state.consecutive_adjectives, x, y)
-        return True
-
-    _scan(state, try_pair)
 
 
 def _chain_forward(state: EngineState, cls: str, code: RuleCode,
@@ -349,138 +313,130 @@ def _chain_forward(state: EngineState, cls: str, code: RuleCode,
         cursor = nxt
 
 
-def _rule_cpi(state: EngineState) -> None:
-    """Complex predicates and idioms: second word attaches to the first.
+# The rule schedule: each rule in ``_ONCE`` runs once, in order; then the
+# rules in ``_REPEATED`` run in order, pass after pass, until a full pass
+# assigns nothing.
+_ONCE = (RuleCode.AC, RuleCode.AJC, RuleCode.CPI, RuleCode.NC)
+_REPEATED = (RuleCode.PC, RuleCode.AAJ, RuleCode.AV, RuleCode.AJN, RuleCode.NV)
 
-    The first word, when it is a noun, is marked CP so the noun-verb
-    rule never reattaches it later.
+
+def _schedule(state: EngineState, enabled: frozenset[RuleCode]
+              ) -> tuple[list[TryPair], list[TryPair]]:
+    """The enabled rules' pair tests in schedule order, split into the
+    ones that run once and the ones that repeat.
+
+    Each ``try_pair(x, y) -> bool`` tests the adjacent remaining pair
+    ``x, y`` and reports whether it consumed it (see :func:`_scan`).
     """
-    pos = state.view.pos
+    view, lexicon, assign = state.view, state.lexicon, state.assign
+    pos, forms, genitive, bare = view.pos, view.forms, view.genitive, view.bare
+    possessive, accusative = view.possessive, view.accusative
+    degree = lexicon.degree_adverbs
+    emphasizing = lexicon.head_emphasizing_adverbs
+    cp_marked = state.cp_marked
 
-    def try_pair(x: int, y: int) -> bool:
+    def ac(x: int, y: int) -> bool:
+        """Consecutive adverbs: a degree adverb attaches to the adverb
+        after it; any other adverb waits for that adverb's head."""
+        if pos[x] != "ADV" or pos[y] != "ADV":
+            return False
+        if not degree.isdisjoint(forms[x]):
+            return assign(x, y, RuleCode.AC)
+        state.defer(x, y, RuleCode.AC)
+        return True
+
+    def ajc(x: int, y: int) -> bool:
+        """Consecutive adjectives: the first waits for the second's head."""
+        if pos[x] != "ADJ" or pos[y] != "ADJ":
+            return False
+        state.defer(x, y, RuleCode.AJC)
+        return True
+
+    def cpi(x: int, y: int) -> bool:
+        """Complex predicates and idioms: the second word attaches to the
+        first.  The first word, when it is a noun, is marked CP so the
+        noun-verb rule never reattaches it later."""
         if not state.pair_in("cpi", x, y):
             return False
-        if not state.assign(y, x, RuleCode.CPI):
+        if not assign(y, x, RuleCode.CPI):
             return False
         if pos[x] == "NOUN":
-            state.cp_marked.add(x)
+            cp_marked.add(x)
         _chain_forward(state, "cpi", RuleCode.CPI, x, y)
         return True
 
-    _scan(state, try_pair)
-
-
-def _rule_nc(state: EngineState) -> None:
-    """Lexicon compounds: bare and reduplicated compounds are headed by
-    their first member, possessive-marked compounds by their second."""
-    def try_pair(x: int, y: int) -> bool:
+    def nc(x: int, y: int) -> bool:
+        """Lexicon compounds: bare and reduplicated compounds are headed
+        by their first member, possessive-marked compounds by their
+        second."""
         for cls in ("nc", "redup"):
             if state.pair_in(cls, x, y):
-                if state.assign(y, x, RuleCode.NC):
+                if assign(y, x, RuleCode.NC):
                     _chain_forward(state, cls, RuleCode.NC, x, y)
                     return True
                 return False
         if state.pair_in("pc", x, y):
-            return state.assign(x, y, RuleCode.NC)
+            return assign(x, y, RuleCode.NC)
         return False
 
-    _scan(state, try_pair)
+    def pc(x: int, y: int) -> bool:
+        """Possessive constructions, proper-noun runs, and determiners.
 
-
-def _rule_pc(state: EngineState) -> None:
-    """Possessive constructions, proper-noun runs, and determiners.
-
-    For adjacent nominals the first attaches to the second when it is
-    genitive-marked, or when it is bare and the second carries a
-    possessive suffix without being accusative.  Runs of proper nouns
-    collapse onto the first proper noun, and a determiner attaches to
-    the nominal after it.
-    """
-    view = state.view
-    pos, genitive, bare = view.pos, view.genitive, view.bare
-    possessive, accusative = view.possessive, view.accusative
-
-    def try_pair(x: int, y: int) -> bool:
+        For adjacent nominals the first attaches to the second when it
+        is genitive-marked, or when it is bare and the second carries a
+        possessive suffix without being accusative.  Runs of proper
+        nouns collapse onto the first proper noun, and a determiner
+        attaches to the nominal after it.
+        """
         pos_x, pos_y = pos[x], pos[y]
         if pos_x in _NOMINAL and pos_y in _NOMINAL:
             if genitive[x]:
-                return state.assign(x, y, RuleCode.PC)
+                return assign(x, y, RuleCode.PC)
             if bare[x] and possessive[y] and not accusative[y]:
-                return state.assign(x, y, RuleCode.PC)
+                return assign(x, y, RuleCode.PC)
         if pos_x == "PROPN" and pos_y == "PROPN":
-            return state.assign(y, x, RuleCode.PC)
+            return assign(y, x, RuleCode.PC)
         if pos_x == "DET" and pos_y in _NOMINAL:
-            return state.assign(x, y, RuleCode.PC)
+            return assign(x, y, RuleCode.PC)
         return False
 
-    _scan(state, try_pair)
-
-
-def _rule_aaj(state: EngineState) -> None:
-    """A degree adverb attaches to the adjective directly after it."""
-    pos, forms = state.view.pos, state.view.forms
-    degree = state.lexicon.degree_adverbs
-
-    def try_pair(x: int, y: int) -> bool:
+    def aaj(x: int, y: int) -> bool:
+        """A degree adverb attaches to the adjective directly after it."""
         if pos[x] == "ADV" and pos[y] == "ADJ" and not degree.isdisjoint(forms[x]):
-            return state.assign(x, y, RuleCode.AAJ)
+            return assign(x, y, RuleCode.AAJ)
         return False
 
-    _scan(state, try_pair)
-
-
-def _rule_av(state: EngineState) -> None:
-    """An adverb attaches to the verb after it, unless it is one of the
-    adverbs that emphasize the preceding word, which attach backwards."""
-    pos, forms = state.view.pos, state.view.forms
-    emphasizing = state.lexicon.head_emphasizing_adverbs
-
-    def try_pair(x: int, y: int) -> bool:
+    def av(x: int, y: int) -> bool:
+        """An adverb attaches to the verb after it, unless it is one of
+        the adverbs that emphasize the preceding word, which attach
+        backwards."""
         if pos[x] != "ADV" or pos[y] != "VERB":
             return False
         if not emphasizing.isdisjoint(forms[x]):
             if x == 1:
                 return False
-            return state.assign(x, x - 1, RuleCode.AV)
-        return state.assign(x, y, RuleCode.AV)
+            return assign(x, x - 1, RuleCode.AV)
+        return assign(x, y, RuleCode.AV)
 
-    _scan(state, try_pair)
-
-
-def _rule_ajn(state: EngineState) -> None:
-    """An adjective attaches to the nominal directly after it."""
-    pos = state.view.pos
-
-    def try_pair(x: int, y: int) -> bool:
-        if pos[x] == "ADJ" and pos[y] in _NOMINAL \
-                and not state.is_deferred_first(x):
-            return state.assign(x, y, RuleCode.AJN)
+    def ajn(x: int, y: int) -> bool:
+        """An adjective attaches to the nominal directly after it."""
+        if pos[x] == "ADJ" and pos[y] in _NOMINAL:
+            return assign(x, y, RuleCode.AJN)
         return False
 
-    _scan(state, try_pair)
-
-
-def _rule_nv(state: EngineState) -> None:
-    """An unassigned noun or pronoun attaches to the verb after it,
-    unless it was marked as part of a complex predicate."""
-    pos = state.view.pos
-
-    def try_pair(x: int, y: int) -> bool:
-        if pos[x] in _NV_DEPENDENTS and x not in state.cp_marked \
-                and pos[y] == "VERB":
-            return state.assign(x, y, RuleCode.NV)
+    def nv(x: int, y: int) -> bool:
+        """An unassigned noun or pronoun attaches to the verb after it,
+        unless it was marked as part of a complex predicate."""
+        if pos[x] in _NV_DEPENDENTS and x not in cp_marked and pos[y] == "VERB":
+            return assign(x, y, RuleCode.NV)
         return False
 
-    _scan(state, try_pair)
-
-
-_LOOP_RULES = (
-    (RuleCode.PC, _rule_pc),
-    (RuleCode.AAJ, _rule_aaj),
-    (RuleCode.AV, _rule_av),
-    (RuleCode.AJN, _rule_ajn),
-    (RuleCode.NV, _rule_nv),
-)
+    # keyed by the codes' values: a RuleCode is equal to its value
+    try_pairs = {"AC": ac, "AJC": ajc, "CPI": cpi, "NC": nc, "PC": pc,
+                 "AAJ": aaj, "AV": av, "AJN": ajn, "NV": nv}
+    once = [try_pairs[code] for code in _ONCE if code in enabled]
+    repeated = [try_pairs[code] for code in _REPEATED if code in enabled]
+    return once, repeated
 
 
 def run(sentence: Sentence,
@@ -503,15 +459,9 @@ def run(sentence: Sentence,
         view = SentenceView(sentence, analyses)
     state = EngineState(view, lexicon,
                         diagnostics if diagnostics is not None else Diagnostics())
-
-    if RuleCode.AC in config.enabled:
-        _rule_ac(state)
-    if RuleCode.AJC in config.enabled:
-        _rule_ajc(state)
-    if RuleCode.CPI in config.enabled:
-        _rule_cpi(state)
-    if RuleCode.NC in config.enabled:
-        _rule_nc(state)
+    once, repeated = _schedule(state, config.enabled)
+    for try_pair in once:
+        _scan(state, try_pair)
 
     iterations = 0
     while state.remaining:
@@ -520,9 +470,8 @@ def run(sentence: Sentence,
             raise EngineError(
                 f"rule loop exceeded {config.max_iterations} iterations")
         before = len(state.assignments)
-        for code, rule in _LOOP_RULES:
-            if code in config.enabled:
-                rule(state)
+        for try_pair in repeated:
+            _scan(state, try_pair)
         if len(state.assignments) == before:
             break
     return list(state.assignments)

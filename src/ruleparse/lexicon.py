@@ -66,12 +66,6 @@ class Lexicon:
             raise ValueError(f"unknown compound class {cls!r}")
         return f"{fold(first)} {fold(second)}" in self.pairs[cls]
 
-    def is_degree_adverb(self, *words: str) -> bool:
-        return any(fold(w) in self.degree_adverbs for w in words if w)
-
-    def is_emphasizing_adverb(self, *words: str) -> bool:
-        return any(fold(w) in self.head_emphasizing_adverbs for w in words if w)
-
 
 def _read_entries(path: Path, require_compound: bool) -> list[tuple[str, ...]]:
     if not path.is_file():

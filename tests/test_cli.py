@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ruleparse
 from ruleparse import EngineError, parse_conllu, read_matrix
 from ruleparse.cli import main
 
@@ -58,8 +61,13 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point():
+    # The child imports the same package as this process, installed or not.
+    source_root = str(Path(ruleparse.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "ruleparse", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
 
@@ -238,6 +246,14 @@ def test_ablate_sidecar_missing_a_sentence_exits_2(corpus, tmp_path, capsys):
                                if not line.startswith("2\t")), encoding="utf-8")
     assert main(["ablate", str(treebank), str(sidecar)]) == 2
     assert "has no morphological analysis" in capsys.readouterr().err
+
+
+def test_ablate_has_no_jobs_flag(corpus, capsys):
+    treebank, sidecar = corpus
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ablate", str(treebank), str(sidecar), "--jobs", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_missing_input_exits_2(capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ruleparse import (ConlluError, SidecarError, Token, parse_conllu,
                        read_morph_sidecar, write_conllu)
-from ruleparse.conllu import iter_morph_sidecar, sentence_analyses
+from ruleparse.conllu import iter_morph_sidecar
 
 from conftest import random_conllu_sentence, sent, tok
 
@@ -203,13 +203,6 @@ def test_sidecar_bare_root_has_no_tags():
 
 def test_sidecar_streaming_matches_dict():
     assert dict(iter_morph_sidecar(SIDECAR)) == read_morph_sidecar(SIDECAR)
-
-
-def test_sentence_analyses_slices_one_sentence():
-    entries = read_morph_sidecar(SIDECAR)
-    per_token = sentence_analyses(entries, 1)
-    assert set(per_token) == {1, 2}
-    assert per_token[2].lemma == "gel"
 
 
 @pytest.mark.parametrize("line,message", [

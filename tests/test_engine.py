@@ -5,13 +5,14 @@ sets is a behavioral regression, not a test to update.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from ruleparse import (ALL_RULES, DEFAULT_RULES, Diagnostics, EngineError,
                        RuleCode, RuleConfig, ablation_steps, assigned_heads,
                        fold, run)
-from ruleparse.engine import SentenceView
+from ruleparse.engine import EngineState, SentenceView
 from ruleparse.morpho import ROOT_POS_TO_UPOS
 
 from conftest import ma, random_conllu_sentence, random_sentence, sent, tok
@@ -464,6 +465,27 @@ def test_random_sentences_obey_invariants(lexicon, config):
         check_invariants(sentence, first)
         again = run(sentence, analyses, lexicon, config)
         assert results(first) == results(again)
+
+
+def test_a_second_member_is_deferred_at_most_once(lexicon, monkeypatch):
+    """``waiting`` holds one first member per second member, so a second
+    deferral would silently drop a late binding."""
+    defer = EngineState.defer
+    deferred = Counter()
+
+    def checked_defer(state, first, second, code):
+        assert second not in state.waiting
+        deferred[code] += 1
+        defer(state, first, second, code)
+
+    monkeypatch.setattr(EngineState, "defer", checked_defer)
+    rng = random.Random(4242)
+    for _ in range(300):
+        sentence, analyses = random_sentence(rng)
+        view = SentenceView(sentence, analyses)
+        for config in ablation_steps():
+            run(sentence, view, lexicon, config)
+    assert deferred[RuleCode.AC] and deferred[RuleCode.AJC]
 
 
 # -- shared sentence views ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Pinned output digests of the CLI on a fixed random treebank.
+"""Pinned output digests of the CLI and the engine on a fixed random treebank.
 
 The rule decisions and the exported bytes are the product: a change to
 any digest here is a change in behavior, never an optimization.
@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from ruleparse import write_conllu
+from ruleparse import (ALL_RULES, RuleConfig, ablation_steps,
+                       default_lexicon_dir, load_lexicon, run, write_conllu)
 from ruleparse.cli import main
 
 from conftest import random_treebank, sidecar_text
@@ -27,7 +28,26 @@ EXPECTED = {
         "e8fe3959d3d991527fe9920a12ac1a92277afce7204a2365e6af8be2f39a58bb",
     "ablate":
         "a80dba8459c65a2d55051ea9024528c964b1c293d1422fa33f7c6e1605f013f1",
+    "engine_assignments_per_config":
+        "b70b8429b56eee6d2a75ebb845034473fb8ab73236886e37337a09e5463c2a2d",
 }
+
+
+def engine_assignments_digest(gold, analyses) -> str:
+    """sha256 over every sentence's ordered ``(dependent, head, code)``
+    list, under each ablation step and under all nine rules."""
+    lexicon = load_lexicon(default_lexicon_dir())
+    configs = ablation_steps() + [RuleConfig(enabled=ALL_RULES)]
+    digest = hashlib.sha256()
+    for config in configs:
+        digest.update(("config " + ",".join(sorted(config.enabled)) + "\n").encode())
+        for ordinal, sentence in enumerate(gold, start=1):
+            sent_analyses = {token.id: analyses[(ordinal, token.id)]
+                             for token in sentence.tokens}
+            for a in run(sentence, sent_analyses, lexicon, config):
+                digest.update(f"{a.dependent}\t{a.head}\t{a.code}\n".encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +64,8 @@ def outputs(tmp_path_factory):
                                "--rules", ALL_RULES_FLAG],
         "ablate": ["ablate", str(treebank), str(sidecar)],
     }
-    digests = {}
+    digests = {"engine_assignments_per_config":
+               engine_assignments_digest(gold, analyses)}
     for name, argv in calls.items():
         out = work / f"{name}.out"
         extra = ["--output", str(out)]

@@ -56,11 +56,6 @@ def test_match_pair_reduplicated_compound(lexicon):
     assert lexicon.match_pair("redup", "arka", "arkaya")
 
 
-def test_adverb_membership_ignores_empty_variants(lexicon):
-    assert lexicon.is_degree_adverb("", "ÇOK")
-    assert not lexicon.is_emphasizing_adverb("")
-
-
 def _write_minimal(directory, overrides=None):
     contents = {
         "cpi.txt": "kabul et\n",
