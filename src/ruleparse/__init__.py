@@ -9,8 +9,8 @@ downstream statistical parser.
 
 __version__ = "0.1.0"
 
-from .conllu import (Sentence, Token, parse_conllu, read_morph_sidecar,
-                     write_conllu)
+from .conllu import (Sentence, Token, group_by_sentence, parse_conllu,
+                     read_morph_sidecar, write_conllu)
 from .engine import (ALL_RULES, DEFAULT_RULES, Diagnostics, RuleAssignment,
                      RuleCode, RuleConfig, assigned_heads, run)
 from .errors import (AlignmentError, ConlluError, EngineError,
@@ -28,6 +28,7 @@ from .morpho import (LemmaSuffixMatrix, MorphAnalysis, SuffixInventory,
 __all__ = [
     "__version__",
     "Sentence", "Token", "parse_conllu", "write_conllu", "read_morph_sidecar",
+    "group_by_sentence",
     "RuleCode", "RuleConfig", "RuleAssignment", "Diagnostics",
     "DEFAULT_RULES", "ALL_RULES", "run", "assigned_heads",
     "InputFormatError", "ConlluError", "SidecarError", "LexiconError",

@@ -9,7 +9,7 @@ list; empty-node lines are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 from .errors import ConlluError, SidecarError
 from .morpho import MorphAnalysis
@@ -315,3 +315,13 @@ def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnal
                 line_no, f"duplicate entry for sentence {key[0]} token {key[1]}")
         result[key] = analysis
     return result
+
+
+def group_by_sentence(sidecar: Mapping[tuple[int, int], MorphAnalysis]
+                      ) -> dict[int, dict[int, MorphAnalysis]]:
+    """Regroup a sidecar map as ``{sentence_ordinal: {token_id: analysis}}``,
+    keeping the sidecar's order."""
+    grouped: dict[int, dict[int, MorphAnalysis]] = {}
+    for (ordinal, token_id), analysis in sidecar.items():
+        grouped.setdefault(ordinal, {})[token_id] = analysis
+    return grouped

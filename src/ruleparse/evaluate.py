@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conllu import Sentence
+from .conllu import Sentence, group_by_sentence
 from .engine import Diagnostics, RuleCode, RuleConfig, SentenceView, run
 from .errors import AlignmentError
 from .lexicon import Lexicon
@@ -249,9 +249,7 @@ def ablate(gold: Sequence[Sentence],
     step.
     """
     steps = list(steps) if steps is not None else ablation_steps()
-    by_sentence: dict[int, dict[int, MorphAnalysis]] = {}
-    for (s, tok), analysis in analyses.items():
-        by_sentence.setdefault(s, {})[tok] = analysis
+    by_sentence = group_by_sentence(analyses)
     views = [SentenceView(sent, by_sentence.get(ordinal, {}))
              for ordinal, sent in enumerate(gold, start=1)]
     gold_heads = [{t.id: t.head for t in sent.tokens} for sent in gold]

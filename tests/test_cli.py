@@ -122,18 +122,6 @@ def test_env_sets_rules_and_flag_wins(corpus, capsys, monkeypatch):
     assert codes == {"NONE", "NC", "PC"}
 
 
-def test_parallel_annotation_matches_serial(corpus, tmp_path, capsys):
-    treebank, sidecar = corpus
-    serial = tmp_path / "serial.conllu"
-    parallel = tmp_path / "parallel.conllu"
-    assert main(["annotate", str(treebank), str(sidecar),
-                 "--output", str(serial)]) == 0
-    assert main(["annotate", str(treebank), str(sidecar),
-                 "--jobs", "2", "--output", str(parallel)]) == 0
-    capsys.readouterr()
-    assert serial.read_text() == parallel.read_text()
-
-
 def test_features_rule_plus_last(corpus, capsys):
     treebank, sidecar = corpus
     assert main(["features", str(treebank), str(sidecar),
@@ -248,12 +236,30 @@ def test_ablate_sidecar_missing_a_sentence_exits_2(corpus, tmp_path, capsys):
     assert "has no morphological analysis" in capsys.readouterr().err
 
 
-def test_ablate_has_no_jobs_flag(corpus, capsys):
+@pytest.mark.parametrize("command", ["annotate", "features", "ablate"])
+def test_no_jobs_flag(corpus, capsys, command):
     treebank, sidecar = corpus
     with pytest.raises(SystemExit) as excinfo:
-        main(["ablate", str(treebank), str(sidecar), "--jobs", "2"])
+        main([command, str(treebank), str(sidecar), "--jobs", "2"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_bad_seed_env_fails_only_sigtest(corpus, tmp_path, capsys, monkeypatch):
+    treebank, _ = corpus
+    monkeypatch.setenv("RULEPARSE_SEED", "x")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert main(["score", str(treebank), str(treebank)]) == 0
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "run.conllu").write_text(TREEBANK, encoding="utf-8")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sigtest", str(treebank), str(tmp_path / "a"), str(tmp_path / "b")])
+    assert excinfo.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_missing_input_exits_2(capsys):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleparse import (ConlluError, SidecarError, Token, parse_conllu,
-                       read_morph_sidecar, write_conllu)
+from ruleparse import (ConlluError, SidecarError, Token, group_by_sentence,
+                       parse_conllu, read_morph_sidecar, write_conllu)
 from ruleparse.conllu import iter_morph_sidecar
 
 from conftest import random_conllu_sentence, sent, tok
@@ -194,6 +194,15 @@ def test_sidecar_parses_analyses():
     assert a.lemma == "insan"
     assert a.pos == "Noun"
     assert a.tags == ("A3pl", "Gen")
+
+
+def test_group_by_sentence_keeps_every_entry_in_file_order():
+    sidecar = read_morph_sidecar(SIDECAR)
+    grouped = group_by_sentence(sidecar)
+    assert [(ordinal, token_id) for ordinal, analyses in grouped.items()
+            for token_id in analyses] == [(1, 1), (1, 2), (2, 1)]
+    assert all(grouped[ordinal][token_id] is analysis
+               for (ordinal, token_id), analysis in sidecar.items())
 
 
 def test_sidecar_bare_root_has_no_tags():
