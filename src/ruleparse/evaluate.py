@@ -10,20 +10,47 @@ probability one half, and the absolute metric difference is compared
 against the observed one.  With add-one smoothing the reported p-value
 is never zero.  Model comparisons are run file-wise: five outputs per
 side yield twenty-five p-values, summarized by their harmonic mean.
+
+The shuffles of one file pair come from one generator, in blocks of
+4,096.  ``Generator.integers(0, 2, dtype=np.int8)`` turns each byte of
+the generator's 32-bit word stream into one sign, ``byte >> 7``, low byte
+first, and drops the unused bytes of a call's last word.  The kernel
+draws those words itself (``integers(0, 1 << 32, dtype=np.uint32)``) in
+sub-chunks of a multiple of 4 shuffles, so every chunk starts on a word
+boundary and each block ends where a single ``int8`` draw would have:
+the signs, and so the p-values, are the ones that draw gives.  It then
+sums each shuffle through one 256-entry table per 8 sentences, in memory
+that is O(sentences) plus a fixed chunk.  ``tests/test_evaluate.py``
+checks it against the direct ``int8`` kernel, and ``tests/test_golden.py``
+pins its p-values.
+
+numpy is imported by the functions that use it, so only the significance
+test pays for loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .conllu import Sentence, group_by_sentence
 from .engine import Diagnostics, RuleCode, RuleConfig, SentenceView, run
 from .errors import AlignmentError
 from .lexicon import Lexicon
 from .morpho import MorphAnalysis
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# Shuffles per block.  A block's signs end where one ``int8`` draw of the
+# block would end, dropping the rest of its last 32-bit word, so another
+# block size gives other p-values.
+_BLOCK_SHUFFLES = 4096
+# Signs per kernel sub-chunk, one byte each: the working memory beside
+# the per-sentence tables.  Each of a sub-chunk's arrays is about this
+# size; below glibc's 128 KiB mmap threshold they come from the heap
+# instead of fresh pages faulted in on every sub-chunk.
+_CHUNK_BYTES = 96 << 10
 
 
 @dataclass(frozen=True)
@@ -119,6 +146,8 @@ class SigResult:
 
 def _per_sentence_correct(gold: Sequence[Sentence], system: Sequence[Sentence],
                           metric: str) -> np.ndarray:
+    import numpy as np
+
     _check_aligned(gold, system)
     values = []
     for ordinal, (g, s) in enumerate(zip(gold, system), start=1):
@@ -128,17 +157,40 @@ def _per_sentence_correct(gold: Sequence[Sentence], system: Sequence[Sentence],
 
 
 def _pair_p_value(diffs: np.ndarray, shuffles: int, rng: np.random.Generator) -> float:
-    observed = abs(int(diffs.sum()))
+    """Add-one p-value of ``|sum(diffs)|`` among ``shuffles`` sign flips.
+
+    A shuffle's sum is ``2 * s - sum(diffs)``, where ``s`` sums the diffs
+    whose sign is +1.  Signs are packed 8 sentences to a byte, and ``s``
+    is gathered from one table of the 256 partial sums per 8 sentences.
+    """
+    import numpy as np
+
+    n = diffs.size
+    if n == 0:
+        return 1.0
+    total = int(diffs.sum())
+    groups = -(-n // 8)
+    padded = np.zeros(groups * 8, dtype=np.int64)
+    padded[:n] = diffs
+    # Row b of ``bits`` holds b's bits high bit first, the order in which
+    # ``np.packbits`` packs 8 sentences into one byte.
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    tables = (padded.reshape(groups, 8) @ bits.T).ravel()
+    offsets = np.arange(0, groups * 256, 256, dtype=np.intp)
+    # A multiple of 4 shuffles holds a whole number of 32-bit words.
+    rows = max(4, min(_BLOCK_SHUFFLES, _CHUNK_BYTES // n) // 4 * 4)
     at_least = 0
-    remaining = shuffles
-    block = 4096
-    while remaining:
-        take = min(block, remaining)
-        signs = rng.integers(0, 2, size=(take, diffs.size),
-                             dtype=np.int8) * 2 - 1
-        sums = np.abs(signs @ diffs)
-        at_least += int((sums >= observed).sum())
-        remaining -= take
+    for block_start in range(0, shuffles, _BLOCK_SHUFFLES):
+        block = min(_BLOCK_SHUFFLES, shuffles - block_start)
+        for start in range(0, block, rows):
+            take = min(rows, block - start)
+            words = rng.integers(0, 1 << 32, size=-(-take * n // 4),
+                                 dtype=np.uint32)
+            # Low byte first, as the generator hands out a word's bytes.
+            signs = (words.astype("<u4", copy=False).view(np.uint8)[:take * n]
+                     .reshape(take, n) >> 7)
+            sums = np.take(tables, np.packbits(signs, axis=1) + offsets).sum(axis=1)
+            at_least += int(np.count_nonzero(np.abs(2 * sums - total) >= abs(total)))
     return (1 + at_least) / (1 + shuffles)
 
 
@@ -155,6 +207,8 @@ def randomization_test(gold: Sequence[Sentence],
     from independently spawned generators, so pairs may be evaluated in
     any order (or in parallel) without changing the result.
     """
+    import numpy as np
+
     if shuffles < 1:
         raise ValueError("shuffles must be >= 1")
     if metric not in ("uas", "las"):

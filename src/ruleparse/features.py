@@ -14,6 +14,7 @@ because reserved keys are replaced, never duplicated.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -194,11 +195,19 @@ def export(sentences: Sequence[Sentence],
 
 def export_jsonl(sentences: Sequence[Sentence],
                  bundles: Sequence[Sequence[FeatureBundle]]) -> str:
-    """One JSON object per token: sentence/token indices plus features."""
+    """One JSON object per token: sentence/token indices plus features.
+
+    ``suffix_vector`` is always a record's last key, so each distinct
+    vector is serialized once per export and its text spliced into every
+    record that carries it.
+    """
     if len(sentences) != len(bundles):
         raise InputFormatError(
             f"feature bundles for {len(bundles)} sentences do not align "
             f"with {len(sentences)} sentences")
+    # Keyed by the vector's float64 bytes: the tuple would merge a row
+    # holding 0.0 with an equal one holding -0.0, which prints differently.
+    vector_texts: dict[bytes, str] = {}
     lines = []
     for ordinal, (sentence, per_sent) in enumerate(zip(sentences, bundles), start=1):
         if len(per_sent) != len(sentence.tokens):
@@ -213,7 +222,13 @@ def export_jsonl(sentences: Sequence[Sentence],
                 record["last_suffix"] = bundle.last_suffix
             if bundle.inflectional_suffixes is not None:
                 record["infl_suffixes"] = list(bundle.inflectional_suffixes)
-            if bundle.suffix_vector is not None:
-                record["suffix_vector"] = [round(v, 9) for v in bundle.suffix_vector]
-            lines.append(json.dumps(record, ensure_ascii=False))
+            line = json.dumps(record, ensure_ascii=False)
+            if (vector := bundle.suffix_vector) is not None:
+                key = array("d", vector).tobytes()
+                text = vector_texts.get(key)
+                if text is None:
+                    text = vector_texts[key] = json.dumps(
+                        [round(v, 9) for v in vector])
+                line = f'{line[:-1]}, "suffix_vector": {text}}}'
+            lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")

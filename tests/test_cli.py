@@ -60,16 +60,38 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == "0.1.0"
 
 
-def test_module_entry_point():
-    # The child imports the same package as this process, installed or not.
+def run_child(*args):
+    """``python *args`` in a child that imports the same package as this
+    process, installed or not."""
     source_root = str(Path(ruleparse.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [source_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ruleparse", "--version"],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = run_child("-m", "ruleparse", "--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_cli_import_does_not_load_numpy():
+    proc = run_child("-c", "import sys, ruleparse.cli; "
+                           "print('numpy' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
+def test_version_run_does_not_load_numpy():
+    # ``-X importtime`` lists every module the run imports on stderr.
+    proc = run_child("-X", "importtime", "-m", "ruleparse", "--version")
+    assert proc.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in
+                proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "ruleparse.cli" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 def test_annotate_emits_rule_codes(corpus, capsys):

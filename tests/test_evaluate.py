@@ -2,11 +2,14 @@
 
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ruleparse import (AlignmentError, RuleCode, ablate, ablation_steps,
                        randomization_test, score)
+import ruleparse.evaluate as evaluate
 import ruleparse.lexicon as lexicon_module
 from ruleparse.conllu import read_morph_sidecar
 
@@ -175,6 +178,56 @@ def test_sig_result_to_dict():
     assert d["shuffles"] == 10
     assert d["p_values"] == [[1.0]]
     assert d["harmonic_mean_p"] == 1.0
+
+
+def reference_pair_p_value(diffs, shuffles, rng):
+    """The direct kernel: each 4,096-shuffle block's signs in one ``int8``
+    draw, summed by a matrix product."""
+    observed = abs(int(diffs.sum()))
+    at_least = 0
+    remaining = shuffles
+    while remaining:
+        take = min(4096, remaining)
+        signs = rng.integers(0, 2, size=(take, diffs.size),
+                             dtype=np.int8) * 2 - 1
+        at_least += int((np.abs(signs @ diffs) >= observed).sum())
+        remaining -= take
+    return (1 + at_least) / (1 + shuffles)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 61, 4096, evaluate._CHUNK_BYTES])
+def test_kernel_matches_direct_int8_draw(monkeypatch, chunk_bytes):
+    # Small chunk budgets split every block into many sub-chunks.
+    monkeypatch.setattr(evaluate, "_CHUNK_BYTES", chunk_bytes)
+    rng = random.Random(chunk_bytes)
+    for _ in range(30):
+        n = rng.choice([rng.randint(0, 20), rng.randint(21, 1200)])
+        shuffles = rng.choice([rng.randint(1, 9), rng.randint(4090, 4100),
+                               rng.randint(1, 9000)])
+        spread = rng.choice([1, 4, 50, 10**6])
+        diffs = np.array([rng.randint(-spread, spread) for _ in range(n)],
+                         dtype=np.int64)
+        seed = rng.randrange(2**32)
+        expected_rng = np.random.Generator(np.random.PCG64(seed))
+        expected = reference_pair_p_value(diffs, shuffles, expected_rng)
+        kernel_rng = np.random.Generator(np.random.PCG64(seed))
+        assert evaluate._pair_p_value(diffs, shuffles, kernel_rng) == expected, \
+            (n, shuffles, seed)
+        if n:
+            # Both consumed the same generator words.
+            assert kernel_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def test_kernel_memory_is_bounded():
+    # The direct kernel holds 100 x 200,000 signs as int64 (160 MB).
+    diffs = np.random.default_rng(0).integers(-3, 4, size=200_000)
+    tracemalloc.start()
+    try:
+        evaluate._pair_p_value(diffs, 100, np.random.Generator(np.random.PCG64(0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
 
 
 # -- ablation ----------------------------------------------------------------

@@ -282,3 +282,67 @@ def test_export_rejects_what_the_reference_rejects():
             with pytest.raises(InputFormatError, match="align"):
                 export(sentences, candidate)
         checked += 1
+
+
+# -- JSON lines against the per-token serialization reference ----------------
+
+
+def reference_export_jsonl(sentences, bundles):
+    """Serialize every token's record, vector included, on its own."""
+    lines = []
+    for ordinal, (sentence, per_sent) in enumerate(zip(sentences, bundles), start=1):
+        for token, bundle in zip(sentence.tokens, per_sent):
+            record = {"sentence": ordinal, "token": token.id, "form": token.form}
+            if bundle.rule_code is not None:
+                record["rule"] = bundle.rule_code
+            if bundle.last_suffix is not None:
+                record["last_suffix"] = bundle.last_suffix
+            if bundle.inflectional_suffixes is not None:
+                record["infl_suffixes"] = list(bundle.inflectional_suffixes)
+            if bundle.suffix_vector is not None:
+                record["suffix_vector"] = [round(v, 9) for v in bundle.suffix_vector]
+            lines.append(json.dumps(record, ensure_ascii=False))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+_ODD_FORMS = ("\"quoted\"", "back\\slash", "tab\there", "ğüşiöç", "İstanbul'a",
+              "😀")
+
+
+def random_jsonl_input(rng):
+    width = rng.randint(0, 6)
+    values = (0.0, -0.0, 1.0, 1 / 3, 2 / 3, 1e-12, -1e-12, 0.1234567895)
+    # Matrix rows are shared by every token of their lemma; an unseen
+    # lemma gets a fresh all-zero row.
+    rows = [tuple(rng.choice(values) for _ in range(width)) for _ in range(4)]
+    sentences, bundles = [], []
+    for _ in range(rng.randint(0, 5)):
+        sentence = random_conllu_sentence(rng)
+        tokens = tuple(replace(t, form=rng.choice(_ODD_FORMS))
+                       if rng.random() < 0.2 else t for t in sentence.tokens)
+        sentences.append(Sentence(tokens, sentence.comments, sentence.ranges))
+        per_sent = []
+        for _ in tokens:
+            bundle = random_bundle(rng)
+            vector = rng.choice([None, (0.0,) * width, rng.choice(rows),
+                                 tuple(rng.choice(rows)), bundle.suffix_vector])
+            per_sent.append(replace(bundle, suffix_vector=vector))
+        bundles.append(per_sent)
+    return sentences, bundles
+
+
+def test_jsonl_export_matches_per_token_reference():
+    rng = random.Random(4244)
+    for _ in range(300):
+        sentences, bundles = random_jsonl_input(rng)
+        assert export_jsonl(sentences, bundles) \
+            == reference_export_jsonl(sentences, bundles)
+
+
+def test_jsonl_export_tells_zero_from_negative_zero():
+    sentence = sent(tok(1, "a"), tok(2, "b"))
+    bundles = [FeatureBundle(suffix_vector=(0.0, 1.0)),
+               FeatureBundle(suffix_vector=(-0.0, 1.0))]
+    records = export_jsonl([sentence], [bundles]).splitlines()
+    assert records[0].endswith('"suffix_vector": [0.0, 1.0]}')
+    assert records[1].endswith('"suffix_vector": [-0.0, 1.0]}')

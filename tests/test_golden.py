@@ -1,7 +1,9 @@
-"""Pinned output digests of the CLI and the engine on a fixed random treebank.
+"""Pinned output digests of the CLI, the engine and the permutation kernel
+on a fixed random treebank.
 
-The rule decisions and the exported bytes are the product: a change to
-any digest here is a change in behavior, never an optimization.
+The rule decisions, the exported bytes and the p-values are the product:
+a change to any digest here is a change in behavior, never an
+optimization.
 """
 
 import hashlib
@@ -9,13 +11,15 @@ import json
 import random
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from ruleparse import (ALL_RULES, RuleConfig, ablation_steps,
                        default_lexicon_dir, load_lexicon, run, write_conllu)
 from ruleparse.cli import main
+from ruleparse.evaluate import _pair_p_value
 
-from conftest import random_treebank, sidecar_text
+from conftest import random_treebank, sidecar_text, with_random_tree
 
 ALL_RULES_FLAG = "cpi,nc,pc,ac,aaj,ajc,ajn,av,nv"
 
@@ -44,7 +48,26 @@ EXPECTED = {
         "64c437fa045b0075da173ec37870f80aec32e56bd1540a293a39472d628c3eb5",
     "features_infl_jsonl_manifest":
         "45832b8f43b137f1fad10430b25efe49cc584fc51c9caf678f4c389b3fca1d19",
+    "matrix_cap10":
+        "a16a01f192f2865660d0c00758aa6e9cd6707247d3c5e6310cb38aca73059633",
+    "features_sufvec_jsonl":
+        "6bca78d4559c7cdca20e6119a4c78dac84329ae2228efed3de1b62b0badecf9e",
+    "features_sufvec_jsonl_manifest":
+        "aed2a487a8fa4a7fd2fd1c5d337475bf5f3ac3524868c2e998c4cef06101d61e",
+    "sigtest":
+        "3a67d07f63249e9f148f2b85fdd63a35e017b76e2e2ea6acfb807f66048bbd15",
+    "sigtest_las":
+        "93dd06993fd837b5205fab509edfa3a68f1a316a8d1e951c30fa7b076ca797f4",
+    "pair_p_values":
+        "f12a54fa3ef6c38211209e8c8e43008b457c7375351a51edf28be3d4c67b2038",
 }
+
+# Sentence counts and shuffle counts around the kernel's edges: empty and
+# one-sentence inputs, counts that are not a multiple of 4 (the signs are
+# drawn four to a 32-bit word), fewer shuffles than one word holds, and
+# shuffle counts on either side of the 4,096-shuffle block.
+PAIR_SIZES = (0, 1, 2, 3, 5, 7, 8, 9, 13, 100, 1001, 4099)
+PAIR_SHUFFLES = (1, 3, 4, 5, 4095, 4096, 4097, 10000)
 
 
 def engine_assignments_digest(gold, analyses) -> str:
@@ -62,6 +85,30 @@ def engine_assignments_digest(gold, analyses) -> str:
                 digest.update(f"{a.dependent}\t{a.head}\t{a.code}\n".encode())
             digest.update(b"\n")
     return digest.hexdigest()
+
+
+def pair_p_values_digest() -> str:
+    """sha256 over ``_pair_p_value`` on every ``PAIR_SIZES`` x
+    ``PAIR_SHUFFLES`` case, each with its own diffs and generator seed."""
+    digest = hashlib.sha256()
+    case = 0
+    for n in PAIR_SIZES:
+        for shuffles in PAIR_SHUFFLES:
+            draw = random.Random(case)
+            diffs = np.array([draw.choice((-4, -2, -1, 0, 0, 0, 1, 2, 4))
+                              for _ in range(n)], dtype=np.int64)
+            p = _pair_p_value(diffs, shuffles,
+                              np.random.Generator(np.random.PCG64(case)))
+            digest.update(f"{n}\t{shuffles}\t{p!r}\n".encode())
+            case += 1
+    return digest.hexdigest()
+
+
+def system_output(rng: random.Random, gold, error_rate: float):
+    """``gold`` with a random tree in place of each sentence's with
+    probability ``error_rate``."""
+    return [with_random_tree(rng, s) if rng.random() < error_rate else s
+            for s in gold]
 
 
 def manifest_digest(path) -> str:
@@ -89,6 +136,16 @@ def outputs(tmp_path_factory):
     inventory.write_text(
         resources.files("ruleparse").joinpath("data/suffix_inventory.txt")
         .read_text(encoding="utf-8") + "Prop\tderivational\n", encoding="utf-8")
+    draw = random.Random(8)
+    for side, error_rate, runs in (("a", 0.3, 3), ("b", 0.35, 2)):
+        (work / side).mkdir()
+        for k in range(1, runs + 1):
+            (work / side / f"run{k}.conllu").write_text(
+                write_conllu(system_output(draw, gold, error_rate)),
+                encoding="utf-8")
+    # A cap below the number of distinct lemmas leaves unseen lemmas,
+    # which get all-zero vectors.
+    matrix = work / "matrix_cap10.out"
     calls = {
         "annotate": ["annotate", str(treebank), str(sidecar)],
         "annotate_all_rules": ["annotate", str(treebank), str(sidecar),
@@ -99,9 +156,19 @@ def outputs(tmp_path_factory):
         "features_infl_jsonl": ["features", str(treebank), str(sidecar),
                                 "--hybrid", "infl", "--format", "jsonl",
                                 "--inventory", str(inventory)],
+        "matrix_cap10": ["matrix", str(sidecar), "--cap", "10"],
+        "features_sufvec_jsonl": ["features", str(treebank), str(sidecar),
+                                  "--hybrid", "sufvec", "--format", "jsonl",
+                                  "--matrix", str(matrix)],
+        "sigtest": ["sigtest", str(treebank), str(work / "a"), str(work / "b"),
+                    "--shuffles", "4097", "--seed", "11"],
+        "sigtest_las": ["sigtest", str(treebank), str(work / "a"),
+                        str(work / "b"), "--shuffles", "1000",
+                        "--metric", "las"],
     }
     digests = {"engine_assignments_per_config":
-               engine_assignments_digest(gold, analyses)}
+               engine_assignments_digest(gold, analyses),
+               "pair_p_values": pair_p_values_digest()}
     for name, argv in calls.items():
         out = work / f"{name}.out"
         extra = ["--output", str(out)]
