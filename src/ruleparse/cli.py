@@ -21,7 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .conllu import Sentence, parse_conllu, read_morph_sidecar
+from .conllu import (Sentence, iter_morph_sidecar, parse_conllu,
+                     read_morph_sidecar)
 # Bound under this name because the benchmark's layer trace wraps
 # ``cli._group_analyses`` to time the grouping step.
 from .conllu import group_by_sentence as _group_analyses
@@ -240,8 +241,12 @@ def cmd_features(args) -> int:
 def cmd_matrix(args) -> int:
     inventory = load_inventory(_read_text_file(args.inventory)) \
         if args.inventory else None
-    sidecar = read_morph_sidecar(_read_text_file(args.corpus))
-    matrix = build_matrix(sidecar.values(), cap=args.cap, inventory=inventory)
+    # Read as the build consumes it: the build counts each distinct
+    # analysis, and the reader keeps only the positions for the
+    # duplicate check, not a map from each position to its analysis.
+    analyses = (analysis for _, analysis
+                in iter_morph_sidecar(_read_text_file(args.corpus)))
+    matrix = build_matrix(analyses, cap=args.cap, inventory=inventory)
     _emit(write_matrix(matrix), args.output, "matrix", [args.corpus],
           {"cap": args.cap, "lemmas": len(matrix)})
     return 0

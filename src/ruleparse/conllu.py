@@ -8,7 +8,7 @@ list; empty-node lines are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterator, Mapping, Sequence
 
 from .errors import ConlluError, SidecarError
@@ -17,7 +17,46 @@ from .morpho import MorphAnalysis
 ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(10)
 
 
-@dataclass(frozen=True)
+def _token_problem(token_id: int, form: str, head: int | None) -> str | None:
+    """What is wrong with a token's id, form and head on their own, if
+    anything: the checks a token runs, and the parser runs per line."""
+    if token_id < 1:
+        return f"token id must be >= 1, got {token_id}"
+    if not form:
+        return "token form must be non-empty"
+    if head is not None:
+        if head < 0:
+            return f"head must be >= 0, got {head}"
+        if head == token_id:
+            return f"token {token_id} has itself as head"
+    return None
+
+
+def _tree_problem(heads: Sequence[int]) -> str | None:
+    """What is wrong with a full head column (``heads[i]`` is the head of
+    token ``i + 1``, every head in range), if anything: not exactly one
+    root, or a cycle."""
+    roots = heads.count(0)
+    if roots != 1:
+        return f"expected exactly one root, found {roots}"
+    # 0: not visited yet, 1: on the current walk, 2: known to reach the root.
+    state = [0] * (len(heads) + 1)
+    state[0] = 2
+    for start in range(1, len(heads) + 1):
+        walk = []
+        cur = start
+        while state[cur] == 0:
+            state[cur] = 1
+            walk.append(cur)
+            cur = heads[cur - 1]
+        if state[cur] == 1:
+            return "head graph contains a cycle"
+        for node in walk:
+            state[node] = 2
+    return None
+
+
+@dataclass(frozen=True, slots=True)
 class Token:
     """One syntactic word.  Absent CoNLL-U fields are None."""
 
@@ -33,15 +72,9 @@ class Token:
     misc: tuple[tuple[str, str | None], ...] = ()
 
     def __post_init__(self):
-        if self.id < 1:
-            raise ValueError(f"token id must be >= 1, got {self.id}")
-        if not self.form:
-            raise ValueError("token form must be non-empty")
-        if self.head is not None:
-            if self.head < 0:
-                raise ValueError(f"head must be >= 0, got {self.head}")
-            if self.head == self.id:
-                raise ValueError(f"token {self.id} has itself as head")
+        problem = _token_problem(self.id, self.form, self.head)
+        if problem is not None:
+            raise ValueError(problem)
         keys = [k for k, _ in self.feats]
         if len(set(keys)) != len(keys):
             raise ValueError(f"token {self.id} has duplicate feature keys")
@@ -53,7 +86,7 @@ class Token:
         return dict(self.misc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """An ordered, validated token sequence.
 
@@ -74,28 +107,30 @@ class Sentence:
         for t in self.tokens:
             if t.head is not None and t.head > n:
                 raise ValueError(f"head {t.head} of token {t.id} out of range")
-        if self.tokens and all(t.head is not None for t in self.tokens):
-            self._check_tree()
-
-    def _check_tree(self):
-        roots = [t.id for t in self.tokens if t.head == 0]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one root, found {len(roots)}")
-        heads = {t.id: t.head for t in self.tokens}
-        for start in heads:
-            seen = set()
-            cur = start
-            while cur != 0:
-                if cur in seen:
-                    raise ValueError("head graph contains a cycle")
-                seen.add(cur)
-                cur = heads[cur]
+        heads = [t.head for t in self.tokens]
+        if heads and None not in heads:
+            problem = _tree_problem(heads)
+            if problem is not None:
+                raise ValueError(problem)
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def __iter__(self):
         return iter(self.tokens)
+
+
+# The readers check every field themselves, so they build tokens,
+# sentences and analyses through these slot setters, which skip
+# ``__post_init__``.  Objects built any other way are validated.
+_new = object.__new__
+(_set_id, _set_form, _set_lemma, _set_upos, _set_xpos, _set_feats, _set_head,
+ _set_deprel, _set_deps, _set_misc) = (
+    Token.__dict__[f.name].__set__ for f in fields(Token))
+_set_tokens, _set_comments, _set_ranges = (
+    Sentence.__dict__[f.name].__set__ for f in fields(Sentence))
+_set_analysis_lemma, _set_analysis_pos, _set_analysis_tags = (
+    MorphAnalysis.__dict__[f.name].__set__ for f in fields(MorphAnalysis))
 
 
 def _read_text(source: str | IO[str]) -> str:
@@ -108,36 +143,48 @@ def parse_conllu(source: str | IO[str]) -> list[Sentence]:
     Raises :class:`ConlluError` naming the sentence ordinal and line
     number on any structural problem (wrong column count, non-contiguous
     ids, out-of-range heads, broken trees, empty-node lines).
+
+    Equal FORM, LEMMA, UPOS, XPOS, DEPREL and DEPS values, and equal FEATS
+    and MISC columns, are one shared object within one call.
     """
     text = _read_text(source)
     sentences: list[Sentence] = []
     comments: list[str] = []
     rows: list[tuple[int, list[str]]] = []
     ranges: list[tuple[int, str]] = []
-
-    def ordinal() -> int:
-        return len(sentences) + 1
+    # Per-read sharing: a form maps to itself, any other string value to
+    # itself ("_" to None), and a FEATS or MISC column to its parsed items.
+    forms = {}.setdefault
+    shared = {"_": None}.setdefault
+    feats_of: dict[str, tuple] = {"_": ()}
+    misc_of: dict[str, tuple] = {"_": ()}
 
     def flush(line_no: int) -> None:
         nonlocal comments, rows, ranges
         if not comments and not rows and not ranges:
             return
+        ordinal = len(sentences) + 1
         if not rows:
-            raise ConlluError(ordinal(), line_no, "sentence has no token lines")
-        tokens = []
-        for ln, cols in rows:
-            tokens.append(_token_from_columns(ln, cols, ordinal()))
-        ids = [t.id for t in tokens]
-        if ids != list(range(1, len(ids) + 1)):
-            raise ConlluError(ordinal(), rows[0][0], "non-contiguous ids")
+            raise ConlluError(ordinal, line_no, "sentence has no token lines")
+        # Token problems come first, in line order; then the sentence's.
+        tokens = [_token_from_columns(ln, cols, ordinal, forms, shared,
+                                      feats_of, misc_of)
+                  for ln, cols in rows]
+        heads = [t.head for t in tokens]
+        if [t.id for t in tokens] != list(range(1, len(tokens) + 1)):
+            raise ConlluError(ordinal, rows[0][0], "non-contiguous ids")
         n = len(tokens)
-        for (ln, _), t in zip(rows, tokens):
-            if t.head is not None and t.head > n:
-                raise ConlluError(ordinal(), ln, f"head {t.head} out of range")
-        try:
-            sentence = Sentence(tuple(tokens), tuple(comments), tuple(ranges))
-        except ValueError as exc:
-            raise ConlluError(ordinal(), rows[0][0], str(exc)) from exc
+        for (ln, _), head in zip(rows, heads):
+            if head is not None and head > n:
+                raise ConlluError(ordinal, ln, f"head {head} out of range")
+        if None not in heads:
+            problem = _tree_problem(heads)
+            if problem is not None:
+                raise ConlluError(ordinal, rows[0][0], problem)
+        sentence = _new(Sentence)
+        _set_tokens(sentence, tuple(tokens))
+        _set_comments(sentence, tuple(comments))
+        _set_ranges(sentence, tuple(ranges))
         sentences.append(sentence)
         comments, rows, ranges = [], [], []
 
@@ -151,35 +198,36 @@ def parse_conllu(source: str | IO[str]) -> list[Sentence]:
             continue
         cols = line.split("\t")
         if len(cols) != 10:
-            raise ConlluError(ordinal(), line_no,
+            raise ConlluError(len(sentences) + 1, line_no,
                               f"expected 10 tab-separated columns, got {len(cols)}")
-        if any(c == "" for c in cols):
-            raise ConlluError(ordinal(), line_no, "empty column")
+        if "" in cols:
+            raise ConlluError(len(sentences) + 1, line_no, "empty column")
         id_col = cols[ID]
         if "-" in id_col:
             parts = id_col.split("-")
             if len(parts) != 2 or not all(p.isdigit() for p in parts) \
                     or int(parts[0]) > int(parts[1]):
-                raise ConlluError(ordinal(), line_no, f"bad token range {id_col!r}")
+                raise ConlluError(len(sentences) + 1, line_no,
+                                  f"bad token range {id_col!r}")
             ranges.append((len(rows), line))
             continue
         if "." in id_col:
-            raise ConlluError(ordinal(), line_no, "empty-node lines are not supported")
+            raise ConlluError(len(sentences) + 1, line_no,
+                              "empty-node lines are not supported")
         rows.append((line_no, cols))
     flush(line_no + 1)
     return sentences
 
 
-def _token_from_columns(line_no: int, cols: list[str], ordinal: int) -> Token:
-    def absent(value):
-        return None if value == "_" else value
-
+def _token_from_columns(line_no: int, cols: list[str], ordinal: int,
+                        forms, shared, feats_of: dict[str, tuple],
+                        misc_of: dict[str, tuple]) -> Token:
     try:
         token_id = int(cols[ID])
     except ValueError:
         raise ConlluError(ordinal, line_no, f"bad token id {cols[ID]!r}") from None
-    head_raw = absent(cols[HEAD])
-    if head_raw is None:
+    head_raw = cols[HEAD]
+    if head_raw == "_":
         head = None
     else:
         try:
@@ -187,8 +235,8 @@ def _token_from_columns(line_no: int, cols: list[str], ordinal: int) -> Token:
         except ValueError:
             raise ConlluError(ordinal, line_no, f"bad head {head_raw!r}") from None
 
-    feats: tuple[tuple[str, str], ...] = ()
-    if cols[FEATS] != "_":
+    feats = feats_of.get(cols[FEATS])
+    if feats is None:
         items = []
         seen = set()
         for item in cols[FEATS].split("|"):
@@ -199,33 +247,34 @@ def _token_from_columns(line_no: int, cols: list[str], ordinal: int) -> Token:
                 raise ConlluError(ordinal, line_no, f"duplicate feature key {key!r}")
             seen.add(key)
             items.append((key, value))
-        feats = tuple(items)
+        feats = feats_of[cols[FEATS]] = tuple(items)
 
-    misc: tuple[tuple[str, str | None], ...] = ()
-    if cols[MISC] != "_":
+    misc = misc_of.get(cols[MISC])
+    if misc is None:
         items = []
         for item in cols[MISC].split("|"):
             if not item:
                 raise ConlluError(ordinal, line_no, "empty item in MISC column")
             key, sep, value = item.partition("=")
             items.append((key, value if sep else None))
-        misc = tuple(items)
+        misc = misc_of[cols[MISC]] = tuple(items)
 
-    try:
-        return Token(
-            id=token_id,
-            form=cols[FORM],
-            lemma=absent(cols[LEMMA]),
-            upos=absent(cols[UPOS]),
-            xpos=absent(cols[XPOS]),
-            feats=feats,
-            head=head,
-            deprel=absent(cols[DEPREL]),
-            deps=absent(cols[DEPS]),
-            misc=misc,
-        )
-    except ValueError as exc:
-        raise ConlluError(ordinal, line_no, str(exc)) from exc
+    form = forms(cols[FORM], cols[FORM])
+    problem = _token_problem(token_id, form, head)
+    if problem is not None:
+        raise ConlluError(ordinal, line_no, problem)
+    token = _new(Token)
+    _set_id(token, token_id)
+    _set_form(token, form)
+    _set_lemma(token, shared(cols[LEMMA], cols[LEMMA]))
+    _set_upos(token, shared(cols[UPOS], cols[UPOS]))
+    _set_xpos(token, shared(cols[XPOS], cols[XPOS]))
+    _set_feats(token, feats)
+    _set_head(token, head)
+    _set_deprel(token, shared(cols[DEPREL], cols[DEPREL]))
+    _set_deps(token, shared(cols[DEPS], cols[DEPS]))
+    _set_misc(token, misc)
+    return token
 
 
 def format_misc(items: Sequence[tuple[str, str | None]]) -> str:
@@ -271,8 +320,10 @@ def write_conllu(sentences: Sequence[Sentence],
 
 
 def _iter_sidecar(text: str) -> Iterator[tuple[int, tuple[int, int], MorphAnalysis]]:
+    # One analysis per distinct (lemma, morpheme string) pair of this read.
+    shared: dict[tuple[str, str], MorphAnalysis] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
+        if not line or line.isspace() or line.startswith("#"):
             continue
         cols = line.split("\t")
         if len(cols) != 4:
@@ -283,22 +334,39 @@ def _iter_sidecar(text: str) -> Iterator[tuple[int, tuple[int, int], MorphAnalys
             raise SidecarError(line_no, "sentence ordinal and token id must be integers") from None
         if sent_ord < 1 or token_id < 1:
             raise SidecarError(line_no, "sentence ordinal and token id must be >= 1")
-        if not cols[2]:
+        lemma, morphemes = cols[2], cols[3]
+        if not lemma:
             raise SidecarError(line_no, "empty lemma")
-        parts = cols[3].split("+")
-        if not parts or any(not p for p in parts):
-            raise SidecarError(line_no, f"unparseable morpheme sequence {cols[3]!r}")
-        analysis = MorphAnalysis(lemma=cols[2], pos=parts[0], tags=tuple(parts[1:]))
+        analysis = shared.get((lemma, morphemes))
+        if analysis is None:
+            parts = morphemes.split("+")
+            if "" in parts:
+                raise SidecarError(line_no, f"unparseable morpheme sequence {morphemes!r}")
+            analysis = _new(MorphAnalysis)
+            _set_analysis_lemma(analysis, lemma)
+            _set_analysis_pos(analysis, parts[0])
+            _set_analysis_tags(analysis, tuple(parts[1:]))
+            shared[lemma, morphemes] = analysis
         yield line_no, (sent_ord, token_id), analysis
 
 
-def iter_morph_sidecar(source: str | IO[str]) -> Iterator[tuple[tuple[int, int], MorphAnalysis]]:
-    """Stream ``(sentence_ordinal, token_id) -> analysis`` pairs.
+def _duplicate(line_no: int, key: tuple[int, int]) -> SidecarError:
+    return SidecarError(line_no, f"duplicate entry for sentence {key[0]} token {key[1]}")
 
-    Use this for corpus-scale ingestion where duplicate checking and full
-    materialization are unnecessary.
+
+def iter_morph_sidecar(source: str | IO[str]) -> Iterator[tuple[tuple[int, int], MorphAnalysis]]:
+    """Stream ``(sentence_ordinal, token_id) -> analysis`` pairs in file
+    order, rejecting duplicate positions as :func:`read_morph_sidecar` does.
+
+    It keeps the set of positions seen and the distinct analyses, but not
+    a map from every position to its analysis, so a corpus-scale consumer
+    (``matrix``) holds O(distinct analyses) plus that set.
     """
-    for _, key, analysis in _iter_sidecar(_read_text(source)):
+    seen: set[tuple[int, int]] = set()
+    for line_no, key, analysis in _iter_sidecar(_read_text(source)):
+        if key in seen:
+            raise _duplicate(line_no, key)
+        seen.add(key)
         yield key, analysis
 
 
@@ -307,12 +375,13 @@ def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnal
 
     Format: ``sentence_ordinal<TAB>token_id<TAB>lemma<TAB>tag1+tag2+...``
     with ``#`` comment lines ignored.  Sentence ordinals are 1-based.
+    Positions with the same lemma and morpheme string share one analysis
+    object.
     """
     result: dict[tuple[int, int], MorphAnalysis] = {}
     for line_no, key, analysis in _iter_sidecar(_read_text(source)):
         if key in result:
-            raise SidecarError(
-                line_no, f"duplicate entry for sentence {key[0]} token {key[1]}")
+            raise _duplicate(line_no, key)
         result[key] = analysis
     return result
 

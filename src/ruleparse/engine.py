@@ -248,8 +248,22 @@ class EngineState:
 
         Returns False (and counts a diagnostic) when the edge would close
         a cycle.  On success the dependent leaves the remaining list, and
-        a first member waiting on it attaches to the same head.
+        a first member waiting on it attaches to the same head, then one
+        waiting on that member, and so on down the chain; the chain stops
+        at the first member that cannot attach.
         """
+        if not self._attach(dependent, head, code):
+            return False
+        waiting = self.waiting.pop(dependent, None)
+        while waiting is not None:
+            first, first_code = waiting
+            if not self._attach(first, head, first_code):
+                break
+            waiting = self.waiting.pop(first, None)
+        return True
+
+    def _attach(self, dependent: int, head: int, code: RuleCode) -> bool:
+        """Record one edge; the checks and bookkeeping of :meth:`assign`."""
         if dependent == head or dependent in self.heads:
             return False
         if self._would_cycle(dependent, head):
@@ -260,10 +274,6 @@ class EngineState:
         self.diagnostics.fire_counts[code.value] += 1
         if dependent in self.remaining:
             self.remaining.remove(dependent)
-        waiting = self.waiting.pop(dependent, None)
-        if waiting is not None:
-            first, first_code = waiting
-            self.assign(first, head, first_code)
         return True
 
     def defer(self, first: int, second: int, code: RuleCode) -> None:

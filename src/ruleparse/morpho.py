@@ -13,6 +13,7 @@ inflectional or derivational.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,13 +52,14 @@ ROOT_POS_TO_UPOS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorphAnalysis:
     """A disambiguated morphological analysis of one token.
 
     ``tags`` holds the suffix tags only; the root part of speech lives in
     ``pos``.  ``insan+Noun+A3pl+Gen`` therefore becomes
-    ``MorphAnalysis("insan", "Noun", ("A3pl", "Gen"))``.
+    ``MorphAnalysis("insan", "Noun", ("A3pl", "Gen"))``.  The sidecar
+    readers share one object among the positions with the same analysis.
     """
 
     lemma: str
@@ -199,51 +201,50 @@ def suffix_vector(matrix: LemmaSuffixMatrix, lemma: str) -> tuple[float, ...]:
 
 
 class MatrixBuilder:
-    """Incremental, mergeable counting stage for ``build_matrix``.
-
-    Partial builders over corpus shards can be merged in any order; the
-    final matrix depends only on the combined counts.
-    """
+    """Counting stage for ``build_matrix``: feed each analysis, or each
+    distinct analysis once with its count, then build."""
 
     def __init__(self, inventory: SuffixInventory | None = None):
         self.inventory = inventory or default_inventory()
-        self.counts: dict[str, Counter] = {}
-        self.freq: Counter = Counter()
+        # lemma -> {inventory tag: count}, and lemma -> count
+        self.counts: dict[str, dict[str, int]] = {}
+        self.freq: dict[str, int] = {}
         self.unknown_tags: Counter = Counter()
 
-    def update(self, analysis: MorphAnalysis) -> None:
-        self.freq[analysis.lemma] += 1
-        row = self.counts.setdefault(analysis.lemma, Counter())
+    def update(self, analysis: MorphAnalysis, count: int = 1) -> None:
+        """Count ``analysis`` as seen ``count`` times."""
+        lemma = analysis.lemma
+        self.freq[lemma] = self.freq.get(lemma, 0) + count
+        row = self.counts.get(lemma)
+        if row is None:
+            row = self.counts[lemma] = {}
+        index = self.inventory.index
         for tag in analysis.tags:
-            if tag in self.inventory:
-                row[tag] += 1
+            if tag in index:
+                row[tag] = row.get(tag, 0) + count
             elif tag not in ROOT_POS_TAGS:
-                self.unknown_tags[tag] += 1
-
-    def merge(self, other: "MatrixBuilder") -> None:
-        if other.inventory.tags != self.inventory.tags:
-            raise InputFormatError("cannot merge builders over different inventories")
-        self.freq.update(other.freq)
-        self.unknown_tags.update(other.unknown_tags)
-        for lemma, row in other.counts.items():
-            self.counts.setdefault(lemma, Counter()).update(row)
+                self.unknown_tags[tag] += count
 
     def build(self, cap: int = 40000) -> LemmaSuffixMatrix:
         if cap < 1:
             raise ValueError("cap must be a positive integer")
         # Most frequent lemmas first; lexicographic order breaks ties so
         # the kept set is deterministic.
-        ranked = sorted(self.freq, key=lambda lemma: (-self.freq[lemma], lemma))
-        kept = ranked[:cap]
-        tags = self.inventory.tags
+        freq = self.freq
+        ranked = sorted(freq, key=lambda lemma: (-freq[lemma], lemma))
+        index = self.inventory.index
+        width = len(index)
         rows = {}
-        for lemma in sorted(kept):
+        for lemma in sorted(ranked[:cap]):
+            # A row counts inventory tags only; a lemma never seen with
+            # one keeps the all-zero vector.
             row = self.counts[lemma]
-            total = sum(row[tag] for tag in tags)
+            vector = [0.0] * width
+            total = sum(row.values())
             if total:
-                rows[lemma] = tuple(row[tag] / total for tag in tags)
-            else:
-                rows[lemma] = (0.0,) * len(tags)
+                for tag, n in row.items():
+                    vector[index[tag]] = n / total
+            rows[lemma] = tuple(vector)
         return LemmaSuffixMatrix(self.inventory, rows)
 
 
@@ -255,11 +256,13 @@ def build_matrix(corpus: Iterable[MorphAnalysis],
 
     Keeps the ``cap`` most frequent lemmas (ties broken lexicographically).
     Tags absent from the inventory are skipped; pass a Counter as
-    ``unknown_tags`` to collect them for diagnostics.
+    ``unknown_tags`` to collect them for diagnostics.  Each distinct
+    analysis is counted once with its number of occurrences, so the
+    memory held is O(distinct analyses), whatever the corpus length.
     """
     builder = MatrixBuilder(inventory)
-    for analysis in corpus:
-        builder.update(analysis)
+    for analysis, count in Counter(corpus).items():
+        builder.update(analysis, count)
     matrix = builder.build(cap)
     if unknown_tags is not None:
         unknown_tags.update(builder.unknown_tags)
@@ -300,7 +303,15 @@ def read_matrix(source: str | IO[str],
             raise InputFormatError(
                 f"matrix line {line_no}: expected {width + 1} columns, got {len(cols)}")
         try:
-            rows[cols[0]] = tuple(float(v) for v in cols[1:])
+            row = tuple(map(float, cols[1:]))
         except ValueError as exc:
             raise InputFormatError(f"matrix line {line_no}: bad value ({exc})") from exc
+        # A row holds normalized counts: NaN, infinities and negative
+        # values have no meaning there, and JSON cannot carry the first two.
+        for text, value in zip(cols[1:], row):
+            if not 0.0 <= value < math.inf:
+                raise InputFormatError(
+                    f"matrix line {line_no}: value {text!r} is not a finite "
+                    "number >= 0")
+        rows[cols[0]] = row
     return LemmaSuffixMatrix(inventory, rows)

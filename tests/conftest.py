@@ -175,6 +175,28 @@ def random_treebank(rng: random.Random, n_sentences: int, max_len: int = 30):
     return gold, bare, analyses
 
 
+# A word that late-binds, the POS of its analysis, the word the chain ends
+# on, and the rules that defer the pairs and attach the chain's last word.
+DEEP_CHAINS = {
+    "adjectives": ("eski", "ADJ", "Adj", "ev", "NOUN", "Noun", "AJC", "AJN"),
+    "adverbs": ("dün", "ADV", "Adv", "geldi", "VERB", "Verb", "AC", "AV"),
+}
+
+
+def deep_chain(n: int, kind: str):
+    """``n`` words of one kind before the word they all attach to: a chain
+    of ``n - 1`` deferred pairs.  Returns the sentence, with every word
+    headed by the last one, and its analyses."""
+    form, upos, pos, last_form, last_upos, last_pos, _, _ = DEEP_CHAINS[kind]
+    tokens = [tok(i, form, upos, form, head=n + 1, deprel="dep")
+              for i in range(1, n + 1)]
+    tokens.append(tok(n + 1, last_form, last_upos, last_form, head=0,
+                      deprel="root"))
+    analyses = {i: ma(form, pos) for i in range(1, n + 1)}
+    analyses[n + 1] = ma(last_form, last_pos)
+    return sent(*tokens), analyses
+
+
 def sidecar_text(analyses: dict) -> str:
     lines = []
     for (ordinal, token_id), analysis in sorted(analyses.items()):

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import ruleparse
-from ruleparse import EngineError, parse_conllu, read_matrix
+from ruleparse import (EngineError, ablation_steps, parse_conllu, read_matrix,
+                       write_conllu)
 from ruleparse.cli import main
+
+from conftest import DEEP_CHAINS, deep_chain, sidecar_text
 
 TREEBANK = """\
 # sent_id = 1
@@ -192,6 +195,60 @@ def test_matrix_build_manifest_and_sufvec_use(corpus, tmp_path, capsys):
     out, _ = capsys.readouterr()
     vec = parse_conllu(out)[0].tokens[0].misc_dict()["SufVec"]
     assert len(vec.split(",")) == 81
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e400",
+                                   "-0.25"])
+def test_features_rejects_matrix_value_that_is_not_finite_and_non_negative(
+        corpus, tmp_path, capsys, value):
+    treebank, sidecar = corpus
+    matrix_path = tmp_path / "matrix.tsv"
+    assert main(["matrix", str(sidecar), "--output", str(matrix_path)]) == 0
+    lines = matrix_path.read_text(encoding="utf-8").splitlines()
+    cols = lines[1].split("\t")
+    cols[2] = value
+    lines[1] = "\t".join(cols)
+    matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["features", str(treebank), str(sidecar), "--hybrid", "sufvec",
+                 "--matrix", str(matrix_path), "--format", "jsonl"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: matrix line 2: value {value!r} is not a finite "
+                   "number >= 0\n")
+
+
+def test_matrix_duplicate_position_exits_2(corpus, tmp_path, capsys):
+    _, sidecar = corpus
+    lines = sidecar.read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "dup.morph"
+    bad.write_text("\n".join(lines + ["2\t2\tyağ\tNoun+A3sg+Acc"]) + "\n",
+                   encoding="utf-8")
+    assert main(["matrix", str(bad), "--output", str(tmp_path / "m.tsv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 10: duplicate entry for sentence 2 token 2\n")
+    assert not (tmp_path / "m.tsv").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_CHAINS))
+def test_deep_late_binding_chain_exits_0(tmp_path, capsys, kind):
+    n = 5000
+    sentence, analyses = deep_chain(n, kind)
+    treebank = tmp_path / "chain.conllu"
+    treebank.write_text(write_conllu([sentence]), encoding="utf-8")
+    sidecar = tmp_path / "chain.morph"
+    sidecar.write_text(sidecar_text({(1, i): a for i, a in analyses.items()}),
+                       encoding="utf-8")
+    for config in ablation_steps():
+        rules = ",".join(sorted(code.value.lower() for code in config.enabled))
+        assert main(["annotate", str(treebank), str(sidecar), "--rules", rules,
+                     "--output", str(tmp_path / "out.conllu")]) == 0
+        report = json.loads(capsys.readouterr().err)
+    # The last config has every rule: the whole chain attaches.
+    assert report["assigned"] == n
+    assert main(["ablate", str(treebank), str(sidecar)]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    assert steps[-1]["assigned"] == n
 
 
 def test_no_manifest_written_for_stdout(corpus, tmp_path, capsys):

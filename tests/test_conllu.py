@@ -2,13 +2,16 @@
 
 import io
 import random
+import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleparse import (ConlluError, SidecarError, Token, group_by_sentence,
-                       parse_conllu, read_morph_sidecar, write_conllu)
+from ruleparse import (ConlluError, MorphAnalysis, Sentence, SidecarError,
+                       Token, group_by_sentence, parse_conllu,
+                       read_morph_sidecar, write_conllu)
 from ruleparse.conllu import iter_morph_sidecar
 
 from conftest import random_conllu_sentence, sent, tok
@@ -239,3 +242,390 @@ def test_token_validation():
         Token(id=1, form="")
     with pytest.raises(ValueError, match="itself"):
         Token(id=1, form="x", head=1)
+
+
+def test_sentence_validation():
+    with pytest.raises(ValueError, match="non-contiguous"):
+        sent(tok(2, "x"))
+    with pytest.raises(ValueError, match="head 3 of token 1 out of range"):
+        sent(tok(1, "x", head=3), tok(2, "y", head=0))
+    with pytest.raises(ValueError, match="exactly one root, found 0"):
+        sent(tok(1, "x", head=2), tok(2, "y", head=1))
+    with pytest.raises(ValueError, match="cycle"):
+        sent(tok(1, "x", head=2), tok(2, "y", head=3), tok(3, "z", head=2),
+             tok(4, "w", head=0))
+    # Partial heads skip the tree checks.
+    assert len(sent(tok(1, "x", head=2), tok(2, "y"))) == 2
+
+
+# -- the readers against their earlier bodies -------------------------------
+#
+# ``reference_*`` below are the readers as they were before they checked
+# each field once, shared repeated values and built objects without
+# ``__post_init__``; the token and sentence checks they relied on are
+# spelled out as ``reference_*_problem``.  On valid and mutated inputs
+# the readers must return equal objects, or raise the same error with the
+# same text and line.
+
+
+def reference_token_problem(token):
+    if token.id < 1:
+        return f"token id must be >= 1, got {token.id}"
+    if not token.form:
+        return "token form must be non-empty"
+    if token.head is not None:
+        if token.head < 0:
+            return f"head must be >= 0, got {token.head}"
+        if token.head == token.id:
+            return f"token {token.id} has itself as head"
+    keys = [k for k, _ in token.feats]
+    if len(set(keys)) != len(keys):
+        return f"token {token.id} has duplicate feature keys"
+    return None
+
+
+def reference_sentence_problem(tokens):
+    ids = [t.id for t in tokens]
+    if ids != list(range(1, len(ids) + 1)):
+        return "non-contiguous ids"
+    n = len(ids)
+    for t in tokens:
+        if t.head is not None and t.head > n:
+            return f"head {t.head} of token {t.id} out of range"
+    if tokens and all(t.head is not None for t in tokens):
+        roots = [t.id for t in tokens if t.head == 0]
+        if len(roots) != 1:
+            return f"expected exactly one root, found {len(roots)}"
+        heads = {t.id: t.head for t in tokens}
+        for start in heads:
+            seen = set()
+            cur = start
+            while cur != 0:
+                if cur in seen:
+                    return "head graph contains a cycle"
+                seen.add(cur)
+                cur = heads[cur]
+    return None
+
+
+def reference_parse_conllu(text):
+    sentences = []
+    comments = []
+    rows = []
+    ranges = []
+
+    def ordinal():
+        return len(sentences) + 1
+
+    def flush(line_no):
+        nonlocal comments, rows, ranges
+        if not comments and not rows and not ranges:
+            return
+        if not rows:
+            raise ConlluError(ordinal(), line_no, "sentence has no token lines")
+        tokens = []
+        for ln, cols in rows:
+            tokens.append(reference_token_from_columns(ln, cols, ordinal()))
+        ids = [t.id for t in tokens]
+        if ids != list(range(1, len(ids) + 1)):
+            raise ConlluError(ordinal(), rows[0][0], "non-contiguous ids")
+        n = len(tokens)
+        for (ln, _), t in zip(rows, tokens):
+            if t.head is not None and t.head > n:
+                raise ConlluError(ordinal(), ln, f"head {t.head} out of range")
+        problem = reference_sentence_problem(tokens)
+        if problem is not None:
+            raise ConlluError(ordinal(), rows[0][0], problem)
+        sentences.append(Sentence(tuple(tokens), tuple(comments), tuple(ranges)))
+        comments, rows, ranges = [], [], []
+
+    line_no = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line == "":
+            flush(line_no)
+            continue
+        if line.startswith("#"):
+            comments.append(line)
+            continue
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise ConlluError(ordinal(), line_no,
+                              f"expected 10 tab-separated columns, got {len(cols)}")
+        if any(c == "" for c in cols):
+            raise ConlluError(ordinal(), line_no, "empty column")
+        id_col = cols[0]
+        if "-" in id_col:
+            parts = id_col.split("-")
+            if len(parts) != 2 or not all(p.isdigit() for p in parts) \
+                    or int(parts[0]) > int(parts[1]):
+                raise ConlluError(ordinal(), line_no, f"bad token range {id_col!r}")
+            ranges.append((len(rows), line))
+            continue
+        if "." in id_col:
+            raise ConlluError(ordinal(), line_no, "empty-node lines are not supported")
+        rows.append((line_no, cols))
+    flush(line_no + 1)
+    return sentences
+
+
+def reference_token_from_columns(line_no, cols, ordinal):
+    def absent(value):
+        return None if value == "_" else value
+
+    try:
+        token_id = int(cols[0])
+    except ValueError:
+        raise ConlluError(ordinal, line_no, f"bad token id {cols[0]!r}") from None
+    head_raw = absent(cols[6])
+    if head_raw is None:
+        head = None
+    else:
+        try:
+            head = int(head_raw)
+        except ValueError:
+            raise ConlluError(ordinal, line_no, f"bad head {head_raw!r}") from None
+
+    feats = ()
+    if cols[5] != "_":
+        items = []
+        seen = set()
+        for item in cols[5].split("|"):
+            key, sep, value = item.partition("=")
+            if not sep or not key:
+                raise ConlluError(ordinal, line_no, f"bad feature item {item!r}")
+            if key in seen:
+                raise ConlluError(ordinal, line_no, f"duplicate feature key {key!r}")
+            seen.add(key)
+            items.append((key, value))
+        feats = tuple(items)
+
+    misc = ()
+    if cols[9] != "_":
+        items = []
+        for item in cols[9].split("|"):
+            if not item:
+                raise ConlluError(ordinal, line_no, "empty item in MISC column")
+            key, sep, value = item.partition("=")
+            items.append((key, value if sep else None))
+        misc = tuple(items)
+
+    values = dict(id=token_id, form=cols[1], lemma=absent(cols[2]),
+                  upos=absent(cols[3]), xpos=absent(cols[4]), feats=feats,
+                  head=head, deprel=absent(cols[7]), deps=absent(cols[8]),
+                  misc=misc)
+    problem = reference_token_problem(SimpleNamespace(**values))
+    if problem is not None:
+        raise ConlluError(ordinal, line_no, problem)
+    return Token(**values)
+
+
+def reference_read_morph_sidecar(text):
+    result = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise SidecarError(line_no, f"expected 4 tab-separated columns, got {len(cols)}")
+        try:
+            sent_ord, token_id = int(cols[0]), int(cols[1])
+        except ValueError:
+            raise SidecarError(line_no, "sentence ordinal and token id must be integers") from None
+        if sent_ord < 1 or token_id < 1:
+            raise SidecarError(line_no, "sentence ordinal and token id must be >= 1")
+        if not cols[2]:
+            raise SidecarError(line_no, "empty lemma")
+        parts = cols[3].split("+")
+        if not parts or any(not p for p in parts):
+            raise SidecarError(line_no, f"unparseable morpheme sequence {cols[3]!r}")
+        analysis = MorphAnalysis(lemma=cols[2], pos=parts[0], tags=tuple(parts[1:]))
+        key = (sent_ord, token_id)
+        if key in result:
+            raise SidecarError(
+                line_no, f"duplicate entry for sentence {key[0]} token {key[1]}")
+        result[key] = analysis
+    return result
+
+
+def outcome(read, text):
+    """What ``read(text)`` returns, or the type, text and place of its error."""
+    try:
+        return "ok", read(text)
+    except (ConlluError, SidecarError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "sentence", None), exc.line
+
+
+def kind_of(outcome):
+    """The kind of an outcome: ok, or its error message without the
+    place, numbers and quoted values."""
+    if outcome[0] == "ok":
+        return "ok"
+    return re.sub(r"\d+|'.*'", "", outcome[1].split(": ", 1)[1])
+
+
+def mutate_conllu_line(rng, line, n_tokens):
+    """One of the ways a CoNLL-U token line goes wrong (or a valid variant)."""
+    cols = line.split("\t")
+    if len(cols) != 10:
+        return rng.choice([line, ""])
+    kind = rng.randrange(16)
+    if kind == 0:
+        cols[0] = rng.choice(["x", "0", "+1", " 2", "1_0", "-1", "3.1", "1-",
+                              "2-1", "1-2-3", "a-b", "1-2", str(n_tokens + 2)])
+    elif kind == 1:
+        cols[6] = rng.choice(["y", "-1", "-0", cols[0], "0", str(n_tokens + 1),
+                              "1", "_", " 1", "1.0"])
+    elif kind == 2:
+        cols[5] = rng.choice(["Case=Nom|Case=Acc", "Case", "=Nom", "Case=",
+                              "A=1|B=2|A=3", "Case=Nom|", "Number[psor]=Sing"])
+    elif kind == 3:
+        cols[9] = rng.choice(["a||b", "|", "Flag", "K=V|", "SpaceAfter=No",
+                              "=x", "a=b=c"])
+    elif kind == 4:
+        cols[rng.randrange(10)] = ""
+    elif kind == 5:
+        del cols[rng.randrange(10)]
+    elif kind == 6:
+        cols.append("extra")
+    elif kind == 7:
+        cols[0] = cols[0] + ".1"
+    elif kind == 8:
+        cols[1] = "_"
+    elif kind == 9:
+        cols[rng.choice([2, 3, 4, 7, 8])] = rng.choice(["_", "NOUN", "x y", "İ"])
+    elif kind == 10:
+        return "# " + line
+    elif kind == 11:
+        return ""
+    elif kind == 12:
+        return line + "\n" + line
+    elif kind == 13:
+        return "   "
+    elif kind == 14:
+        cols[6] = str(rng.randint(0, n_tokens + 1))
+    else:
+        cols[0] = str(rng.randint(0, n_tokens + 1))
+    return "\t".join(cols)
+
+
+def mutate_sidecar_line(rng, line):
+    cols = line.split("\t")
+    if len(cols) != 4:
+        return rng.choice([line, ""])
+    kind = rng.randrange(12)
+    if kind == 0:
+        cols[rng.randrange(2)] = rng.choice(["x", "0", "-1", "+3", " 2", "1_0", ""])
+    elif kind == 1:
+        cols[2] = ""
+    elif kind == 2:
+        cols[3] = rng.choice(["Noun++Gen", "+Noun", "Noun+", "", "+", "Noun"])
+    elif kind == 3:
+        del cols[rng.randrange(4)]
+    elif kind == 4:
+        cols.append("extra")
+    elif kind == 5:
+        return line + "\n" + line
+    elif kind == 6:
+        return "# " + line
+    elif kind == 7:
+        return rng.choice(["", "   ", "\t", " \u3000"])
+    elif kind == 8:
+        cols[2] = rng.choice(["ev", "gel", cols[2] + " "])
+    elif kind == 9:
+        return line + "\n" + "\t".join(cols[:2] + ["ev", "Noun+A3sg"])
+    elif kind == 10:
+        cols[0], cols[1] = cols[1], cols[0]
+    else:
+        cols[3] = "Verb+Past+A3sg"
+    return "\t".join(cols)
+
+
+def mutated(rng, lines, mutate):
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(lines))
+        lines[at] = mutate(lines[at])
+    return "\n".join(lines) + rng.choice(["\n", "\n\n", ""])
+
+
+def test_parse_conllu_matches_reference():
+    kinds = set()
+    for seed in range(4):
+        rng = random.Random(seed)
+        sentences = [random_conllu_sentence(rng) for _ in range(200)]
+        text = write_conllu(sentences)
+        assert outcome(parse_conllu, text) == outcome(reference_parse_conllu, text) \
+            == ("ok", sentences)
+        blocks = text.split("\n\n")
+
+        def mutate(line):
+            if not line or line.startswith("#"):
+                return rng.choice([line, "", "# x",
+                                   "1\tw\t_\t_\t_\t_\t0\troot\t_\t_"])
+            return mutate_conllu_line(rng, line, 12)
+
+        for _ in range(400):
+            start = rng.randrange(len(blocks) - 3)
+            lines = "\n\n".join(blocks[start:start + rng.randint(1, 3)]).splitlines()
+            case = mutated(rng, lines, mutate)
+            got = outcome(parse_conllu, case)
+            assert got == outcome(reference_parse_conllu, case), case
+            kinds.add(kind_of(got))
+    assert kinds == {
+        "ok", "sentence has no token lines", "expected  tab-separated columns, got ",
+        "empty column", "bad token range ", "empty-node lines are not supported",
+        "bad token id ", "bad head ", "bad feature item ", "duplicate feature key ",
+        "empty item in MISC column", "token id must be >= , got ",
+        "head must be >= , got -", "token  has itself as head",
+        "non-contiguous ids", "head  out of range",
+        "expected exactly one root, found ", "head graph contains a cycle"}
+
+
+def test_read_morph_sidecar_matches_reference():
+    kinds = set()
+    for seed in range(4):
+        rng = random.Random(seed)
+        lemmas = ["ev", "gel", "göz", "kapı", "insan"]
+        morphemes = ["Noun+A3sg+Nom", "Noun+A3pl+Gen", "Verb+Past+A3sg", "Adv", "Adj"]
+        lines = ["# ord\ttoken\tlemma\tmorphemes"]
+        for ordinal in range(1, 30):
+            for token_id in range(1, rng.randint(2, 12)):
+                lines.append(f"{ordinal}\t{token_id}\t{rng.choice(lemmas)}\t"
+                             f"{rng.choice(morphemes)}")
+        text = "\n".join(lines) + "\n"
+        expected = reference_read_morph_sidecar(text)
+        assert read_morph_sidecar(text) == expected
+        assert dict(iter_morph_sidecar(text)) == expected
+        for _ in range(200):
+            case = mutated(rng, lines, lambda line: mutate_sidecar_line(rng, line))
+            got = outcome(read_morph_sidecar, case)
+            assert got == outcome(reference_read_morph_sidecar, case), case
+            streamed = outcome(lambda t: dict(iter_morph_sidecar(t)), case)
+            assert streamed == got, case
+            kinds.add(kind_of(got))
+    assert kinds == {
+        "ok", "expected  tab-separated columns, got ",
+        "sentence ordinal and token id must be integers",
+        "sentence ordinal and token id must be >= ", "empty lemma",
+        "unparseable morpheme sequence ", "duplicate entry for sentence  token "}
+
+
+def test_readers_share_repeated_values_within_a_read():
+    text = ("1\tev\tev\tNOUN\t_\tCase=Nom\t2\tnmod\t_\tSpaceAfter=No\n"
+            "2\tev\tev\tNOUN\t_\tCase=Nom\t0\troot\t_\tSpaceAfter=No\n\n")
+    first, second = parse_conllu(text)[0].tokens
+    for name in ("form", "lemma", "upos", "feats", "misc"):
+        assert getattr(first, name) is getattr(second, name)
+    sidecar = read_morph_sidecar("1\t1\tev\tNoun+A3sg\n1\t2\tev\tNoun+A3sg\n"
+                                 "1\t3\tev\tNoun+A3pl\n")
+    assert sidecar[1, 1] is sidecar[1, 2]
+    assert sidecar[1, 1] is not sidecar[1, 3]
+    # Nothing is shared between reads.
+    assert read_morph_sidecar("1\t1\tev\tNoun+A3sg\n")[1, 1] is not sidecar[1, 1]
+
+
+def test_read_types_are_slotted():
+    (sentence,) = parse_conllu(BASIC)[:1]
+    for obj in (sentence, sentence.tokens[0],
+                read_morph_sidecar(SIDECAR)[1, 1]):
+        assert not hasattr(obj, "__dict__")

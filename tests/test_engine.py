@@ -15,7 +15,8 @@ from ruleparse import (ALL_RULES, DEFAULT_RULES, Diagnostics, EngineError,
 from ruleparse.engine import EngineState, SentenceView
 from ruleparse.morpho import ROOT_POS_TO_UPOS
 
-from conftest import ma, random_conllu_sentence, random_sentence, sent, tok
+from conftest import (DEEP_CHAINS, deep_chain, ma, random_conllu_sentence,
+                      random_sentence, sent, tok)
 
 AV_ENABLED = RuleConfig(enabled=DEFAULT_RULES | {RuleCode.AV})
 EVERYTHING = RuleConfig(enabled=ALL_RULES)
@@ -453,6 +454,25 @@ def check_invariants(sentence, assignments):
             assert cur not in seen, "assigned heads form a cycle"
             seen.add(cur)
             cur = heads[cur]
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_CHAINS))
+def test_deep_late_binding_chain_under_every_ablation_config(lexicon, kind):
+    # The chain once attached by recursion, one call per link, and died
+    # with RecursionError near 1,000 links.
+    n = 5000
+    sentence, analyses = deep_chain(n, kind)
+    *_, chain_code, last_code = DEEP_CHAINS[kind]
+    for config in ablation_steps():
+        assignments = run(sentence, analyses, lexicon, config)
+        check_invariants(sentence, assignments)
+        got = [(a.dependent, a.head, a.code.value) for a in assignments]
+        if {chain_code, last_code} <= {c.value for c in config.enabled}:
+            # The last word attaches first, then the chain from its end.
+            assert got == [(n, n + 1, last_code)] + [
+                (i, n + 1, chain_code) for i in range(n - 1, 0, -1)]
+        else:
+            assert got == []
 
 
 @pytest.mark.parametrize("config", [None, AV_ENABLED, EVERYTHING],

@@ -182,17 +182,30 @@ def test_matrix_input_order_is_irrelevant():
     assert build_matrix(analyses).rows == build_matrix(shuffled).rows
 
 
-def test_builder_merge_equals_single_pass():
+def test_counted_updates_equal_single_updates_exactly():
     rng = random.Random(17)
-    analyses = random_analyses(rng, 250)
-    whole = MatrixBuilder()
-    for a in analyses:
-        whole.update(a)
-    left, right = MatrixBuilder(), MatrixBuilder()
-    for i, a in enumerate(analyses):
-        (left if i % 2 else right).update(a)
-    left.merge(right)
-    assert left.build().rows == whole.build().rows
+    for trial in range(20):
+        analyses = random_analyses(rng, rng.randint(1, 250), with_junk=True)
+        single = MatrixBuilder()
+        for a in analyses:
+            single.update(a)
+        # Each distinct analysis fed as a few counted updates, in any order.
+        parts = []
+        for a, count in Counter(analyses).items():
+            while count:
+                part = rng.randint(1, count)
+                parts.append((a, part))
+                count -= part
+        rng.shuffle(parts)
+        counted = MatrixBuilder()
+        for a, count in parts:
+            counted.update(a, count)
+        assert counted.freq == single.freq
+        assert counted.unknown_tags == single.unknown_tags
+        cap = rng.randint(1, 10)
+        assert counted.build(cap).rows == single.build(cap).rows
+        assert counted.build().rows == naive_matrix(analyses, counted.inventory,
+                                                    40000)
 
 
 def test_unknown_tags_counted_but_root_pos_ignored():
@@ -201,13 +214,6 @@ def test_unknown_tags_counted_but_root_pos_ignored():
                   ma("git", "Verb", "Verb", "Past")],
                  unknown_tags=unknown)
     assert unknown == {"Bogus": 1}
-
-
-def test_merge_rejects_inventory_mismatch():
-    small = load_inventory("Gen\tinflectional\n")
-    a, b = MatrixBuilder(small), MatrixBuilder()
-    with pytest.raises(InputFormatError, match="different inventories"):
-        b.merge(a)
 
 
 def test_matrix_write_read_is_bit_exact():
