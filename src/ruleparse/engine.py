@@ -17,11 +17,23 @@ The schedule is one ordered table (``_ONCE``, then ``_REPEATED``):
 4. PC, AAJ, AV, AJN, NV repeat in that order until a full pass assigns
    nothing.
 
-Each run builds every rule's pair test once over the sentence's view,
-keeps the enabled ones in schedule order, and sends each through the
-same left-to-right scan.  Disabling a rule skips it without reordering
-the others; AV and NV are disabled by default because they overgenerate
-on free word order.
+Each rule is a module-level pair test; a run sends the enabled ones, in
+schedule order, through the same left-to-right scan.  Disabling a rule
+skips it without reordering the others; AV and NV are disabled by
+default because they overgenerate on free word order.
+
+The scan filters on first members.  Each rule carries a bit that a
+token has when it passes everything the rule's pair test checks on a
+pair's first member alone: the POS for AC, AJC, AV, AJN, NV and PC
+(NOUN, PROPN or DET), a degree adverb for AAJ, and a form that starts a
+lexicon pair for CPI (a ``cpi`` pair) and NC (an ``nc``, ``redup`` or
+``pc`` pair).  The scan steps past a token without the bit without
+calling the pair test, which would return False on it with no side
+effect.  A rule that no token of the sentence can open, or whose test
+needs a second-member POS the sentence lacks, is not scanned at all.
+The bits are built once per view and lexicon
+(:meth:`SentenceView.first_members`), so the ablation harness, which
+shares each view across its steps, builds them once per sentence.
 
 Late binding is one map, ``waiting``, from a deferred pair's second
 member to its first member and code.  Deferring takes the first member
@@ -39,18 +51,19 @@ The facts the rules test never change during a run: a token's POS, its
 folded and de-duplicated word forms (surface form, analysis lemma,
 treebank lemma), and its genitive, accusative, possessive and bare
 flags.  A :class:`SentenceView` computes them once per sentence, indexed
-by token id, so lexicon tests are plain set lookups on the lexicon's
-already-folded sets.  The view is also the sentence's analysis mapping:
-``run`` reuses a view passed as ``analyses`` and builds one otherwise,
-so a caller that runs the same sentence under several rule sets (the
-ablation harness) builds each view once.
+by token id, so lexicon tests are plain lookups in the lexicon's
+already-folded first-word map: one ``dict.get`` and one ``isdisjoint``
+per form of a pair's first token.  The view is also the sentence's
+analysis mapping: ``run`` reuses a view passed as ``analyses`` and
+builds one otherwise, so a caller that runs the same sentence under
+several rule sets (the ablation harness) builds each view once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 # ``fold`` is looked up on the module at call time, never bound by a
@@ -85,10 +98,18 @@ DEFAULT_RULES = frozenset({
 })
 ALL_RULES = DEFAULT_RULES | {RuleCode.AV, RuleCode.NV}
 
-_NOMINAL = {"NOUN", "PROPN"}
-_NV_DEPENDENTS = {"NOUN", "PROPN", "PRON"}
+_NOMINAL = frozenset({"NOUN", "PROPN"})
+_NV_DEPENDENTS = frozenset({"NOUN", "PROPN", "PRON"})
 _POSSESSIVE_TAGS = frozenset({"P1sg", "P2sg", "P3sg", "P1pl", "P2pl", "P3pl"})
 _OVERT_CASE_TAGS = frozenset({"Acc", "Dat", "Loc", "Abl", "Gen", "Ins", "Equ"})
+
+# The codes as module constants: reading an Enum member off its class
+# costs about 0.12 µs, a module global a few ns.
+(_CPI, _NC, _PC, _AC, _AJC, _AAJ, _AV, _AJN, _NV) = (
+    RuleCode.CPI, RuleCode.NC, RuleCode.PC, RuleCode.AC, RuleCode.AJC,
+    RuleCode.AAJ, RuleCode.AV, RuleCode.AJN, RuleCode.NV)
+# Fire counts are keyed by the codes' plain string values.
+_VALUE = {code: code.value for code in RuleCode}
 
 
 @dataclass(frozen=True)
@@ -105,7 +126,7 @@ class RuleConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleAssignment:
     """One head decision: ``dependent`` attaches to ``head`` via ``code``."""
 
@@ -116,6 +137,14 @@ class RuleAssignment:
     def __post_init__(self):
         if self.dependent == self.head:
             raise ValueError("a token cannot head itself")
+
+
+# The engine checks ``dependent != head`` itself, so it builds its
+# assignments through the slot setters, which skip ``__post_init__``
+# (a frozen dataclass's own ``__init__`` costs about 1 µs).
+_new = object.__new__
+_set_dependent, _set_head, _set_code = (
+    RuleAssignment.__dict__[f.name].__set__ for f in fields(RuleAssignment))
 
 
 @dataclass
@@ -152,18 +181,19 @@ class SentenceView(Mapping):
                     case and possessive marking from the analysis tags
                     or the CoNLL-U features
 
-    Nothing in a view changes after construction, so one view may be
-    shared by any number of runs.
+    :meth:`first_members` adds the rules' first-member bits for a
+    lexicon, built on first use and kept for that lexicon.  Nothing else
+    in a view changes after construction, and the bits are a function of
+    the facts and the lexicon, so one view may be shared by any number of
+    runs.
     """
 
     __slots__ = ("sentence", "analyses", "pos", "forms", "genitive",
-                 "accusative", "possessive", "bare")
+                 "accusative", "possessive", "bare", "_first_members")
 
     def __init__(self, sentence: Sentence, analyses: Mapping[int, MorphAnalysis]):
-        pos: list[str | None] = [None]
-        forms: list[tuple[str, ...]] = [()]
-        genitive, accusative, possessive, bare = [False], [False], [False], [False]
         fold = _lexicon.fold
+        rows = []
         for token in sentence.tokens:
             analysis = analyses.get(token.id)
             if analysis is None:
@@ -175,27 +205,36 @@ class SentenceView(Mapping):
             for key, value in token.feats:
                 if key == "Case":
                     case = value
-                psor_feature = psor_feature or key.endswith("[psor]")
-            has_possessive = psor_feature or not _POSSESSIVE_TAGS.isdisjoint(tags)
-            raw = [token.form, analysis.lemma]
-            if token.lemma:
-                raw.append(token.lemma)
-            pos.append(token.upos if token.upos is not None
-                       else ROOT_POS_TO_UPOS.get(analysis.pos))
-            forms.append(tuple(dict.fromkeys(fold(word) for word in dict.fromkeys(raw))))
-            genitive.append("Gen" in tags or case == "Gen")
-            accusative.append("Acc" in tags or case == "Acc")
-            possessive.append(has_possessive)
-            bare.append(not has_possessive and case in (None, "Nom")
-                        and _OVERT_CASE_TAGS.isdisjoint(tags))
+                elif key.endswith("[psor]"):
+                    psor_feature = True
+            possessive = psor_feature or not _POSSESSIVE_TAGS.isdisjoint(tags)
+            # Each distinct raw word is folded once; the folded words keep
+            # the order of their first occurrence.
+            form, lemma, token_lemma = token.form, analysis.lemma, token.lemma
+            forms = (fold(form),)
+            if lemma != form:
+                folded = fold(lemma)
+                if folded != forms[0]:
+                    forms = (forms[0], folded)
+            if token_lemma and token_lemma != form and token_lemma != lemma:
+                folded = fold(token_lemma)
+                if folded not in forms:
+                    forms += (folded,)
+            upos = token.upos
+            rows.append((
+                upos if upos is not None else ROOT_POS_TO_UPOS.get(analysis.pos),
+                forms,
+                "Gen" in tags or case == "Gen",
+                "Acc" in tags or case == "Acc",
+                possessive,
+                not possessive and case in (None, "Nom")
+                and _OVERT_CASE_TAGS.isdisjoint(tags),
+            ))
         self.sentence = sentence
         self.analyses = analyses
-        self.pos = tuple(pos)
-        self.forms = tuple(forms)
-        self.genitive = tuple(genitive)
-        self.accusative = tuple(accusative)
-        self.possessive = tuple(possessive)
-        self.bare = tuple(bare)
+        (self.pos, self.forms, self.genitive, self.accusative, self.possessive,
+         self.bare) = zip((None, (), False, False, False, False), *rows)
+        self._first_members = None
 
     def __getitem__(self, token_id: int) -> MorphAnalysis:
         return self.analyses[token_id]
@@ -206,15 +245,61 @@ class SentenceView(Mapping):
     def __len__(self) -> int:
         return len(self.analyses)
 
+    def first_members(self, lexicon: Lexicon
+                      ) -> tuple[tuple[int, ...], Schedule, Schedule]:
+        """Per-token first-member bits for ``lexicon``, and the rules that
+        can fire on this sentence, split like the schedule into the ones
+        that run once and the ones that repeat.
+
+        Each rule comes with its pair test and its first-member bit (see
+        ``_ONCE`` and ``_REPEATED``): when ``bits[x] & bit`` is 0, token
+        ``x`` fails everything the test checks on a pair's first member
+        alone, so the test would return False, with no side effect, on
+        any pair ``x`` opens.  A rule is left out when no token has its
+        first bit, or none has the POS its test requires of a second
+        member: it cannot fire on the sentence.  Built on first use and
+        kept for that lexicon.
+        """
+        memo = self._first_members
+        if memo is not None and memo[0] is lexicon:
+            return memo[1]
+        pairs = lexicon.pairs
+        cpi, nc, redup, pc = pairs["cpi"], pairs["nc"], pairs["redup"], pairs["pc"]
+        degree = lexicon.degree_adverbs
+        bits = []
+        seen = 0
+        for tag, words in zip(self.pos, self.forms):
+            bit = _POS_BITS.get(tag, 0)
+            for word in words:
+                if word in cpi:
+                    bit |= _CPI_START
+                if word in nc or word in redup or word in pc:
+                    bit |= _NC_START
+            if bit & _ADV_FIRST and not degree.isdisjoint(words):
+                bit |= _DEGREE_FIRST
+            bits.append(bit)
+            seen |= bit
+        tables = (tuple(bits),
+                  tuple([(code, test, first) for code, test, first, second in _ONCE
+                         if seen & first and seen & second == second]),
+                  tuple([(code, test, first) for code, test, first, second in _REPEATED
+                         if seen & first and seen & second == second]))
+        self._first_members = (lexicon, tables)
+        return tables
+
 
 class EngineState:
     """Mutable per-sentence working state of a rule run over a view."""
+
+    __slots__ = ("view", "lexicon", "remaining", "heads", "assignments",
+                 "waiting", "cp_marked", "diagnostics")
 
     def __init__(self, view: SentenceView, lexicon: Lexicon,
                  diagnostics: Diagnostics):
         self.view = view
         self.lexicon = lexicon
-        self.remaining: list[int] = [t.id for t in view.sentence.tokens]
+        # token ids are 1..n (a Sentence checks it), the view tuples' indices
+        self.remaining: list[int] = list(range(1, len(view.pos)))
         self.heads: dict[int, int] = {}
         self.assignments: list[RuleAssignment] = []
         # second member of a deferred pair -> (first member, its code)
@@ -223,14 +308,15 @@ class EngineState:
         self.diagnostics = diagnostics
 
     def pair_in(self, cls: str, first_id: int, second_id: int) -> bool:
-        """Lexicon pair match over every surface/lemma combination."""
-        pairs = self.lexicon.pairs[cls]
+        """Lexicon pair match over every surface/lemma combination: one
+        first-word lookup per form of the first token."""
+        follows = self.lexicon.pairs[cls]
         forms = self.view.forms
         seconds = forms[second_id]
         for first in forms[first_id]:
-            for second in seconds:
-                if f"{first} {second}" in pairs:
-                    return True
+            after = follows.get(first)
+            if after is not None and not after.isdisjoint(seconds):
+                return True
         return False
 
     # -- assignment ----------------------------------------------------
@@ -270,8 +356,12 @@ class EngineState:
             self.diagnostics.skipped_cycles += 1
             return False
         self.heads[dependent] = head
-        self.assignments.append(RuleAssignment(dependent, head, code))
-        self.diagnostics.fire_counts[code.value] += 1
+        assignment = _new(RuleAssignment)
+        _set_dependent(assignment, dependent)
+        _set_head(assignment, head)
+        _set_code(assignment, code)
+        self.assignments.append(assignment)
+        self.diagnostics.fire_counts[_VALUE[code]] += 1
         if dependent in self.remaining:
             self.remaining.remove(dependent)
         return True
@@ -283,23 +373,35 @@ class EngineState:
         self.remaining.remove(first)
 
 
-TryPair = Callable[[int, int], bool]
+# ``try_pair(state, x, y) -> bool`` tests the adjacent remaining pair
+# ``x, y`` and reports whether it consumed it (see :func:`_scan`).
+TryPair = Callable[[EngineState, int, int], bool]
+# (code, pair test, first-member bit) per rule, in schedule order
+Schedule = tuple[tuple[RuleCode, TryPair, int], ...]
 
 
-def _scan(state: EngineState, try_pair: TryPair) -> None:
+def _scan(state: EngineState, try_pair: TryPair, bits: tuple[int, ...],
+          first: int) -> None:
     """One left-to-right pass over adjacent remaining pairs.
 
-    ``try_pair(first, second) -> bool`` reports whether it consumed the
-    pair; a consumed pair always shrinks the remaining list, so the scan
-    stays at the same index to examine the freshly adjacent pair next.
+    ``try_pair`` reports whether it consumed the pair; a consumed pair
+    always shrinks the remaining list, so the scan stays at the same
+    index to examine the freshly adjacent pair next.  A pair whose first
+    member ``x`` lacks the rule's bit (``bits[x] & first`` is 0) is
+    stepped past without calling ``try_pair``, which would return False
+    on it.
     """
     remaining = state.remaining  # shrinks in place, never rebound
     i = 0
-    while i + 1 < len(remaining):
-        before = len(remaining)
-        fired = try_pair(remaining[i], remaining[i + 1])
-        if not fired or len(remaining) == before:
-            i += 1
+    last = len(remaining) - 1  # index of the last pair's first member
+    while i < last:
+        x = remaining[i]
+        if bits[x] & first:
+            fired = try_pair(state, x, remaining[i + 1])
+            before, last = last, len(remaining) - 1
+            if fired and last < before:
+                continue
+        i += 1
 
 
 def _chain_forward(state: EngineState, cls: str, code: RuleCode,
@@ -323,130 +425,159 @@ def _chain_forward(state: EngineState, cls: str, code: RuleCode,
         cursor = nxt
 
 
+# -- the rules' pair tests --------------------------------------------------
+
+def _ac(state: EngineState, x: int, y: int) -> bool:
+    """Consecutive adverbs: a degree adverb attaches to the adverb after
+    it; any other adverb waits for that adverb's head."""
+    view = state.view
+    if view.pos[x] != "ADV" or view.pos[y] != "ADV":
+        return False
+    if not state.lexicon.degree_adverbs.isdisjoint(view.forms[x]):
+        return state.assign(x, y, _AC)
+    state.defer(x, y, _AC)
+    return True
+
+
+def _ajc(state: EngineState, x: int, y: int) -> bool:
+    """Consecutive adjectives: the first waits for the second's head."""
+    pos = state.view.pos
+    if pos[x] != "ADJ" or pos[y] != "ADJ":
+        return False
+    state.defer(x, y, _AJC)
+    return True
+
+
+def _cpi(state: EngineState, x: int, y: int) -> bool:
+    """Complex predicates and idioms: the second word attaches to the
+    first.  The first word, when it is a noun, is marked CP so the
+    noun-verb rule never reattaches it later."""
+    if not state.pair_in("cpi", x, y):
+        return False
+    if not state.assign(y, x, _CPI):
+        return False
+    if state.view.pos[x] == "NOUN":
+        state.cp_marked.add(x)
+    _chain_forward(state, "cpi", _CPI, x, y)
+    return True
+
+
+def _nc(state: EngineState, x: int, y: int) -> bool:
+    """Lexicon compounds: bare and reduplicated compounds are headed by
+    their first member, possessive-marked compounds by their second."""
+    for cls in ("nc", "redup"):
+        if state.pair_in(cls, x, y):
+            if state.assign(y, x, _NC):
+                _chain_forward(state, cls, _NC, x, y)
+                return True
+            return False
+    if state.pair_in("pc", x, y):
+        return state.assign(x, y, _NC)
+    return False
+
+
+def _pc(state: EngineState, x: int, y: int) -> bool:
+    """Possessive constructions, proper-noun runs, and determiners.
+
+    For adjacent nominals the first attaches to the second when it is
+    genitive-marked, or when it is bare and the second carries a
+    possessive suffix without being accusative.  Runs of proper nouns
+    collapse onto the first proper noun, and a determiner attaches to the
+    nominal after it.
+    """
+    view = state.view
+    pos_x, pos_y = view.pos[x], view.pos[y]
+    if pos_x in _NOMINAL and pos_y in _NOMINAL:
+        if view.genitive[x]:
+            return state.assign(x, y, _PC)
+        if view.bare[x] and view.possessive[y] and not view.accusative[y]:
+            return state.assign(x, y, _PC)
+    if pos_x == "PROPN" and pos_y == "PROPN":
+        return state.assign(y, x, _PC)
+    if pos_x == "DET" and pos_y in _NOMINAL:
+        return state.assign(x, y, _PC)
+    return False
+
+
+def _aaj(state: EngineState, x: int, y: int) -> bool:
+    """A degree adverb attaches to the adjective directly after it."""
+    view = state.view
+    if (view.pos[x] == "ADV" and view.pos[y] == "ADJ"
+            and not state.lexicon.degree_adverbs.isdisjoint(view.forms[x])):
+        return state.assign(x, y, _AAJ)
+    return False
+
+
+def _av(state: EngineState, x: int, y: int) -> bool:
+    """An adverb attaches to the verb after it, unless it is one of the
+    adverbs that emphasize the preceding word, which attach backwards."""
+    view = state.view
+    if view.pos[x] != "ADV" or view.pos[y] != "VERB":
+        return False
+    if not state.lexicon.head_emphasizing_adverbs.isdisjoint(view.forms[x]):
+        if x == 1:
+            return False
+        return state.assign(x, x - 1, _AV)
+    return state.assign(x, y, _AV)
+
+
+def _ajn(state: EngineState, x: int, y: int) -> bool:
+    """An adjective attaches to the nominal directly after it."""
+    pos = state.view.pos
+    if pos[x] == "ADJ" and pos[y] in _NOMINAL:
+        return state.assign(x, y, _AJN)
+    return False
+
+
+def _nv(state: EngineState, x: int, y: int) -> bool:
+    """An unassigned noun or pronoun attaches to the verb after it,
+    unless it was marked as part of a complex predicate."""
+    pos = state.view.pos
+    if pos[x] in _NV_DEPENDENTS and x not in state.cp_marked and pos[y] == "VERB":
+        return state.assign(x, y, _NV)
+    return False
+
+
+# -- the schedule -----------------------------------------------------------
+
+# First-member bits: a token has a rule's bit when it passes everything
+# the rule's pair test checks on the first member alone.
+_ADV_FIRST, _ADJ_FIRST, _PC_FIRST, _NV_FIRST = 1, 2, 4, 8
+_DEGREE_FIRST = 16  # a degree adverb (AAJ)
+_CPI_START = 32     # some form starts a ``cpi`` pair
+_NC_START = 64      # some form starts an ``nc``, ``redup`` or ``pc`` pair
+# Second-member bits: a POS some pair test requires of the second member.
+_ADV_SECOND, _ADJ_SECOND, _VERB_SECOND, _NOMINAL_SECOND = 128, 256, 512, 1024
+
+_POS_BITS = {
+    "ADV": _ADV_FIRST | _ADV_SECOND,
+    "ADJ": _ADJ_FIRST | _ADJ_SECOND,
+    "NOUN": _PC_FIRST | _NV_FIRST | _NOMINAL_SECOND,
+    "PROPN": _PC_FIRST | _NV_FIRST | _NOMINAL_SECOND,
+    "DET": _PC_FIRST,
+    "PRON": _NV_FIRST,
+    "VERB": _VERB_SECOND,
+}
+
 # The rule schedule: each rule in ``_ONCE`` runs once, in order; then the
 # rules in ``_REPEATED`` run in order, pass after pass, until a full pass
-# assigns nothing.
-_ONCE = (RuleCode.AC, RuleCode.AJC, RuleCode.CPI, RuleCode.NC)
-_REPEATED = (RuleCode.PC, RuleCode.AAJ, RuleCode.AV, RuleCode.AJN, RuleCode.NV)
+# assigns nothing.  Per rule: its code, its pair test, its first-member
+# bit and the second-member bit its test requires (0: none).
+_ONCE = (
+    (_AC, _ac, _ADV_FIRST, _ADV_SECOND),
+    (_AJC, _ajc, _ADJ_FIRST, _ADJ_SECOND),
+    (_CPI, _cpi, _CPI_START, 0),
+    (_NC, _nc, _NC_START, 0),
+)
+_REPEATED = (
+    (_PC, _pc, _PC_FIRST, _NOMINAL_SECOND),
+    (_AAJ, _aaj, _DEGREE_FIRST, _ADJ_SECOND),
+    (_AV, _av, _ADV_FIRST, _VERB_SECOND),
+    (_AJN, _ajn, _ADJ_FIRST, _NOMINAL_SECOND),
+    (_NV, _nv, _NV_FIRST, _VERB_SECOND),
+)
 
-
-def _schedule(state: EngineState, enabled: frozenset[RuleCode]
-              ) -> tuple[list[TryPair], list[TryPair]]:
-    """The enabled rules' pair tests in schedule order, split into the
-    ones that run once and the ones that repeat.
-
-    Each ``try_pair(x, y) -> bool`` tests the adjacent remaining pair
-    ``x, y`` and reports whether it consumed it (see :func:`_scan`).
-    """
-    view, lexicon, assign = state.view, state.lexicon, state.assign
-    pos, forms, genitive, bare = view.pos, view.forms, view.genitive, view.bare
-    possessive, accusative = view.possessive, view.accusative
-    degree = lexicon.degree_adverbs
-    emphasizing = lexicon.head_emphasizing_adverbs
-    cp_marked = state.cp_marked
-
-    def ac(x: int, y: int) -> bool:
-        """Consecutive adverbs: a degree adverb attaches to the adverb
-        after it; any other adverb waits for that adverb's head."""
-        if pos[x] != "ADV" or pos[y] != "ADV":
-            return False
-        if not degree.isdisjoint(forms[x]):
-            return assign(x, y, RuleCode.AC)
-        state.defer(x, y, RuleCode.AC)
-        return True
-
-    def ajc(x: int, y: int) -> bool:
-        """Consecutive adjectives: the first waits for the second's head."""
-        if pos[x] != "ADJ" or pos[y] != "ADJ":
-            return False
-        state.defer(x, y, RuleCode.AJC)
-        return True
-
-    def cpi(x: int, y: int) -> bool:
-        """Complex predicates and idioms: the second word attaches to the
-        first.  The first word, when it is a noun, is marked CP so the
-        noun-verb rule never reattaches it later."""
-        if not state.pair_in("cpi", x, y):
-            return False
-        if not assign(y, x, RuleCode.CPI):
-            return False
-        if pos[x] == "NOUN":
-            cp_marked.add(x)
-        _chain_forward(state, "cpi", RuleCode.CPI, x, y)
-        return True
-
-    def nc(x: int, y: int) -> bool:
-        """Lexicon compounds: bare and reduplicated compounds are headed
-        by their first member, possessive-marked compounds by their
-        second."""
-        for cls in ("nc", "redup"):
-            if state.pair_in(cls, x, y):
-                if assign(y, x, RuleCode.NC):
-                    _chain_forward(state, cls, RuleCode.NC, x, y)
-                    return True
-                return False
-        if state.pair_in("pc", x, y):
-            return assign(x, y, RuleCode.NC)
-        return False
-
-    def pc(x: int, y: int) -> bool:
-        """Possessive constructions, proper-noun runs, and determiners.
-
-        For adjacent nominals the first attaches to the second when it
-        is genitive-marked, or when it is bare and the second carries a
-        possessive suffix without being accusative.  Runs of proper
-        nouns collapse onto the first proper noun, and a determiner
-        attaches to the nominal after it.
-        """
-        pos_x, pos_y = pos[x], pos[y]
-        if pos_x in _NOMINAL and pos_y in _NOMINAL:
-            if genitive[x]:
-                return assign(x, y, RuleCode.PC)
-            if bare[x] and possessive[y] and not accusative[y]:
-                return assign(x, y, RuleCode.PC)
-        if pos_x == "PROPN" and pos_y == "PROPN":
-            return assign(y, x, RuleCode.PC)
-        if pos_x == "DET" and pos_y in _NOMINAL:
-            return assign(x, y, RuleCode.PC)
-        return False
-
-    def aaj(x: int, y: int) -> bool:
-        """A degree adverb attaches to the adjective directly after it."""
-        if pos[x] == "ADV" and pos[y] == "ADJ" and not degree.isdisjoint(forms[x]):
-            return assign(x, y, RuleCode.AAJ)
-        return False
-
-    def av(x: int, y: int) -> bool:
-        """An adverb attaches to the verb after it, unless it is one of
-        the adverbs that emphasize the preceding word, which attach
-        backwards."""
-        if pos[x] != "ADV" or pos[y] != "VERB":
-            return False
-        if not emphasizing.isdisjoint(forms[x]):
-            if x == 1:
-                return False
-            return assign(x, x - 1, RuleCode.AV)
-        return assign(x, y, RuleCode.AV)
-
-    def ajn(x: int, y: int) -> bool:
-        """An adjective attaches to the nominal directly after it."""
-        if pos[x] == "ADJ" and pos[y] in _NOMINAL:
-            return assign(x, y, RuleCode.AJN)
-        return False
-
-    def nv(x: int, y: int) -> bool:
-        """An unassigned noun or pronoun attaches to the verb after it,
-        unless it was marked as part of a complex predicate."""
-        if pos[x] in _NV_DEPENDENTS and x not in cp_marked and pos[y] == "VERB":
-            return assign(x, y, RuleCode.NV)
-        return False
-
-    # keyed by the codes' values: a RuleCode is equal to its value
-    try_pairs = {"AC": ac, "AJC": ajc, "CPI": cpi, "NC": nc, "PC": pc,
-                 "AAJ": aaj, "AV": av, "AJN": ajn, "NV": nv}
-    once = [try_pairs[code] for code in _ONCE if code in enabled]
-    repeated = [try_pairs[code] for code in _REPEATED if code in enabled]
-    return once, repeated
+_DEFAULT_CONFIG = RuleConfig()
 
 
 def run(sentence: Sentence,
@@ -462,16 +593,18 @@ def run(sentence: Sentence,
     order they were made; pass a :class:`Diagnostics` to accumulate fire
     counts across sentences.
     """
-    config = config or RuleConfig()
+    config = config or _DEFAULT_CONFIG
     if isinstance(analyses, SentenceView) and analyses.sentence is sentence:
         view = analyses
     else:
         view = SentenceView(sentence, analyses)
     state = EngineState(view, lexicon,
                         diagnostics if diagnostics is not None else Diagnostics())
-    once, repeated = _schedule(state, config.enabled)
-    for try_pair in once:
-        _scan(state, try_pair)
+    enabled = config.enabled
+    bits, once, repeated = view.first_members(lexicon)
+    for code, try_pair, first in once:
+        if code in enabled:
+            _scan(state, try_pair, bits, first)
 
     iterations = 0
     while state.remaining:
@@ -480,11 +613,12 @@ def run(sentence: Sentence,
             raise EngineError(
                 f"rule loop exceeded {config.max_iterations} iterations")
         before = len(state.assignments)
-        for try_pair in repeated:
-            _scan(state, try_pair)
+        for code, try_pair, first in repeated:
+            if code in enabled:
+                _scan(state, try_pair, bits, first)
         if len(state.assignments) == before:
             break
-    return list(state.assignments)
+    return state.assignments
 
 
 def assigned_heads(assignments: list[RuleAssignment]) -> dict[int, int]:

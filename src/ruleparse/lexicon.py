@@ -46,10 +46,14 @@ class Lexicon:
 
     Entry sets hold full (folded, whitespace-normalized) entries.  The
     ``pairs`` map holds, per compound class, every matchable adjacent
-    bigram: a two-word entry contributes itself, a longer entry
-    contributes each consecutive word pair so it can be matched greedily
-    left to right.  Every set holds folded text only: the rule engine
-    looks already-folded words up in them directly.
+    bigram as a first-word map: ``pairs[cls][first]`` is the frozenset of
+    words that may follow ``first``.  A two-word entry contributes
+    itself, a longer entry each consecutive word pair, so it can be
+    matched greedily left to right.  The map's keys are the words that
+    start a pair.  Every word is folded text without whitespace (entry
+    components come from ``str.split()``): the rule engine looks
+    already-folded words up directly, and a word holding whitespace or an
+    empty word matches nothing.
     """
 
     complex_predicates: frozenset[str]
@@ -58,13 +62,13 @@ class Lexicon:
     reduplicated_compounds: frozenset[str]
     degree_adverbs: frozenset[str]
     head_emphasizing_adverbs: frozenset[str]
-    pairs: dict[str, frozenset[str]]
+    pairs: dict[str, dict[str, frozenset[str]]]
 
     def match_pair(self, cls: str, first: str, second: str) -> bool:
-        """True iff the folded, space-joined pair is matchable in ``cls``."""
+        """True iff the folded pair is matchable in ``cls``."""
         if cls not in COMPOUND_CLASSES:
             raise ValueError(f"unknown compound class {cls!r}")
-        return f"{fold(first)} {fold(second)}" in self.pairs[cls]
+        return fold(second) in self.pairs[cls].get(fold(first), ())
 
 
 def _read_entries(path: Path, require_compound: bool) -> list[tuple[str, ...]]:
@@ -84,12 +88,12 @@ def _read_entries(path: Path, require_compound: bool) -> list[tuple[str, ...]]:
     return entries
 
 
-def _pair_keys(entries: list[tuple[str, ...]]) -> frozenset[str]:
-    keys = set()
+def _pair_map(entries: list[tuple[str, ...]]) -> dict[str, frozenset[str]]:
+    follows: dict[str, set[str]] = {}
     for entry in entries:
         for first, second in zip(entry, entry[1:]):
-            keys.add(f"{first} {second}")
-    return frozenset(keys)
+            follows.setdefault(first, set()).add(second)
+    return {first: frozenset(seconds) for first, seconds in follows.items()}
 
 
 def load_lexicon(directory: str | Path) -> Lexicon:
@@ -103,7 +107,7 @@ def load_lexicon(directory: str | Path) -> Lexicon:
         raw[cls] = _read_entries(directory / name,
                                  require_compound=cls in COMPOUND_CLASSES)
     joined = {cls: frozenset(" ".join(e) for e in raw[cls]) for cls in raw}
-    pairs = {cls: _pair_keys(raw[cls]) for cls in COMPOUND_CLASSES}
+    pairs = {cls: _pair_map(raw[cls]) for cls in COMPOUND_CLASSES}
     return Lexicon(
         complex_predicates=joined["cpi"],
         noun_compounds=joined["nc"],

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
+from itertools import repeat
 from typing import IO, Iterable
 
 from .errors import InputFormatError
@@ -148,12 +149,20 @@ def default_inventory() -> SuffixInventory:
     return _DEFAULT_INVENTORY
 
 
+# Markers that are neither a root POS nor a suffix: ``Prop`` marks a
+# proper noun (``Noun+Prop+A3sg+Nom``).  The packaged inventory does not
+# list it.
+_NON_SUFFIX_MARKERS = frozenset({"Prop"})
+
+
 def inflectional_suffixes(analysis: MorphAnalysis,
                           inventory: SuffixInventory | None = None) -> tuple[str, ...]:
     """The subsequence of the analysis tags classified as inflectional.
 
     Root-POS tags inside the sequence (derivation boundaries) are passed
-    over; any other tag missing from the inventory raises.
+    over, and so are the non-suffix markers (``Prop``) that the inventory
+    does not list; an inventory that lists one gives it its class.  Any
+    other tag missing from the inventory raises.
     """
     inventory = inventory or default_inventory()
     keep = []
@@ -161,6 +170,8 @@ def inflectional_suffixes(analysis: MorphAnalysis,
         if tag in ROOT_POS_TAGS:
             continue
         if tag not in inventory:
+            if tag in _NON_SUFFIX_MARKERS:
+                continue
             raise InputFormatError(f"unknown morpheme tag: {tag!r}")
         if tag in inventory.inflectional:
             keep.append(tag)
@@ -269,11 +280,30 @@ def build_matrix(corpus: Iterable[MorphAnalysis],
     return matrix
 
 
+class _Formatted(dict):
+    """Each distinct value's 9-decimal text, formatted on first use."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = f"{value:.9f}"
+        return text
+
+
 def write_matrix(matrix: LemmaSuffixMatrix) -> str:
-    """Serialize a matrix: a tag header row, then one 9-decimal row per lemma."""
+    """Serialize a matrix: a tag header row, then one 9-decimal row per lemma.
+
+    Each distinct value is formatted once per write.  ``-0.0`` equals
+    ``0.0`` as a dict key but prints with its sign, so a row holding a
+    value with the sign bit set is formatted value by value.
+    """
+    formatted = _Formatted().__getitem__
+    copysign = math.copysign
     lines = ["lemma\t" + "\t".join(matrix.inventory.tags)]
     for lemma in sorted(matrix.rows):
-        values = "\t".join(f"{v:.9f}" for v in matrix.rows[lemma])
+        row = matrix.rows[lemma]
+        if row and min(map(copysign, repeat(1.0), row)) < 0.0:
+            values = "\t".join(f"{v:.9f}" for v in row)
+        else:
+            values = "\t".join(map(formatted, row))
         lines.append(f"{lemma}\t{values}")
     return "\n".join(lines) + "\n"
 

@@ -1,10 +1,12 @@
 """Shared builders and fixtures for the test suite."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from ruleparse import MorphAnalysis, Sentence, Token, default_lexicon_dir, load_lexicon
+from ruleparse.lexicon import _FILENAMES, COMPOUND_CLASSES, _read_entries
 
 DEPRELS = ("nsubj", "obj", "nmod", "amod", "advmod", "det", "punct", "conj")
 
@@ -124,21 +126,36 @@ _SPLICES = [
 ]
 
 
-def random_sentence(rng: random.Random, max_len: int = 30):
-    """A random sentence plus its analyses, with occasional lexicon hits."""
+def random_sentence(rng: random.Random, max_len: int = 30,
+                    length: int | None = None):
+    """A random sentence plus its analyses, with occasional lexicon hits.
+    ``length`` fixes the number of tokens instead of drawing it."""
     items = []
-    while len(items) < rng.randint(1, max_len):
+    while len(items) < (length or rng.randint(1, max_len)):
         if rng.random() < 0.25:
             items.extend(rng.choice(_SPLICES))
         else:
             items.append(rng.choice(_POOL))
-    items = items[:max_len]
+    items = items[:length or max_len]
     tokens = []
     analyses = {}
     for i, (form, lemma, upos, tags) in enumerate(items, start=1):
         tokens.append(tok(i, form, upos, lemma))
         analyses[i] = ma(lemma, _POS_OF[upos], *tags)
     return sent(*tokens), analyses
+
+
+def reference_pair_keys(directory) -> dict:
+    """Per compound class, the set of ``"first second"`` bigram strings the
+    lexicon in ``directory`` matches: the pair sets of the lexicon before
+    it became a first-word map."""
+    keys = {}
+    for cls in COMPOUND_CLASSES:
+        entries = _read_entries(Path(directory) / _FILENAMES[cls],
+                                require_compound=True)
+        keys[cls] = frozenset(f"{first} {second}" for entry in entries
+                              for first, second in zip(entry, entry[1:]))
+    return keys
 
 
 def random_tree_heads(rng: random.Random, n: int) -> list:

@@ -169,6 +169,22 @@ def test_features_jsonl_and_env_format(corpus, capsys, monkeypatch):
     assert all("rule" not in r for r in records)
 
 
+def test_features_infl_passes_over_proper_noun_marker(tmp_path, capsys):
+    # The packaged inventory does not list ``Prop``; strict infl once
+    # exited 2 with "unknown morpheme tag: 'Prop'" on any proper noun.
+    treebank = tmp_path / "propn.conllu"
+    treebank.write_text(
+        "1\tAhmet\tAhmet\tPROPN\t_\t_\t2\tnsubj\t_\t_\n"
+        "2\tgeldi\tgel\tVERB\t_\t_\t0\troot\t_\t_\n\n", encoding="utf-8")
+    sidecar = tmp_path / "propn.morph"
+    sidecar.write_text("1\t1\tAhmet\tNoun+Prop+A3sg+Nom\n"
+                       "1\t2\tgel\tVerb+Past+A3sg\n", encoding="utf-8")
+    assert main(["features", str(treebank), str(sidecar),
+                 "--hybrid", "infl"]) == 0
+    tokens = parse_conllu(capsys.readouterr().out)[0].tokens
+    assert tokens[0].misc_dict() == {"InflSuffixes": "A3sg+Nom"}
+
+
 def test_features_sufvec_requires_matrix(corpus, capsys):
     treebank, sidecar = corpus
     assert main(["features", str(treebank), str(sidecar),

@@ -6,17 +6,18 @@ sets is a behavioral regression, not a test to update.
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from ruleparse import (ALL_RULES, DEFAULT_RULES, Diagnostics, EngineError,
                        RuleCode, RuleConfig, ablation_steps, assigned_heads,
-                       fold, run)
+                       default_lexicon_dir, engine, fold, load_lexicon, run)
 from ruleparse.engine import EngineState, SentenceView
 from ruleparse.morpho import ROOT_POS_TO_UPOS
 
 from conftest import (DEEP_CHAINS, deep_chain, ma, random_conllu_sentence,
-                      random_sentence, sent, tok)
+                      random_sentence, reference_pair_keys, sent, tok)
 
 AV_ENABLED = RuleConfig(enabled=DEFAULT_RULES | {RuleCode.AV})
 EVERYTHING = RuleConfig(enabled=ALL_RULES)
@@ -614,3 +615,184 @@ def test_view_facts_match_reference_definitions():
             got["forms"] = set(view.forms[token.id])
             assert len(view.forms[token.id]) == len(got["forms"])
             assert got == reference_facts(token, analyses[token.id])
+
+
+# -- first-member filters and the first-word map ------------------------------
+#
+# The engine before them, kept as references: a lexicon pair test joined
+# the two words into one string and looked it up in a set of bigram
+# strings, and the scan sent every adjacent pair of every enabled rule to
+# its pair test, with no rule left out.
+
+def reference_pair_in(keys):
+    """``EngineState.pair_in`` over ``reference_pair_keys`` strings."""
+    def pair_in(state, cls, first_id, second_id):
+        pairs = keys[cls]
+        forms = state.view.forms
+        seconds = forms[second_id]
+        for first in forms[first_id]:
+            for second in seconds:
+                if f"{first} {second}" in pairs:
+                    return True
+        return False
+    return pair_in
+
+
+def reference_scan(state, try_pair, bits, first):
+    """``_scan`` without the first-member filter."""
+    remaining = state.remaining
+    i = 0
+    while i + 1 < len(remaining):
+        before = len(remaining)
+        fired = try_pair(state, remaining[i], remaining[i + 1])
+        if not fired or len(remaining) == before:
+            i += 1
+
+
+def reference_first_members(view, lexicon):
+    """Every rule scheduled, whatever the sentence holds."""
+    return (None,
+            tuple((code, test, bit) for code, test, bit, _ in engine._ONCE),
+            tuple((code, test, bit) for code, test, bit, _ in engine._REPEATED))
+
+
+REFERENCE_CONFIGS = ablation_steps() + [RuleConfig(), EVERYTHING]
+
+
+def reference_runs(sentence, analyses, lexicon, keys):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_scan", reference_scan)
+        patch.setattr(EngineState, "pair_in", reference_pair_in(keys))
+        patch.setattr(SentenceView, "first_members", reference_first_members)
+        return [traced_run(sentence, dict(analyses), lexicon, config)
+                for config in REFERENCE_CONFIGS]
+
+
+def assert_runs_match_reference(cases, lexicon, keys):
+    """Equal assignment lists and diagnostics under every ablation step,
+    the default rules and all rules, on one view shared by the runs."""
+    for sentence, analyses in cases:
+        view = SentenceView(sentence, analyses)
+        got = [traced_run(sentence, view, lexicon, config)
+               for config in REFERENCE_CONFIGS]
+        assert got == reference_runs(sentence, analyses, lexicon, keys), \
+            [t.form for t in sentence.tokens]
+
+
+def renumbered(kept):
+    """A sentence and analyses from ``(token, analysis)`` pairs."""
+    tokens = [tok(i, t.form, t.upos, t.lemma, feats=t.feats)
+              for i, (t, _) in enumerate(kept, start=1)]
+    return sent(*tokens), {i: a for i, (_, a) in enumerate(kept, start=1)}
+
+
+def lexicon_words(lexicon):
+    words = set(lexicon.degree_adverbs | lexicon.head_emphasizing_adverbs)
+    for follows in lexicon.pairs.values():
+        words.update(follows)
+        for seconds in follows.values():
+            words.update(seconds)
+    return words
+
+
+def sparse_cases(rng, lexicon, n):
+    """Random sentences with every ADV, every VERB or every lexicon word
+    dropped, some with UPOS left to the analysis."""
+    words = lexicon_words(lexicon)
+    drops = {
+        "no-adv": lambda t, a: t.upos == "ADV",
+        "no-verb": lambda t, a: t.upos == "VERB",
+        "no-lexicon-word": lambda t, a: not words.isdisjoint(
+            {fold(t.form), fold(a.lemma), fold(t.lemma or "")}),
+    }
+    cases = []
+    for k in range(n):
+        drop = list(drops.values())[k % len(drops)]
+        sentence, analyses = random_sentence(rng)
+        kept = [(t, analyses[t.id]) for t in sentence.tokens
+                if not drop(t, analyses[t.id])]
+        if rng.random() < 0.3:
+            kept = [(tok(t.id, t.form, None, t.lemma), a) for t, a in kept]
+        cases.append(renumbered(kept))
+    return cases
+
+
+def test_filtered_runs_match_reference_on_random_sentences(lexicon):
+    rng = random.Random(5150)
+    keys = reference_pair_keys(default_lexicon_dir())
+    assert_runs_match_reference(
+        [random_sentence(rng) for _ in range(300)], lexicon, keys)
+
+
+def test_filtered_runs_match_reference_on_long_sentences(lexicon):
+    rng = random.Random(5151)
+    keys = reference_pair_keys(default_lexicon_dir())
+    assert_runs_match_reference(
+        [random_sentence(rng, length=rng.randint(200, 500)) for _ in range(6)],
+        lexicon, keys)
+
+
+def test_filtered_runs_match_reference_on_pos_sparse_sentences(lexicon):
+    rng = random.Random(5152)
+    keys = reference_pair_keys(default_lexicon_dir())
+    cases = sparse_cases(rng, lexicon, 450)
+    assert any(not s.tokens for s, _ in cases) and any(len(s) > 10 for s, _ in cases)
+    assert_runs_match_reference(cases, lexicon, keys)
+
+
+ODD_LEXICON = {
+    "cpi.txt": "göz kulak ol\nIŞIK tut\nkabul et\nbir iki üç dört\n",
+    "nc.txt": "kuru yemiş\nİSTANBUL boğazı\n",
+    "pc.txt": "diş fırçası\nkuru yemişi\n",
+    "redup.txt": "yavaş yavaş\nışıl ışıl\n",
+    "adv_degree.txt": "çok\n",
+    "adv_emph.txt": "bile\n",
+}
+# Forms that hold spaces or NBSP, case variants of I/İ, the words of the
+# three- and four-word entries, and words of no entry.
+ODD_WORDS = ("kuru yemiş", "kuru\xa0yemiş", "kuru", "KURU", "yemiş", "yemişi",
+             "göz", "GÖZ", "kulak", "kulak ol", "ol", "IŞIK", "ışık", "Işık",
+             "tut", "İSTANBUL", "istanbul", "Istanbul", "boğazı", "ışıl",
+             "IŞIL", "bir", "iki", "iki üç", "üç", "dört", "yavaş", "çok",
+             "bile", "ev", "diş", "fırçası", "kabul", "et", "I", "İ")
+
+
+def test_filtered_runs_match_reference_on_odd_forms(tmp_path):
+    for name, text in ODD_LEXICON.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    lexicon = load_lexicon(tmp_path)
+    keys = reference_pair_keys(tmp_path)
+    rng = random.Random(5153)
+    upos = ("NOUN", "PROPN", "VERB", "ADJ", "ADV", "DET", "PRON", None)
+    root = {"NOUN": "Noun", "PROPN": "Noun", "VERB": "Verb", "ADJ": "Adj",
+            "ADV": "Adv", "DET": "Det", "PRON": "Pron", None: "Noun"}
+    cases = []
+    for _ in range(400):
+        kept = []
+        for i in range(1, rng.randint(2, 12) + 1):
+            tag = rng.choice(upos)
+            # empty and absent treebank lemmas, and lemmas unlike the form
+            lemma = rng.choice(("", None, rng.choice(ODD_WORDS)))
+            kept.append((tok(i, rng.choice(ODD_WORDS), tag, lemma),
+                         ma(rng.choice(ODD_WORDS), root[tag])))
+        cases.append(renumbered(kept))
+    assert_runs_match_reference(cases, lexicon, keys)
+
+
+def test_pair_in_matches_bigram_strings_on_odd_forms(tmp_path):
+    for name, text in ODD_LEXICON.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    lexicon = load_lexicon(tmp_path)
+    keys = reference_pair_keys(tmp_path)
+    reference = reference_pair_in(keys)
+    words = [fold(w) for w in ODD_WORDS] + ["", " ", "\xa0", "kuru "]
+    state = EngineState(SentenceView(sent(), {}), lexicon, Diagnostics())
+    matched = 0
+    for cls in keys:
+        for first in words:
+            for second in words:
+                state.view = SimpleNamespace(forms=((), (first,), (second,)))
+                want = reference(state, cls, 1, 2)
+                assert state.pair_in(cls, 1, 2) == want, (cls, first, second)
+                matched += want
+    assert matched >= 8

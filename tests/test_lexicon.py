@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ruleparse import LexiconError, default_lexicon_dir, fold, load_lexicon
-from ruleparse.lexicon import _FILENAMES
+from ruleparse.lexicon import _FILENAMES, COMPOUND_CLASSES
+
+from conftest import reference_pair_keys
 
 
 def test_fold_handles_turkish_i():
@@ -101,3 +103,43 @@ def test_expected_filenames():
         "cpi.txt", "nc.txt", "pc.txt", "redup.txt",
         "adv_degree.txt", "adv_emph.txt",
     }
+
+
+def test_pairs_map_first_words_to_folded_followers(tmp_path):
+    _write_minimal(tmp_path, {"cpi.txt": "GÖZ  kulak\tOL\nkabul et\n",
+                              "redup.txt": "IŞIL ışıl\nyavaş yavaş\n"})
+    lex = load_lexicon(tmp_path)
+    assert lex.pairs["cpi"] == {"göz": frozenset({"kulak"}),
+                                "kulak": frozenset({"ol"}),
+                                "kabul": frozenset({"et"})}
+    assert lex.pairs["redup"] == {"ışıl": frozenset({"ışıl"}),
+                                  "yavaş": frozenset({"yavaş"})}
+
+
+def test_match_pair_equals_bigram_string_lookup(tmp_path):
+    """The first-word map matches exactly the pairs whose space-joined
+    folded words are a bigram string, also for words holding spaces or
+    NBSP, empty words, I/İ variants and the words of longer entries."""
+    _write_minimal(tmp_path, {
+        "cpi.txt": "göz kulak ol\nIŞIK tut\nbir iki üç dört\n",
+        "nc.txt": "kuru yemiş\nİSTANBUL boğazı\n",
+        "pc.txt": "diş fırçası\nkuru\xa0yemişi\n",
+    })
+    for directory in (default_lexicon_dir(), tmp_path):
+        lex = load_lexicon(directory)
+        keys = reference_pair_keys(directory)
+        words = {w for pairs in keys.values() for key in pairs
+                 for w in key.split(" ")}
+        vocabulary = sorted(words | {w.upper() for w in words} | {
+            "kuru yemiş", "kuru\xa0yemiş", "göz kulak", "kulak ol", "iki üç",
+            "", " ", "\xa0", "kuru ", " yemiş", "I", "İ", "ı", "i", "Işık",
+            "ISTANBUL", "İstanbul", "istanbul"})
+        matched = 0
+        for cls in COMPOUND_CLASSES:
+            for first in vocabulary:
+                for second in vocabulary:
+                    want = f"{fold(first)} {fold(second)}" in keys[cls]
+                    assert lex.match_pair(cls, first, second) == want, \
+                        (cls, first, second)
+                    matched += want
+        assert matched >= sum(len(pairs) for pairs in keys.values())

@@ -6,9 +6,9 @@ from collections import Counter
 
 import pytest
 
-from ruleparse import (InputFormatError, MorphAnalysis, build_matrix,
-                       default_inventory, inflectional_suffixes, last_suffix,
-                       load_inventory, read_matrix, suffix_vector,
+from ruleparse import (InputFormatError, LemmaSuffixMatrix, MorphAnalysis,
+                       build_matrix, default_inventory, inflectional_suffixes,
+                       last_suffix, load_inventory, read_matrix, suffix_vector,
                        write_matrix)
 from ruleparse.morpho import (INFLECTIONAL, MatrixBuilder, ROOT_POS_TAGS,
                               ROOT_POS_TO_UPOS)
@@ -91,6 +91,18 @@ def test_inflectional_suffixes_skips_derivation_boundaries():
 def test_inflectional_suffixes_unknown_tag():
     with pytest.raises(InputFormatError, match="unknown morpheme tag"):
         inflectional_suffixes(ma("ev", "Noun", "Bogus"))
+
+
+def test_proper_noun_marker_is_passed_over_unless_listed():
+    analysis = ma("ahmet", "Noun", "Prop", "A3sg", "Nom")
+    assert "Prop" not in default_inventory()
+    assert inflectional_suffixes(analysis) == ("A3sg", "Nom")
+    # An inventory that lists the marker gives it its class.
+    base = "A3sg\tinflectional\nNom\tinflectional\n"
+    listed = load_inventory(base + "Prop\tinflectional\n")
+    assert inflectional_suffixes(analysis, listed) == ("Prop", "A3sg", "Nom")
+    derivational = load_inventory(base + "Prop\tderivational\n")
+    assert inflectional_suffixes(analysis, derivational) == ("A3sg", "Nom")
 
 
 def test_last_suffix():
@@ -223,6 +235,51 @@ def test_matrix_write_read_is_bit_exact():
     reloaded = read_matrix(text)
     assert write_matrix(reloaded) == text
     assert set(reloaded.rows) == set(matrix.rows)
+
+
+def reference_write_matrix(matrix):
+    """The serializer before it formatted each distinct value once."""
+    lines = ["lemma\t" + "\t".join(matrix.inventory.tags)]
+    for lemma in sorted(matrix.rows):
+        values = "\t".join(f"{v:.9f}" for v in matrix.rows[lemma])
+        lines.append(f"{lemma}\t{values}")
+    return "\n".join(lines) + "\n"
+
+
+def test_write_matrix_equals_per_value_formatting():
+    rng = random.Random(23)
+    inv = default_inventory()
+    width = len(inv)
+    # Values that round at the 9th decimal (both ways and to a carry),
+    # signed zeros, tiny and large values.
+    edge = (0.0, -0.0, 1.0, 0.5, 5e-10, 4.9999999999e-10, 1.5e-9, 2.5e-9,
+            0.1234567885, 0.1234567895, 0.9999999995, 0.9999999994,
+            1e-300, -1e-300, 123456.0000000005, -0.25)
+    rows = {"zeros": (0.0,) * width, "negative-zeros": (-0.0,) * width,
+            "mixed-zeros": tuple(rng.choice((0.0, -0.0)) for _ in range(width)),
+            "empty": ()}
+    for n in range(300):
+        kind = rng.randrange(4)
+        if kind == 0:
+            row = [0.0] * width
+            for i in rng.sample(range(width), rng.randint(1, 5)):
+                row[i] = rng.random()
+        elif kind == 1:
+            row = [rng.choice(edge) for _ in range(width)]
+        elif kind == 2:
+            row = [round(rng.random(), rng.randint(8, 11)) for _ in range(width)]
+        else:
+            row = [0.0] * width
+            row[rng.randrange(width)] = -0.0
+        rows[f"lemma{n}"] = tuple(row)
+    for order in (list(rows), sorted(rows, reverse=True)):
+        matrix = LemmaSuffixMatrix(inv, {lemma: rows[lemma] for lemma in order})
+        assert write_matrix(matrix) == reference_write_matrix(matrix)
+    # A negative zero printed first must not change how 0.0 prints later,
+    # nor the other way round.
+    for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+        matrix = LemmaSuffixMatrix(inv, {"a": (first,) * width, "b": (second,) * width})
+        assert write_matrix(matrix) == reference_write_matrix(matrix)
 
 
 def test_read_matrix_rejects_header_mismatch():
