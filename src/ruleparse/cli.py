@@ -8,20 +8,26 @@ input, 3 broken internal invariant.
 Whenever a command writes to an output file, a ``<output>.manifest.json``
 is written beside it recording the command, configuration, tool version,
 and a SHA-256 hash of every input file.
+
+Input files are read line by line and outputs are written chunk by
+chunk.  Every input check runs before the first byte of output, so a
+command that fails creates and truncates no output file.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import IO, Iterable
 
 from . import __version__
-from .conllu import (Sentence, iter_morph_sidecar, parse_conllu,
+from .conllu import (Sentence, count_morph_sidecar, parse_conllu,
                      read_morph_sidecar)
 # Bound under this name because the benchmark's layer trace wraps
 # ``cli._group_analyses`` to time the grouping step.
@@ -29,10 +35,14 @@ from .conllu import group_by_sentence as _group_analyses
 from .engine import (ALL_RULES, Diagnostics, RuleCode, RuleConfig, run)
 from .errors import AlignmentError, EngineError, InputFormatError
 from .evaluate import ablate, ablation_steps, randomization_test, score
-from .features import (HybridConfig, MODE_RULE, MODE_SUFVEC, encode, export,
-                       export_jsonl)
+from .features import (HybridConfig, MODE_RULE, MODE_SUFVEC, encode,
+                       iter_export, iter_jsonl)
 from .lexicon import default_lexicon_dir, load_lexicon
-from .morpho import build_matrix, load_inventory, read_matrix, write_matrix
+from .morpho import build_matrix, iter_matrix, load_inventory, read_matrix
+# The commands write the streamed forms above.  The whole-text forms are
+# bound too because the benchmark's layer trace looks these names up.
+from .features import export, export_jsonl  # noqa: F401
+from .morpho import write_matrix  # noqa: F401
 
 DEFAULT_RULE_FLAG = "cpi,nc,pc,ac,aaj,ajc,ajn"
 ENV_PREFIX = "RULEPARSE_"
@@ -56,12 +66,36 @@ def _parse_rules(flag: str) -> RuleConfig:
     return RuleConfig(enabled=frozenset(enabled))
 
 
-def _read_text_file(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _open_text(path: str | Path) -> IO[str]:
+    """``path`` opened as UTF-8 text, once all of it is known to decode.
+
+    The readers take a file line by line, so a decode error would
+    otherwise surface mid-parse, after the errors of the lines before it,
+    with a position counted from the chunk it fell in.  A file that does
+    not decode fails here, with the error a whole-file read gives.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with open(path, "rb") as raw:
+        try:
+            while chunk := raw.read(1 << 16):
+                decoder.decode(chunk)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            Path(path).read_text(encoding="utf-8")
+            raise
+    return open(path, encoding="utf-8")
 
 
-def _load_treebank(path: str) -> list[Sentence]:
-    return parse_conllu(_read_text_file(path))
+def _load_treebank(path: str | Path) -> list[Sentence]:
+    with _open_text(path) as handle:
+        return parse_conllu(handle)
+
+
+def _load_inventory(path: str | None):
+    if not path:
+        return None
+    with _open_text(path) as handle:
+        return load_inventory(handle)
 
 
 def _sha256(path: str) -> str:
@@ -72,13 +106,19 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _emit(text: str, output: str | None, command: str,
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(chunks: Iterable[str], output: str | None, command: str,
           inputs: list[str], config: dict) -> None:
-    """Write ``text`` to the output file (plus a manifest) or stdout."""
+    """Write the text ``chunks`` to the output file (plus a manifest) or
+    stdout, one chunk at a time."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
-    Path(output).write_text(text, encoding="utf-8")
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.writelines(chunks)
     manifest = {
         "command": command,
         "version": __version__,
@@ -87,8 +127,8 @@ def _emit(text: str, output: str | None, command: str,
         "config": config,
         "output": output,
     }
-    Path(output + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(output + ".manifest.json").write_text(_json_text(manifest),
+                                               encoding="utf-8")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, rules=False, seed=False,
@@ -176,11 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _encode_treebank(args, hybrid: HybridConfig, fmt: str = "conllu",
                      matrix=None, inventory=None):
     """Treebank and sidecar through the engine (in the rule mode only)
-    and the encoder, exported as ``fmt``: the body of ``annotate`` and
-    ``features``.  Returns the text, the sentences, the rule config and
-    the engine's diagnostics."""
+    and the encoder: the body of ``annotate`` and ``features``.  Every
+    token is encoded before this returns; the text, exported as ``fmt``,
+    is made as its chunks are consumed.  Returns the chunks, the
+    sentences, the rule config and the engine's diagnostics."""
     sentences = _load_treebank(args.treebank)
-    grouped = _group_analyses(read_morph_sidecar(_read_text_file(args.sidecar)))
+    with _open_text(args.sidecar) as handle:
+        grouped = _group_analyses(read_morph_sidecar(handle))
     config = _parse_rules(args.rules)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
@@ -191,24 +233,24 @@ def _encode_treebank(args, hybrid: HybridConfig, fmt: str = "conllu",
             sentence, analyses, lexicon, config, diagnostics)
         bundles.append(encode(sentence, assignments, analyses, matrix, hybrid,
                               inventory))
-    text = export_jsonl(sentences, bundles) if fmt == "jsonl" \
-        else export(sentences, bundles)
-    return text, sentences, config, diagnostics
+    chunks = iter_jsonl(sentences, bundles) if fmt == "jsonl" \
+        else iter_export(sentences, bundles)
+    return chunks, sentences, config, diagnostics
 
 
 def cmd_annotate(args) -> int:
-    text, sentences, config, diagnostics = _encode_treebank(
+    chunks, sentences, config, diagnostics = _encode_treebank(
         args, HybridConfig(frozenset({MODE_RULE})))
     # "jobs" is kept at 1 so the manifest stays byte-identical with the
     # one the benchmark's expected digests were recorded from.
-    _emit(text, args.output, "annotate", [args.treebank, args.sidecar],
+    _emit(chunks, args.output, "annotate", [args.treebank, args.sidecar],
           {"rules": sorted(c.value for c in config.enabled),
            "lexicons": str(args.lexicons), "jobs": 1})
     report = dict(diagnostics.to_dict(),
                   sentences=len(sentences),
                   tokens=sum(len(s.tokens) for s in sentences),
                   assigned=sum(diagnostics.fire_counts.values()))
-    diag_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    diag_text = _json_text(report)
     if args.diagnostics:
         Path(args.diagnostics).write_text(diag_text, encoding="utf-8")
     else:
@@ -218,36 +260,35 @@ def cmd_annotate(args) -> int:
 
 def cmd_features(args) -> int:
     hybrid = HybridConfig.from_flag(args.hybrid)
-    inventory = load_inventory(_read_text_file(args.inventory)) \
-        if args.inventory else None
+    inventory = _load_inventory(args.inventory)
     matrix = None
     if MODE_SUFVEC in hybrid.modes:
         if not args.matrix:
             raise InputFormatError("--matrix is required for the sufvec mode")
-        matrix = read_matrix(_read_text_file(args.matrix), inventory)
+        with _open_text(args.matrix) as handle:
+            matrix = read_matrix(handle, inventory)
     elif args.matrix:
         raise InputFormatError("--matrix is only valid with the sufvec mode")
-    text, _, config, _ = _encode_treebank(args, hybrid, args.format, matrix,
-                                          inventory)
+    chunks, _, config, _ = _encode_treebank(args, hybrid, args.format, matrix,
+                                            inventory)
     inputs = [args.treebank, args.sidecar]
     if args.matrix:
         inputs.append(args.matrix)
-    _emit(text, args.output, "features", inputs,
+    _emit(chunks, args.output, "features", inputs,
           {"hybrid": args.hybrid, "format": args.format,
            "rules": sorted(c.value for c in config.enabled)})
     return 0
 
 
 def cmd_matrix(args) -> int:
-    inventory = load_inventory(_read_text_file(args.inventory)) \
-        if args.inventory else None
-    # Read as the build consumes it: the build counts each distinct
-    # analysis, and the reader keeps only the positions for the
-    # duplicate check, not a map from each position to its analysis.
-    analyses = (analysis for _, analysis
-                in iter_morph_sidecar(_read_text_file(args.corpus)))
-    matrix = build_matrix(analyses, cap=args.cap, inventory=inventory)
-    _emit(write_matrix(matrix), args.output, "matrix", [args.corpus],
+    inventory = _load_inventory(args.inventory)
+    # The corpus is read line by line and counted per distinct (lemma,
+    # morpheme string) pair; only the positions are kept besides, for
+    # the duplicate check.
+    with _open_text(args.corpus) as handle:
+        counts = count_morph_sidecar(handle)
+    matrix = build_matrix(counts, cap=args.cap, inventory=inventory)
+    _emit(iter_matrix(matrix), args.output, "matrix", [args.corpus],
           {"cap": args.cap, "lemmas": len(matrix)})
     return 0
 
@@ -256,48 +297,49 @@ def cmd_score(args) -> int:
     gold = _load_treebank(args.gold)
     system = _load_treebank(args.system)
     result = score(gold, system)
-    text = json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    _emit(text, args.output, "score", [args.gold, args.system], {})
+    _emit([_json_text(result.to_dict())], args.output, "score",
+          [args.gold, args.system], {})
     return 0
 
 
-def _conllu_dir(path: str) -> list[tuple[str, list[Sentence]]]:
+def _conllu_files(path: str) -> list[Path]:
     files = sorted(Path(path).glob("*.conllu"))
     if not files:
         raise InputFormatError(f"no .conllu files in {path}")
-    return [(f.name, parse_conllu(f.read_text(encoding="utf-8"))) for f in files]
+    return files
 
 
 def cmd_sigtest(args) -> int:
     gold = _load_treebank(args.gold)
-    side_a = _conllu_dir(args.dir_a)
-    side_b = _conllu_dir(args.dir_b)
+    files_a = _conllu_files(args.dir_a)
+    files_b = _conllu_files(args.dir_b)
+    # Each file is parsed when the test reaches it and dropped once it is
+    # reduced to its per-sentence counts: side A, then side B, in order.
     result = randomization_test(gold,
-                                [sents for _, sents in side_a],
-                                [sents for _, sents in side_b],
+                                map(_load_treebank, files_a),
+                                map(_load_treebank, files_b),
                                 shuffles=args.shuffles,
                                 metric=args.metric,
                                 seed=args.seed)
     report = dict(result.to_dict(),
-                  files_a=[name for name, _ in side_a],
-                  files_b=[name for name, _ in side_b])
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    inputs = [args.gold] + [str(Path(args.dir_a) / n) for n, _ in side_a] \
-        + [str(Path(args.dir_b) / n) for n, _ in side_b]
-    _emit(text, args.output, "sigtest", inputs,
+                  files_a=[f.name for f in files_a],
+                  files_b=[f.name for f in files_b])
+    inputs = [args.gold] + [str(Path(args.dir_a) / f.name) for f in files_a] \
+        + [str(Path(args.dir_b) / f.name) for f in files_b]
+    _emit([_json_text(report)], args.output, "sigtest", inputs,
           {"shuffles": args.shuffles, "metric": args.metric, "seed": args.seed})
     return 0
 
 
 def cmd_ablate(args) -> int:
     gold = _load_treebank(args.gold)
-    sidecar = read_morph_sidecar(_read_text_file(args.sidecar))
+    with _open_text(args.sidecar) as handle:
+        sidecar = read_morph_sidecar(handle)
     lexicon = load_lexicon(args.lexicons)
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
     results = ablate(gold, sidecar, lexicon, steps)
-    text = json.dumps({"steps": [r.to_dict() for r in results]},
-                      indent=2, sort_keys=True) + "\n"
-    _emit(text, args.output, "ablate", [args.gold, args.sidecar],
+    text = _json_text({"steps": [r.to_dict() for r in results]})
+    _emit([text], args.output, "ablate", [args.gold, args.sidecar],
           {"schedule": "6-step" if args.no_av_nv else "8-step"})
     return 0
 

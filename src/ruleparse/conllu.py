@@ -9,10 +9,12 @@ list; empty-node lines are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import IO, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConlluError, SidecarError
 from .morpho import MorphAnalysis
+from .textio import lines_of
 
 ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(10)
 
@@ -133,21 +135,17 @@ _set_analysis_lemma, _set_analysis_pos, _set_analysis_tags = (
     MorphAnalysis.__dict__[f.name].__set__ for f in fields(MorphAnalysis))
 
 
-def _read_text(source: str | IO[str]) -> str:
-    return source.read() if hasattr(source, "read") else source
-
-
 def parse_conllu(source: str | IO[str]) -> list[Sentence]:
     """Parse a CoNLL-U character stream into a list of sentences.
 
-    Raises :class:`ConlluError` naming the sentence ordinal and line
-    number on any structural problem (wrong column count, non-contiguous
-    ids, out-of-range heads, broken trees, empty-node lines).
+    A handle is read line by line, not whole.  Raises :class:`ConlluError`
+    naming the sentence ordinal and line number on any structural problem
+    (wrong column count, non-contiguous ids, out-of-range heads, broken
+    trees, empty-node lines).
 
     Equal FORM, LEMMA, UPOS, XPOS, DEPREL and DEPS values, and equal FEATS
     and MISC columns, are one shared object within one call.
     """
-    text = _read_text(source)
     sentences: list[Sentence] = []
     comments: list[str] = []
     rows: list[tuple[int, list[str]]] = []
@@ -189,7 +187,7 @@ def parse_conllu(source: str | IO[str]) -> list[Sentence]:
         comments, rows, ranges = [], [], []
 
     line_no = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines_of(source), start=1):
         if line == "":
             flush(line_no)
             continue
@@ -296,33 +294,43 @@ def _token_line(token: Token, misc: str | None = None) -> str:
     ])
 
 
-def write_conllu(sentences: Sequence[Sentence],
-                 misc: Sequence[Sequence[str]] | None = None) -> str:
-    """Serialize sentences; inverse of :func:`parse_conllu` on its output.
-
-    ``misc``, when given, holds one MISC column text per token of every
-    sentence and is written in place of the tokens' own MISC items.
-    """
-    chunks = []
-    for s_index, sentence in enumerate(sentences):
+def iter_conllu(sentences: Iterable[Sentence],
+                misc: Iterable[Sequence[str]] | None = None) -> Iterator[str]:
+    """The text of :func:`write_conllu`, one sentence (and the blank line
+    after it) per chunk."""
+    for sentence, sentence_misc in zip(sentences,
+                                       repeat(None) if misc is None else misc):
         lines = list(sentence.comments)
         range_at: dict[int, list[str]] = {}
         for idx, raw in sentence.ranges:
             range_at.setdefault(idx, []).append(raw)
-        sentence_misc = misc[s_index] if misc is not None else None
         for i, token in enumerate(sentence.tokens):
             lines.extend(range_at.get(i, ()))
             lines.append(_token_line(
                 token, sentence_misc[i] if sentence_misc is not None else None))
         lines.extend(range_at.get(len(sentence.tokens), ()))
-        chunks.append("\n".join(lines) + "\n\n")
-    return "".join(chunks)
+        yield "\n".join(lines) + "\n\n"
 
 
-def _iter_sidecar(text: str) -> Iterator[tuple[int, tuple[int, int], MorphAnalysis]]:
-    # One analysis per distinct (lemma, morpheme string) pair of this read.
-    shared: dict[tuple[str, str], MorphAnalysis] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+def write_conllu(sentences: Iterable[Sentence],
+                 misc: Iterable[Sequence[str]] | None = None) -> str:
+    """Serialize sentences; inverse of :func:`parse_conllu` on its output.
+
+    ``misc``, when given, holds one MISC column text per token of every
+    sentence and is written in place of the tokens' own MISC items.
+    """
+    return "".join(iter_conllu(sentences, misc))
+
+
+def _iter_sidecar(source: str | IO[str],
+                  shared: dict[tuple[str, str], MorphAnalysis]
+                  ) -> Iterator[tuple[int, tuple[int, int], tuple[str, str],
+                                      MorphAnalysis]]:
+    """``(line number, position, (lemma, morpheme string), analysis)`` per
+    entry line, checked.  ``shared`` maps each distinct pair seen to its
+    one analysis; equal lemmas and tags are one string within the read."""
+    text = {}.setdefault
+    for line_no, line in enumerate(lines_of(source), start=1):
         if not line or line.isspace() or line.startswith("#"):
             continue
         cols = line.split("\t")
@@ -337,17 +345,21 @@ def _iter_sidecar(text: str) -> Iterator[tuple[int, tuple[int, int], MorphAnalys
         lemma, morphemes = cols[2], cols[3]
         if not lemma:
             raise SidecarError(line_no, "empty lemma")
-        analysis = shared.get((lemma, morphemes))
+        pair = lemma, morphemes
+        analysis = shared.get(pair)
         if analysis is None:
             parts = morphemes.split("+")
             if "" in parts:
                 raise SidecarError(line_no, f"unparseable morpheme sequence {morphemes!r}")
+            parts = tuple(map(text, parts, parts))
+            lemma = text(lemma, lemma)
+            pair = lemma, morphemes
             analysis = _new(MorphAnalysis)
             _set_analysis_lemma(analysis, lemma)
             _set_analysis_pos(analysis, parts[0])
-            _set_analysis_tags(analysis, tuple(parts[1:]))
-            shared[lemma, morphemes] = analysis
-        yield line_no, (sent_ord, token_id), analysis
+            _set_analysis_tags(analysis, parts[1:])
+            shared[pair] = analysis
+        yield line_no, (sent_ord, token_id), pair, analysis
 
 
 def _duplicate(line_no: int, key: tuple[int, int]) -> SidecarError:
@@ -359,15 +371,35 @@ def iter_morph_sidecar(source: str | IO[str]) -> Iterator[tuple[tuple[int, int],
     order, rejecting duplicate positions as :func:`read_morph_sidecar` does.
 
     It keeps the set of positions seen and the distinct analyses, but not
-    a map from every position to its analysis, so a corpus-scale consumer
-    (``matrix``) holds O(distinct analyses) plus that set.
+    a map from every position to its analysis; a handle is read line by
+    line.
     """
     seen: set[tuple[int, int]] = set()
-    for line_no, key, analysis in _iter_sidecar(_read_text(source)):
+    for line_no, key, _, analysis in _iter_sidecar(source, {}):
         if key in seen:
             raise _duplicate(line_no, key)
         seen.add(key)
         yield key, analysis
+
+
+def count_morph_sidecar(source: str | IO[str]) -> dict[MorphAnalysis, int]:
+    """How often each distinct analysis occurs in a sidecar stream, checked
+    line by line as :func:`read_morph_sidecar` checks it.
+
+    Entries are counted by their (lemma, morpheme string) pair, and one
+    analysis is built per pair, so a corpus read through a handle holds
+    O(distinct pairs) plus the set of positions, whatever its length.
+    """
+    shared: dict[tuple[str, str], MorphAnalysis] = {}
+    seen: set[tuple[int, int]] = set()
+    counts: dict[tuple[str, str], int] = {}
+    for line_no, key, pair, _ in _iter_sidecar(source, shared):
+        if key in seen:
+            raise _duplicate(line_no, key)
+        seen.add(key)
+        counts[pair] = counts.get(pair, 0) + 1
+    del seen  # not needed beside the map built next
+    return {shared[pair]: count for pair, count in counts.items()}
 
 
 def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnalysis]:
@@ -379,7 +411,7 @@ def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnal
     object.
     """
     result: dict[tuple[int, int], MorphAnalysis] = {}
-    for line_no, key, analysis in _iter_sidecar(_read_text(source)):
+    for line_no, key, _, analysis in _iter_sidecar(source, {}):
         if key in result:
             raise _duplicate(line_no, key)
         result[key] = analysis

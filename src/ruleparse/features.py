@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .conllu import Sentence, Token, format_misc, write_conllu
+from .conllu import Sentence, Token, format_misc, iter_conllu, write_conllu
 from .engine import RuleAssignment, RuleCode
 from .errors import InputFormatError
 from .morpho import (LemmaSuffixMatrix, MorphAnalysis, SuffixInventory,
@@ -33,8 +34,9 @@ _SUFFIX_MODES = frozenset({MODE_INFL, MODE_LAST, MODE_SUFVEC})
 
 RESERVED_MISC_KEYS = ("Rule", "LastSuffix", "InflSuffixes", "SufVec")
 
+_NONE = RuleCode.NONE.value
 RULE_CODE_HEADER = "# rule-codes = " + " ".join(
-    [c.value for c in RuleCode if c is not RuleCode.NONE] + [RuleCode.NONE.value])
+    [c.value for c in RuleCode if c is not RuleCode.NONE] + [_NONE])
 
 _FLAG_MODES = {
     "rule": frozenset({MODE_RULE}),
@@ -97,7 +99,7 @@ def encode(sentence: Sentence,
         raise ValueError("a lemma-suffix matrix is required exactly when "
                          "the suffix_vector mode is selected")
     want_suffix = config.modes & _SUFFIX_MODES
-    code_of = {a.dependent: a.code for a in assignments or ()}
+    code_of = {a.dependent: a.code.value for a in assignments or ()}
     bundles = []
     for token in sentence.tokens:
         analysis = analyses.get(token.id) if analyses else None
@@ -107,7 +109,7 @@ def encode(sentence: Sentence,
                 f"analysis but a suffix feature mode is selected")
         rule_code = None
         if MODE_RULE in config.modes:
-            rule_code = code_of.get(token.id, RuleCode.NONE).value
+            rule_code = code_of.get(token.id, _NONE)
         bundles.append(FeatureBundle(
             rule_code=rule_code,
             last_suffix=last_suffix(analysis) if MODE_LAST in config.modes else None,
@@ -155,19 +157,52 @@ def bundle_from_token(token: Token) -> FeatureBundle:
     )
 
 
+def _check_aligned(sentences: Sequence[Sentence],
+                   bundles: Sequence[Sequence[FeatureBundle]]) -> None:
+    """Raise unless there is one bundle per token of every sentence: the
+    exports check this before they produce any text."""
+    if len(sentences) != len(bundles):
+        raise InputFormatError(
+            f"feature bundles for {len(bundles)} sentences do not align "
+            f"with {len(sentences)} sentences")
+    for ordinal, (sentence, per_sent) in enumerate(zip(sentences, bundles), start=1):
+        if len(per_sent) != len(sentence.tokens):
+            raise InputFormatError(
+                f"sentence {ordinal}: feature bundles ({len(per_sent)}) do "
+                f"not align with tokens ({len(sentence.tokens)})")
+
+
 def _misc_columns(sentence: Sentence,
                   bundles: Sequence[FeatureBundle]) -> list[str]:
     """MISC text per token: the non-reserved items, then the bundle's."""
-    if len(bundles) != len(sentence.tokens):
-        raise InputFormatError(
-            f"feature bundles ({len(bundles)}) do not align with tokens "
-            f"({len(sentence.tokens)})")
     columns = []
     for token, bundle in zip(sentence.tokens, bundles):
         items = [item for item in token.misc if item[0] not in RESERVED_MISC_KEYS]
         items += _bundle_misc(bundle)
         columns.append(format_misc(items))
     return columns
+
+
+def _export_parts(sentences: Sequence[Sentence],
+                  bundles: Sequence[Sequence[FeatureBundle]]
+                  ) -> tuple[Iterable[Sentence], Iterator[list[str]]]:
+    """The sentences, the first with the rule-code header, and their MISC
+    columns, made as they are consumed; checked first."""
+    _check_aligned(sentences, bundles)
+    misc = map(_misc_columns, sentences, bundles)
+    if sentences and RULE_CODE_HEADER not in sentences[0].comments:
+        first = sentences[0]
+        first = Sentence(first.tokens, (RULE_CODE_HEADER,) + first.comments,
+                         first.ranges)
+        return chain((first,), islice(sentences, 1, None)), misc
+    return sentences, misc
+
+
+def iter_export(sentences: Sequence[Sentence],
+                bundles: Sequence[Sequence[FeatureBundle]]) -> Iterator[str]:
+    """The text of :func:`export`, one sentence per chunk.  The bundles are
+    checked before the first chunk."""
+    return iter_conllu(*_export_parts(sentences, bundles))
 
 
 def export(sentences: Sequence[Sentence],
@@ -179,18 +214,15 @@ def export(sentences: Sequence[Sentence],
     column and that comment change; every other column is written as
     parsed.
     """
-    if len(sentences) != len(bundles):
-        raise InputFormatError(
-            f"feature bundles for {len(bundles)} sentences do not align "
-            f"with {len(sentences)} sentences")
-    misc = [_misc_columns(sent, per_sent)
-            for sent, per_sent in zip(sentences, bundles)]
-    sentences = list(sentences)
-    if sentences and RULE_CODE_HEADER not in sentences[0].comments:
-        first = sentences[0]
-        sentences[0] = Sentence(first.tokens, (RULE_CODE_HEADER,) + first.comments,
-                                first.ranges)
-    return write_conllu(sentences, misc)
+    return write_conllu(*_export_parts(sentences, bundles))
+
+
+def iter_jsonl(sentences: Sequence[Sentence],
+               bundles: Sequence[Sequence[FeatureBundle]]) -> Iterator[str]:
+    """The text of :func:`export_jsonl`, one sentence's records per chunk.
+    The bundles are checked before the first chunk."""
+    _check_aligned(sentences, bundles)
+    return _jsonl_chunks(sentences, bundles)
 
 
 def export_jsonl(sentences: Sequence[Sentence],
@@ -201,18 +233,16 @@ def export_jsonl(sentences: Sequence[Sentence],
     vector is serialized once per export and its text spliced into every
     record that carries it.
     """
-    if len(sentences) != len(bundles):
-        raise InputFormatError(
-            f"feature bundles for {len(bundles)} sentences do not align "
-            f"with {len(sentences)} sentences")
+    return "".join(iter_jsonl(sentences, bundles))
+
+
+def _jsonl_chunks(sentences: Sequence[Sentence],
+                  bundles: Sequence[Sequence[FeatureBundle]]) -> Iterator[str]:
     # Keyed by the vector's float64 bytes: the tuple would merge a row
     # holding 0.0 with an equal one holding -0.0, which prints differently.
     vector_texts: dict[bytes, str] = {}
-    lines = []
     for ordinal, (sentence, per_sent) in enumerate(zip(sentences, bundles), start=1):
-        if len(per_sent) != len(sentence.tokens):
-            raise InputFormatError(
-                f"sentence {ordinal}: feature bundles do not align with tokens")
+        lines = []
         for token, bundle in zip(sentence.tokens, per_sent):
             record: dict = {"sentence": ordinal, "token": token.id,
                             "form": token.form}
@@ -230,5 +260,5 @@ def export_jsonl(sentences: Sequence[Sentence],
                     text = vector_texts[key] = json.dumps(
                         [round(v, 9) for v in vector])
                 line = f'{line[:-1]}, "suffix_vector": {text}}}'
-            lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")
+            lines.append(line + "\n")
+        yield "".join(lines)

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import repeat
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import InputFormatError
+from .textio import lines_of
 
 INFLECTIONAL = "inflectional"
 DERIVATIONAL = "derivational"
@@ -259,20 +260,23 @@ class MatrixBuilder:
         return LemmaSuffixMatrix(self.inventory, rows)
 
 
-def build_matrix(corpus: Iterable[MorphAnalysis],
+def build_matrix(corpus: Iterable[MorphAnalysis] | Mapping[MorphAnalysis, int],
                  cap: int = 40000,
                  inventory: SuffixInventory | None = None,
                  unknown_tags: Counter | None = None) -> LemmaSuffixMatrix:
     """Count suffix tags per lemma over ``corpus`` and normalize rows.
 
-    Keeps the ``cap`` most frequent lemmas (ties broken lexicographically).
-    Tags absent from the inventory are skipped; pass a Counter as
-    ``unknown_tags`` to collect them for diagnostics.  Each distinct
-    analysis is counted once with its number of occurrences, so the
-    memory held is O(distinct analyses), whatever the corpus length.
+    ``corpus`` is the analyses, or a map from each distinct analysis to
+    its number of occurrences.  Keeps the ``cap`` most frequent lemmas
+    (ties broken lexicographically).  Tags absent from the inventory are
+    skipped; pass a Counter as ``unknown_tags`` to collect them for
+    diagnostics.  Each distinct analysis is counted once with its number
+    of occurrences, so the memory held is O(distinct analyses), whatever
+    the corpus length.
     """
+    counts = corpus if isinstance(corpus, Mapping) else Counter(corpus)
     builder = MatrixBuilder(inventory)
-    for analysis, count in Counter(corpus).items():
+    for analysis, count in counts.items():
         builder.update(analysis, count)
     matrix = builder.build(cap)
     if unknown_tags is not None:
@@ -288,8 +292,8 @@ class _Formatted(dict):
         return text
 
 
-def write_matrix(matrix: LemmaSuffixMatrix) -> str:
-    """Serialize a matrix: a tag header row, then one 9-decimal row per lemma.
+def iter_matrix(matrix: LemmaSuffixMatrix) -> Iterator[str]:
+    """The text of :func:`write_matrix`, one line per chunk.
 
     Each distinct value is formatted once per write.  ``-0.0`` equals
     ``0.0`` as a dict key but prints with its sign, so a row holding a
@@ -297,15 +301,34 @@ def write_matrix(matrix: LemmaSuffixMatrix) -> str:
     """
     formatted = _Formatted().__getitem__
     copysign = math.copysign
-    lines = ["lemma\t" + "\t".join(matrix.inventory.tags)]
+    yield "lemma\t" + "\t".join(matrix.inventory.tags) + "\n"
     for lemma in sorted(matrix.rows):
         row = matrix.rows[lemma]
         if row and min(map(copysign, repeat(1.0), row)) < 0.0:
             values = "\t".join(f"{v:.9f}" for v in row)
         else:
             values = "\t".join(map(formatted, row))
-        lines.append(f"{lemma}\t{values}")
-    return "\n".join(lines) + "\n"
+        yield f"{lemma}\t{values}\n"
+
+
+def write_matrix(matrix: LemmaSuffixMatrix) -> str:
+    """Serialize a matrix: a tag header row, then one 9-decimal row per lemma."""
+    return "".join(iter_matrix(matrix))
+
+
+def _parse_row(line_no: int, texts: list[str]) -> tuple[float, ...]:
+    try:
+        row = tuple(map(float, texts))
+    except ValueError as exc:
+        raise InputFormatError(f"matrix line {line_no}: bad value ({exc})") from exc
+    # A row holds normalized counts: NaN, infinities and negative values
+    # have no meaning there, and JSON cannot carry the first two.
+    for text, value in zip(texts, row):
+        if not 0.0 <= value < math.inf:
+            raise InputFormatError(
+                f"matrix line {line_no}: value {text!r} is not a finite "
+                "number >= 0")
+    return row
 
 
 def read_matrix(source: str | IO[str],
@@ -313,35 +336,39 @@ def read_matrix(source: str | IO[str],
     """Parse a matrix file written by :func:`write_matrix`.
 
     The header must list the inventory tags in order; rows reload to the
-    exact floats that reserialize to the same bytes.
+    exact floats that reserialize to the same bytes.  A handle is read
+    line by line, and each distinct value text is parsed and checked
+    once per read: the rows share one float per text.
     """
     inventory = inventory or default_inventory()
-    text = source.read() if hasattr(source, "read") else source
-    lines = text.splitlines()
-    if not lines:
+    lines = iter(lines_of(source))
+    header = next(lines, None)
+    if header is None:
         raise InputFormatError("matrix stream is empty")
-    header = lines[0].split("\t")
+    header = header.split("\t")
     if header[:1] != ["lemma"] or tuple(header[1:]) != inventory.tags:
         raise InputFormatError("matrix header does not match the suffix inventory")
     width = len(inventory)
     rows: dict[str, tuple[float, ...]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    # Value text -> its float, for the texts that passed the checks.
+    # Keyed by text, so "-0.000000000" stays apart from "0.000000000".
+    known: dict[str, float] = {}
+    parsed = known.__getitem__
+    for line_no, line in enumerate(lines, start=2):
         if not line:
             continue
         cols = line.split("\t")
         if len(cols) != width + 1:
             raise InputFormatError(
                 f"matrix line {line_no}: expected {width + 1} columns, got {len(cols)}")
+        texts = cols[1:]
         try:
-            row = tuple(map(float, cols[1:]))
-        except ValueError as exc:
-            raise InputFormatError(f"matrix line {line_no}: bad value ({exc})") from exc
-        # A row holds normalized counts: NaN, infinities and negative
-        # values have no meaning there, and JSON cannot carry the first two.
-        for text, value in zip(cols[1:], row):
-            if not 0.0 <= value < math.inf:
-                raise InputFormatError(
-                    f"matrix line {line_no}: value {text!r} is not a finite "
-                    "number >= 0")
+            row = tuple(map(parsed, texts))
+        except KeyError:
+            # A text not seen yet: the whole row is parsed and checked
+            # as one, so its first bad value is the one reported.
+            for text, value in zip(texts, _parse_row(line_no, texts)):
+                known.setdefault(text, value)
+            row = tuple(map(parsed, texts))
         rows[cols[0]] = row
     return LemmaSuffixMatrix(inventory, rows)

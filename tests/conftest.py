@@ -1,5 +1,6 @@
 """Shared builders and fixtures for the test suite."""
 
+import io
 import random
 from pathlib import Path
 
@@ -24,6 +25,19 @@ def sent(*tokens, comments=(), ranges=()):
 
 def ma(lemma, pos, *tags):
     return MorphAnalysis(lemma=lemma, pos=pos, tags=tuple(tags))
+
+
+class ShortReads:
+    """A text handle over ``text`` (line breaks kept as they are) whose
+    reads return at most ``limit`` characters, so that a streamed reader
+    meets a chunk boundary wherever the test wants one."""
+
+    def __init__(self, text: str, limit: int):
+        self._buffer = io.StringIO(text, newline="")
+        self._limit = limit
+
+    def read(self, size: int = -1) -> str:
+        return self._buffer.read(self._limit if size < 0 else min(size, self._limit))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 
 import ruleparse
 from ruleparse import (EngineError, ablation_steps, parse_conllu, read_matrix,
-                       write_conllu)
+                       write_conllu, write_matrix)
 from ruleparse.cli import main
 
 from conftest import DEEP_CHAINS, deep_chain, sidecar_text
@@ -388,3 +388,104 @@ def test_engine_failure_exits_3(corpus, capsys, monkeypatch):
     monkeypatch.setattr("ruleparse.cli.run", explode)
     assert main(["annotate", str(treebank), str(sidecar)]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+# -- streamed reads and writes -----------------------------------------------
+
+
+@pytest.mark.parametrize("existing", [None, "earlier output\n"])
+def test_features_missing_analysis_exits_2_and_writes_nothing(
+        corpus, tmp_path, capsys, existing):
+    treebank, _ = corpus
+    sidecar = tmp_path / "partial.morph"
+    sidecar.write_text("".join(line + "\n" for line in SIDECAR.splitlines()
+                               if not line.startswith("3\t")), encoding="utf-8")
+    output = tmp_path / "features.jsonl"
+    if existing is not None:
+        output.write_text(existing, encoding="utf-8")
+    assert main(["features", str(treebank), str(sidecar), "--hybrid", "last",
+                 "--format", "jsonl", "--output", str(output)]) == 2
+    assert "has no morphological analysis" in capsys.readouterr().err
+    if existing is None:
+        assert not output.exists()
+    else:
+        assert output.read_text(encoding="utf-8") == existing
+    assert not (tmp_path / "features.jsonl.manifest.json").exists()
+
+
+def test_outputs_are_written_as_the_text_forms_give_them(corpus, tmp_path, capsys):
+    treebank, sidecar = corpus
+    for argv, name in ((["annotate", str(treebank), str(sidecar)], "a.conllu"),
+                       (["features", str(treebank), str(sidecar), "--hybrid",
+                         "rule+last", "--format", "jsonl"], "f.jsonl"),
+                       (["matrix", str(sidecar)], "m.tsv")):
+        assert main(argv) == 0
+        to_stdout = capsys.readouterr().out
+        assert main(argv + ["--output", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / name).read_text(encoding="utf-8") == to_stdout
+    with open(tmp_path / "m.tsv", encoding="utf-8") as handle:
+        assert write_matrix(read_matrix(handle)) == to_stdout
+
+
+BAD_COLUMNS = "1\tKuru\tkuru\tNOUN\t_\t_\t2\tnmod\t_\n"
+BAD_HEAD = "1\tKuru\tkuru\tNOUN\t_\t_\tx\tnmod\t_\t_\n"
+TWO_SENTENCES = TREEBANK.split("\n\n", 2)[0] + "\n\n" + \
+    TREEBANK.split("\n\n", 2)[1] + "\n\n"
+
+
+@pytest.mark.parametrize("files_a,files_b,error", [
+    # Side A is read before side B ...
+    ({"run1.conllu": TREEBANK, "run2.conllu": BAD_COLUMNS},
+     {"run1.conllu": BAD_HEAD},
+     "error: sentence 1, line 1: expected 10 tab-separated columns, got 9\n"),
+    # ... each file in listing order ...
+    ({"run1.conllu": BAD_HEAD, "run2.conllu": BAD_COLUMNS},
+     {"run1.conllu": TREEBANK},
+     "error: sentence 1, line 1: bad head 'x'\n"),
+    # ... and each is checked against the gold one as soon as it is read.
+    ({"run1.conllu": TWO_SENTENCES}, {"run1.conllu": BAD_HEAD},
+     "error: sentence counts differ: gold has 3, system has 2\n"),
+    ({"run1.conllu": TREEBANK}, {"run1.conllu": TWO_SENTENCES,
+                                 "run2.conllu": BAD_HEAD},
+     "error: sentence counts differ: gold has 3, system has 2\n"),
+    # Both directories are listed before any system file is read.
+    ({"run1.conllu": BAD_HEAD}, {},
+     "error: no .conllu files in {b}\n"),
+])
+def test_sigtest_reports_the_first_bad_file(corpus, tmp_path, capsys,
+                                            files_a, files_b, error):
+    treebank, _ = corpus
+    for side, files in (("a", files_a), ("b", files_b)):
+        (tmp_path / side).mkdir()
+        for name, text in files.items():
+            (tmp_path / side / name).write_text(text, encoding="utf-8")
+    output = tmp_path / "sig.json"
+    assert main(["sigtest", str(treebank), str(tmp_path / "a"),
+                 str(tmp_path / "b"), "--shuffles", "20",
+                 "--output", str(output)]) == 2
+    assert capsys.readouterr().err == error.format(b=tmp_path / "b")
+    assert not output.exists()
+
+
+def test_undecodable_input_fails_as_a_whole_file_read_does(corpus, tmp_path, capsys):
+    treebank, sidecar = corpus
+    # A malformed first line, and a byte that is not UTF-8 far beyond the
+    # first chunk a streamed read takes.
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"x\n" + "1\t1\tçiçek\tNoun\n".encode("utf-8") * 20000
+                    + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        bad.read_text(encoding="utf-8")
+    expected = f"error: {excinfo.value}\n"
+    assert "position 340002" in expected
+    matrix = tmp_path / "m.tsv"
+    assert main(["matrix", str(sidecar), "--output", str(matrix)]) == 0
+    for argv in (["matrix", str(bad)],
+                 ["features", str(treebank), str(bad)],
+                 ["features", str(treebank), str(sidecar), "--hybrid", "sufvec",
+                  "--matrix", str(bad)],
+                 ["score", str(treebank), str(bad)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == expected

@@ -3,6 +3,7 @@
 import io
 import random
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from ruleparse import (ConlluError, MorphAnalysis, Sentence, SidecarError,
                        Token, group_by_sentence, parse_conllu,
                        read_morph_sidecar, write_conllu)
-from ruleparse.conllu import iter_morph_sidecar
+from ruleparse.conllu import count_morph_sidecar, iter_morph_sidecar
 
-from conftest import random_conllu_sentence, sent, tok
+from conftest import ShortReads, random_conllu_sentence, sent, tok
 
 BASIC = """\
 # sent_id = 1
@@ -608,6 +609,67 @@ def test_read_morph_sidecar_matches_reference():
         "sentence ordinal and token id must be integers",
         "sentence ordinal and token id must be >= ", "empty lemma",
         "unparseable morpheme sequence ", "duplicate entry for sentence  token "}
+
+
+def sidecar_counts(source):
+    """What :func:`count_morph_sidecar` should return, from the map."""
+    return dict(Counter(read_morph_sidecar(source).values()))
+
+
+def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
+    rng = random.Random(77)
+    text = write_conllu([random_conllu_sentence(rng) for _ in range(60)])
+    blocks = text.split("\n\n")
+    for _ in range(150):
+        start = rng.randrange(len(blocks) - 3)
+        lines = "\n\n".join(blocks[start:start + rng.randint(1, 3)]).splitlines()
+        case = mutated(rng, lines, lambda line: line if not line or line[0] == "#"
+                       else mutate_conllu_line(rng, line, 12))
+        case = case.replace("\n", rng.choice(["\n", "\r\n", "\r"]))
+        limit = rng.randint(1, 64)
+        assert outcome(parse_conllu, ShortReads(case, limit)) \
+            == outcome(parse_conllu, case), (case, limit)
+
+    lemmas = ["ev", "gel", "göz", "kapı"]
+    morphemes = ["Noun+A3sg+Nom", "Verb+Past+A3sg", "Adv"]
+    lines = [f"{ordinal}\t{token_id}\t{rng.choice(lemmas)}\t{rng.choice(morphemes)}"
+             for ordinal in range(1, 12) for token_id in range(1, 6)]
+    for _ in range(300):
+        case = mutated(rng, lines, lambda line: mutate_sidecar_line(rng, line))
+        case = case.replace("\n", rng.choice(["\n", "\r\n", "\r", "\x85"]))
+        limit = rng.randint(1, 64)
+        expected = outcome(read_morph_sidecar, case)
+        assert outcome(read_morph_sidecar, ShortReads(case, limit)) == expected
+        assert outcome(lambda t: dict(iter_morph_sidecar(t)),
+                       ShortReads(case, limit)) == expected
+        assert outcome(count_morph_sidecar, ShortReads(case, limit)) \
+            == outcome(sidecar_counts, case), (case, limit)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("2\t1\tev", "line 3: expected 4 tab-separated columns, got 3"),
+    ("2\tx\tev\tNoun", "line 3: sentence ordinal and token id must be integers"),
+    ("2\t1\tev\tNoun++Acc", "line 3: unparseable morpheme sequence 'Noun++Acc'"),
+    ("1\t2\tev\tNoun", "line 3: duplicate entry for sentence 1 token 2"),
+])
+def test_sidecar_error_names_its_line_wherever_the_chunks_end(bad, message):
+    text = f"1\t1\tev\tNoun\r\n1\t2\tgöz\tNoun+Acc\r\n{bad}\r\n3\t1\tev\tAdv\n"
+    for limit in range(1, len(text) + 1):
+        for read in (read_morph_sidecar, count_morph_sidecar,
+                     lambda t: list(iter_morph_sidecar(t))):
+            with pytest.raises(SidecarError) as excinfo:
+                read(ShortReads(text, limit))
+            assert str(excinfo.value) == message, limit
+
+
+def test_count_morph_sidecar_counts_each_distinct_pair_once():
+    counts = count_morph_sidecar("1\t1\tev\tNoun+A3sg\n1\t2\tev\tNoun+A3sg\n"
+                                 "2\t1\tev\tNoun+A3pl\n# 2\t2\tev\tNoun\n")
+    assert counts == {MorphAnalysis("ev", "Noun", ("A3sg",)): 2,
+                      MorphAnalysis("ev", "Noun", ("A3pl",)): 1}
+    first, second = counts
+    # Equal tags are one string within a read.
+    assert first.lemma is second.lemma and first.pos is second.pos
 
 
 def test_readers_share_repeated_values_within_a_read():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +217,67 @@ def test_kernel_matches_direct_int8_draw(monkeypatch, chunk_bytes):
         if n:
             # Both consumed the same generator words.
             assert kernel_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 61, evaluate._CHUNK_BYTES])
+def test_kernel_starts_from_a_buffered_half_word(monkeypatch, chunk_bytes):
+    # A generator that has drawn an odd number of 32-bit words holds the
+    # high half of its last 64-bit output; the signs start with it.
+    monkeypatch.setattr(evaluate, "_CHUNK_BYTES", chunk_bytes)
+    rng = random.Random(chunk_bytes + 1)
+    for _ in range(20):
+        n = rng.choice([rng.randint(1, 20), rng.randint(21, 1200)])
+        shuffles = rng.choice([rng.randint(1, 9), rng.randint(4090, 4100),
+                               rng.randint(1, 9000)])
+        diffs = np.array([rng.randint(-5, 5) for _ in range(n)], dtype=np.int64)
+        seed = rng.randrange(2**32)
+        drawn = rng.choice([1, 3, 7, 2, 4])
+        expected_rng = np.random.Generator(np.random.PCG64(seed))
+        kernel_rng = np.random.Generator(np.random.PCG64(seed))
+        for generator in (expected_rng, kernel_rng):
+            generator.integers(0, 1 << 32, size=drawn, dtype=np.uint32)
+        expected = reference_pair_p_value(diffs, shuffles, expected_rng)
+        assert evaluate._pair_p_value(diffs, shuffles, kernel_rng) == expected, \
+            (n, shuffles, seed, drawn)
+        assert kernel_rng.bit_generator.state == expected_rng.bit_generator.state
+        # Later draws of any width go on from the same place.
+        assert (kernel_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+                == expected_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist())
+
+
+def test_kernel_needs_pcg64():
+    diffs = np.array([1, -1, 2], dtype=np.int64)
+    with pytest.raises(ValueError, match="PCG64"):
+        evaluate._pair_p_value(diffs, 10, np.random.Generator(np.random.MT19937(0)))
+
+
+class Output(list):
+    """A system output that can be watched for being freed."""
+
+
+def test_outputs_are_reduced_one_at_a_time():
+    alive = []
+
+    def outputs(sides):
+        for side in sides:
+            out = Output(side)
+            # At most the one being drawn is still held by anyone.
+            assert [o for o in alive if o() is not None] == []
+            alive.append(weakref.ref(out))
+            yield out
+            del out
+
+    sides_a, sides_b = [GOLD3, SYS_B, GOLD3], [SYS_B, GOLD3]
+    streamed = randomization_test(GOLD3, outputs(sides_a), outputs(sides_b),
+                                  shuffles=300, seed=9)
+    assert len(alive) == 5
+    assert streamed == randomization_test(GOLD3, sides_a, sides_b,
+                                          shuffles=300, seed=9)
+
+
+def test_empty_side_of_iterables_is_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        randomization_test(GOLD3, iter([GOLD3]), iter([]))
 
 
 def test_kernel_memory_is_bounded():

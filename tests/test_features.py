@@ -12,7 +12,7 @@ from ruleparse import (FeatureBundle, HybridConfig, RuleAssignment, RuleCode,
 from ruleparse.errors import InputFormatError
 from ruleparse.features import (MODE_INFL, MODE_LAST, MODE_RULE, MODE_SUFVEC,
                                 RESERVED_MISC_KEYS, RULE_CODE_HEADER,
-                                _bundle_misc)
+                                _bundle_misc, iter_export, iter_jsonl)
 
 from conftest import ma, random_conllu_sentence, sent, tok
 
@@ -346,3 +346,27 @@ def test_jsonl_export_tells_zero_from_negative_zero():
     records = export_jsonl([sentence], [bundles]).splitlines()
     assert records[0].endswith('"suffix_vector": [0.0, 1.0]}')
     assert records[1].endswith('"suffix_vector": [-0.0, 1.0]}')
+
+
+# -- streamed exports --------------------------------------------------------
+
+
+def test_streamed_exports_give_one_chunk_per_sentence():
+    rng = random.Random(4245)
+    for _ in range(100):
+        sentences, bundles = random_jsonl_input(rng)
+        for stream, whole in ((iter_export, export), (iter_jsonl, export_jsonl)):
+            chunks = list(stream(sentences, bundles))
+            assert len(chunks) == len(sentences)
+            assert "".join(chunks) == whole(sentences, bundles)
+
+
+@pytest.mark.parametrize("stream", [iter_export, iter_jsonl])
+def test_streamed_exports_check_before_the_first_chunk(example, stream):
+    sentence, _, assignments = example
+    bundles = encode(sentence, assignments, None, None, RULE_ONLY)
+    # The call raises: no chunk has to be drawn for the check to run.
+    with pytest.raises(InputFormatError, match="sentence 2: .* align"):
+        stream([sentence, sentence], [bundles, bundles[:-1]])
+    with pytest.raises(InputFormatError, match="align"):
+        stream([sentence, sentence], [bundles])

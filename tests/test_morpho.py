@@ -11,9 +11,9 @@ from ruleparse import (InputFormatError, LemmaSuffixMatrix, MorphAnalysis,
                        last_suffix, load_inventory, read_matrix, suffix_vector,
                        write_matrix)
 from ruleparse.morpho import (INFLECTIONAL, MatrixBuilder, ROOT_POS_TAGS,
-                              ROOT_POS_TO_UPOS)
+                              ROOT_POS_TO_UPOS, iter_matrix)
 
-from conftest import ma
+from conftest import ShortReads, ma
 
 
 def test_packaged_inventory_shape():
@@ -291,6 +291,63 @@ def test_read_matrix_rejects_ragged_rows():
     inv = load_inventory("Gen\tinflectional\nAcc\tinflectional\n")
     with pytest.raises(InputFormatError, match="expected 3 columns"):
         read_matrix("lemma\tGen\tAcc\nev\t1.0\n", inv)
+
+
+def test_build_matrix_takes_a_count_map():
+    analyses = random_analyses(random.Random(29), 300, with_junk=True)
+    unknown_list, unknown_map = Counter(), Counter()
+    from_list = build_matrix(analyses, cap=5, unknown_tags=unknown_list)
+    from_map = build_matrix(Counter(analyses), cap=5, unknown_tags=unknown_map)
+    assert from_map.rows == from_list.rows
+    assert unknown_map == unknown_list
+
+
+def test_iter_matrix_chunks_are_the_lines_of_write_matrix():
+    matrix = build_matrix(random_analyses(random.Random(31), 200))
+    chunks = list(iter_matrix(matrix))
+    assert "".join(chunks) == write_matrix(matrix)
+    assert chunks == write_matrix(matrix).splitlines(keepends=True)
+
+
+def test_read_matrix_streamed_equals_read_from_text():
+    rng = random.Random(37)
+    text = write_matrix(build_matrix(random_analyses(rng, 400)))
+    expected = read_matrix(text)
+    for limit in (1, 7, 64, 1000, len(text)):
+        assert read_matrix(ShortReads(text, limit)).rows == expected.rows
+    crlf = text.replace("\n", "\r\n")
+    assert read_matrix(ShortReads(crlf, 5)).rows == expected.rows
+
+
+def test_read_matrix_shares_one_float_per_value_text():
+    inv = load_inventory("Gen\tinflectional\nAcc\tinflectional\n")
+    matrix = read_matrix("lemma\tGen\tAcc\na\t0.500000000\t0.500000000\n"
+                         "b\t0.500000000\t-0.000000000\n"
+                         "c\t0.000000000\t-0.000000000\n", inv)
+    a, b, c = (matrix.rows[lemma] for lemma in "abc")
+    assert a[0] is a[1] is b[0]
+    assert b[1] is c[1]
+    # Equal as numbers, but "-0.0" is kept apart and prints with its sign.
+    assert c[0] is not c[1]
+    assert write_matrix(matrix).splitlines()[3] == "c\t0.000000000\t-0.000000000"
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0.5\tnan\tabc", "matrix line 3: bad value (could not convert string to "
+                      "float: 'abc')"),
+    ("0.5\tnan\t-1", "matrix line 3: value 'nan' is not a finite number >= 0"),
+    ("0.5\t0.5\t-1", "matrix line 3: value '-1' is not a finite number >= 0"),
+    ("0.5\t0.5", "matrix line 3: expected 4 columns, got 3"),
+])
+def test_read_matrix_error_names_its_line_wherever_the_chunks_end(row, message):
+    inv = load_inventory("Gen\tinflectional\nAcc\tinflectional\nLoc\tinflectional\n")
+    text = f"lemma\tGen\tAcc\tLoc\nev\t0.5\t0.5\t0.0\n\ngöz\t{row}\nel\t1\t0\t0\n"
+    text = text.replace("\n\ngöz", "\ngöz")
+    for source in [text] + [ShortReads(text, limit)
+                            for limit in range(1, len(text) + 1)]:
+        with pytest.raises(InputFormatError) as excinfo:
+            read_matrix(source, inv)
+        assert str(excinfo.value) == message
 
 
 def test_suffix_vector_lookup_and_default():
