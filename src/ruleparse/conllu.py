@@ -14,7 +14,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConlluError, SidecarError
 from .morpho import MorphAnalysis
-from .textio import lines_of
+from .textio import join_or_write, lines_of
 
 ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(10)
 
@@ -294,8 +294,8 @@ def _token_line(token: Token, misc: str | None = None) -> str:
     ])
 
 
-def iter_conllu(sentences: Iterable[Sentence],
-                misc: Iterable[Sequence[str]] | None = None) -> Iterator[str]:
+def _conllu_chunks(sentences: Iterable[Sentence],
+                   misc: Iterable[Sequence[str]] | None) -> Iterator[str]:
     """The text of :func:`write_conllu`, one sentence (and the blank line
     after it) per chunk."""
     for sentence, sentence_misc in zip(sentences,
@@ -313,22 +313,24 @@ def iter_conllu(sentences: Iterable[Sentence],
 
 
 def write_conllu(sentences: Iterable[Sentence],
-                 misc: Iterable[Sequence[str]] | None = None) -> str:
+                 misc: Iterable[Sequence[str]] | None = None,
+                 out: IO[str] | None = None) -> str | None:
     """Serialize sentences; inverse of :func:`parse_conllu` on its output.
 
     ``misc``, when given, holds one MISC column text per token of every
     sentence and is written in place of the tokens' own MISC items.
+    Returns the text or, given a text handle ``out``, writes it there a
+    sentence at a time.
     """
-    return "".join(iter_conllu(sentences, misc))
+    return join_or_write(_conllu_chunks(sentences, misc), out)
 
 
-def _iter_sidecar(source: str | IO[str],
-                  shared: dict[tuple[str, str], MorphAnalysis]
-                  ) -> Iterator[tuple[int, tuple[int, int], tuple[str, str],
-                                      MorphAnalysis]]:
-    """``(line number, position, (lemma, morpheme string), analysis)`` per
-    entry line, checked.  ``shared`` maps each distinct pair seen to its
-    one analysis; equal lemmas and tags are one string within the read."""
+def _iter_sidecar(source: str | IO[str]
+                  ) -> Iterator[tuple[int, tuple[int, int], MorphAnalysis]]:
+    """``(line number, position, analysis)`` per entry line, checked.  Each
+    distinct (lemma, morpheme string) pair of the read is one analysis,
+    and equal lemmas and tags are one string."""
+    shared: dict[tuple[str, str], MorphAnalysis] = {}
     text = {}.setdefault
     for line_no, line in enumerate(lines_of(source), start=1):
         if not line or line.isspace() or line.startswith("#"):
@@ -345,21 +347,19 @@ def _iter_sidecar(source: str | IO[str],
         lemma, morphemes = cols[2], cols[3]
         if not lemma:
             raise SidecarError(line_no, "empty lemma")
-        pair = lemma, morphemes
-        analysis = shared.get(pair)
+        analysis = shared.get((lemma, morphemes))
         if analysis is None:
             parts = morphemes.split("+")
             if "" in parts:
                 raise SidecarError(line_no, f"unparseable morpheme sequence {morphemes!r}")
             parts = tuple(map(text, parts, parts))
             lemma = text(lemma, lemma)
-            pair = lemma, morphemes
             analysis = _new(MorphAnalysis)
             _set_analysis_lemma(analysis, lemma)
             _set_analysis_pos(analysis, parts[0])
             _set_analysis_tags(analysis, parts[1:])
-            shared[pair] = analysis
-        yield line_no, (sent_ord, token_id), pair, analysis
+            shared[lemma, morphemes] = analysis
+        yield line_no, (sent_ord, token_id), analysis
 
 
 def _duplicate(line_no: int, key: tuple[int, int]) -> SidecarError:
@@ -371,35 +371,16 @@ def iter_morph_sidecar(source: str | IO[str]) -> Iterator[tuple[tuple[int, int],
     order, rejecting duplicate positions as :func:`read_morph_sidecar` does.
 
     It keeps the set of positions seen and the distinct analyses, but not
-    a map from every position to its analysis; a handle is read line by
-    line.
+    a map from every position to its analysis, and reads a handle line by
+    line, so a corpus-scale consumer (``matrix``) holds O(distinct
+    analyses) plus that set.
     """
     seen: set[tuple[int, int]] = set()
-    for line_no, key, _, analysis in _iter_sidecar(source, {}):
+    for line_no, key, analysis in _iter_sidecar(source):
         if key in seen:
             raise _duplicate(line_no, key)
         seen.add(key)
         yield key, analysis
-
-
-def count_morph_sidecar(source: str | IO[str]) -> dict[MorphAnalysis, int]:
-    """How often each distinct analysis occurs in a sidecar stream, checked
-    line by line as :func:`read_morph_sidecar` checks it.
-
-    Entries are counted by their (lemma, morpheme string) pair, and one
-    analysis is built per pair, so a corpus read through a handle holds
-    O(distinct pairs) plus the set of positions, whatever its length.
-    """
-    shared: dict[tuple[str, str], MorphAnalysis] = {}
-    seen: set[tuple[int, int]] = set()
-    counts: dict[tuple[str, str], int] = {}
-    for line_no, key, pair, _ in _iter_sidecar(source, shared):
-        if key in seen:
-            raise _duplicate(line_no, key)
-        seen.add(key)
-        counts[pair] = counts.get(pair, 0) + 1
-    del seen  # not needed beside the map built next
-    return {shared[pair]: count for pair, count in counts.items()}
 
 
 def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnalysis]:
@@ -411,7 +392,7 @@ def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnal
     object.
     """
     result: dict[tuple[int, int], MorphAnalysis] = {}
-    for line_no, key, _, analysis in _iter_sidecar(source, {}):
+    for line_no, key, analysis in _iter_sidecar(source):
         if key in result:
             raise _duplicate(line_no, key)
         result[key] = analysis

@@ -11,23 +11,18 @@ against the observed one.  With add-one smoothing the reported p-value
 is never zero.  Model comparisons are run file-wise: five outputs per
 side yield twenty-five p-values, summarized by their harmonic mean.
 
-The shuffles of one file pair come from one PCG64 generator, in blocks
-of 4,096.  ``Generator.integers(0, 2, dtype=np.int8)`` turns each byte of
+The shuffles of one file pair come from one generator, in blocks of
+4,096.  ``Generator.integers(0, 2, dtype=np.int8)`` turns each byte of
 the generator's 32-bit word stream into one sign, ``byte >> 7``, low byte
-first, and drops the unused bytes of a call's last word.  PCG64 hands out
-its 32-bit words as the low, then the high half of each 64-bit output,
-and keeps an unread high half (``has_uint32``, ``uinteger``) for the next
-32-bit draw.  So the kernel reads the 64-bit outputs themselves
-(``bit_generator.random_raw``), little-endian, consumes a half left over
-by an earlier draw first, carries an unread half from one sub-chunk to
-the next, and leaves the generator's state as the 32-bit draws would.
-Sub-chunks hold a multiple of 8 shuffles, so only a block's last one can
-end inside a 64-bit word, and each block ends where a single ``int8``
-draw would have: the signs, and so the p-values, are the ones that draw
-gives.  It then sums each shuffle through one 256-entry table per 8
-sentences, in memory that is O(sentences) plus a fixed chunk.
-``tests/test_evaluate.py`` checks it against the direct ``int8`` kernel,
-state included, and ``tests/test_golden.py`` pins its p-values.
+first, and drops the unused bytes of a call's last word.  The kernel
+draws those words itself (``integers(0, 1 << 32, dtype=np.uint32)``) in
+sub-chunks of a multiple of 4 shuffles, so every chunk starts on a word
+boundary and each block ends where a single ``int8`` draw would have:
+the signs, and so the p-values, are the ones that draw gives.  It then
+sums each shuffle through one 256-entry table per 8 sentences, in memory
+that is O(sentences) plus a fixed chunk.  ``tests/test_evaluate.py``
+checks it against the direct ``int8`` kernel, and ``tests/test_golden.py``
+pins its p-values.
 
 ``randomization_test`` takes the outputs of each side as iterables and
 reduces each output to its per-sentence correct counts as soon as it is
@@ -171,17 +166,12 @@ def _pair_p_value(diffs: np.ndarray, shuffles: int, rng: np.random.Generator) ->
     A shuffle's sum is ``2 * s - sum(diffs)``, where ``s`` sums the diffs
     whose sign is +1.  Signs are packed 8 sentences to a byte, and ``s``
     is gathered from one table of the 256 partial sums per 8 sentences.
-    ``rng`` must run on PCG64: the signs are read from its 64-bit outputs.
     """
     import numpy as np
 
     n = diffs.size
     if n == 0:
         return 1.0
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    if state["bit_generator"] != "PCG64":
-        raise ValueError("the permutation kernel needs a PCG64 generator")
     total = int(diffs.sum())
     groups = -(-n // 8)
     padded = np.zeros(groups * 8, dtype=np.int64)
@@ -191,37 +181,20 @@ def _pair_p_value(diffs: np.ndarray, shuffles: int, rng: np.random.Generator) ->
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     tables = (padded.reshape(groups, 8) @ bits.T).ravel()
     offsets = np.arange(0, groups * 256, 256, dtype=np.intp)
-    # A multiple of 8 shuffles holds a whole number of 64-bit words.
-    rows = max(8, min(_BLOCK_SHUFFLES, _CHUNK_BYTES // n) // 8 * 8)
-    # The 4 bytes of a 32-bit half drawn but not read yet, if any.
-    half = (np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
-            if state["has_uint32"] else None)
-    last_high = state["uinteger"]
+    # A multiple of 4 shuffles holds a whole number of 32-bit words.
+    rows = max(4, min(_BLOCK_SHUFFLES, _CHUNK_BYTES // n) // 4 * 4)
     at_least = 0
     for block_start in range(0, shuffles, _BLOCK_SHUFFLES):
         block = min(_BLOCK_SHUFFLES, shuffles - block_start)
         for start in range(0, block, rows):
             take = min(rows, block - start)
-            # The 32-bit words the int8 draw reads for these signs: an
-            # unread half first, then whole 64-bit outputs.
-            words = -(-take * n // 4) - (half is not None)
-            raw = bit_generator.random_raw(-(-words // 2))
+            words = rng.integers(0, 1 << 32, size=-(-take * n // 4),
+                                 dtype=np.uint32)
             # Low byte first, as the generator hands out a word's bytes.
-            data = raw.astype("<u8", copy=False).view(np.uint8)
-            if raw.size:
-                last_high = int(raw[-1] >> np.uint64(32))
-            if half is not None:
-                data = np.concatenate((half, data))
-            half = data[-4:] if words % 2 else None
-            signs = data[:take * n].reshape(take, n) >= 128
+            signs = (words.astype("<u4", copy=False).view(np.uint8)[:take * n]
+                     .reshape(take, n) >> 7)
             sums = np.take(tables, np.packbits(signs, axis=1) + offsets).sum(axis=1)
             at_least += int(np.count_nonzero(np.abs(2 * sums - total) >= abs(total)))
-    # The state 32-bit draws leave: a half still unread is buffered, and
-    # the buffer holds the high half of the last 64-bit output either way.
-    state = bit_generator.state
-    state["has_uint32"] = int(half is not None)
-    state["uinteger"] = last_high
-    bit_generator.state = state
     return (1 + at_least) / (1 + shuffles)
 
 

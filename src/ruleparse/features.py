@@ -17,13 +17,14 @@ import json
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
-from .conllu import Sentence, Token, format_misc, iter_conllu, write_conllu
+from .conllu import Sentence, Token, format_misc, write_conllu
 from .engine import RuleAssignment, RuleCode
 from .errors import InputFormatError
 from .morpho import (LemmaSuffixMatrix, MorphAnalysis, SuffixInventory,
                      inflectional_suffixes, last_suffix, suffix_vector)
+from .textio import join_or_write
 
 MODE_RULE = "rule"
 MODE_INFL = "inflectional_suffixes"
@@ -183,57 +184,40 @@ def _misc_columns(sentence: Sentence,
     return columns
 
 
-def _export_parts(sentences: Sequence[Sentence],
-                  bundles: Sequence[Sequence[FeatureBundle]]
-                  ) -> tuple[Iterable[Sentence], Iterator[list[str]]]:
-    """The sentences, the first with the rule-code header, and their MISC
-    columns, made as they are consumed; checked first."""
+def export(sentences: Sequence[Sentence],
+           bundles: Sequence[Sequence[FeatureBundle]],
+           out: IO[str] | None = None) -> str | None:
+    """Annotated CoNLL-U with feature MISC keys and a rule-code header.
+
+    The closed rule-code vocabulary is written as a comment on the first
+    sentence (once; re-export does not duplicate it).  Only the MISC
+    column and that comment change; every other column is written as
+    parsed.  Returns the text or, given a text handle ``out``, writes it
+    there a sentence at a time; the bundles are checked first.
+    """
     _check_aligned(sentences, bundles)
     misc = map(_misc_columns, sentences, bundles)
     if sentences and RULE_CODE_HEADER not in sentences[0].comments:
         first = sentences[0]
         first = Sentence(first.tokens, (RULE_CODE_HEADER,) + first.comments,
                          first.ranges)
-        return chain((first,), islice(sentences, 1, None)), misc
-    return sentences, misc
-
-
-def iter_export(sentences: Sequence[Sentence],
-                bundles: Sequence[Sequence[FeatureBundle]]) -> Iterator[str]:
-    """The text of :func:`export`, one sentence per chunk.  The bundles are
-    checked before the first chunk."""
-    return iter_conllu(*_export_parts(sentences, bundles))
-
-
-def export(sentences: Sequence[Sentence],
-           bundles: Sequence[Sequence[FeatureBundle]]) -> str:
-    """Annotated CoNLL-U with feature MISC keys and a rule-code header.
-
-    The closed rule-code vocabulary is written as a comment on the first
-    sentence (once; re-export does not duplicate it).  Only the MISC
-    column and that comment change; every other column is written as
-    parsed.
-    """
-    return write_conllu(*_export_parts(sentences, bundles))
-
-
-def iter_jsonl(sentences: Sequence[Sentence],
-               bundles: Sequence[Sequence[FeatureBundle]]) -> Iterator[str]:
-    """The text of :func:`export_jsonl`, one sentence's records per chunk.
-    The bundles are checked before the first chunk."""
-    _check_aligned(sentences, bundles)
-    return _jsonl_chunks(sentences, bundles)
+        sentences = chain((first,), islice(sentences, 1, None))
+    return write_conllu(sentences, misc, out)
 
 
 def export_jsonl(sentences: Sequence[Sentence],
-                 bundles: Sequence[Sequence[FeatureBundle]]) -> str:
+                 bundles: Sequence[Sequence[FeatureBundle]],
+                 out: IO[str] | None = None) -> str | None:
     """One JSON object per token: sentence/token indices plus features.
 
     ``suffix_vector`` is always a record's last key, so each distinct
     vector is serialized once per export and its text spliced into every
-    record that carries it.
+    record that carries it.  Returns the text or, given a text handle
+    ``out``, writes it there a sentence at a time; the bundles are checked
+    first.
     """
-    return "".join(iter_jsonl(sentences, bundles))
+    _check_aligned(sentences, bundles)
+    return join_or_write(_jsonl_chunks(sentences, bundles), out)
 
 
 def _jsonl_chunks(sentences: Sequence[Sentence],

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import repeat
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator
 
 from .errors import InputFormatError
-from .textio import lines_of
+from .textio import join_or_write, lines_of
 
 INFLECTIONAL = "inflectional"
 DERIVATIONAL = "derivational"
@@ -260,23 +260,20 @@ class MatrixBuilder:
         return LemmaSuffixMatrix(self.inventory, rows)
 
 
-def build_matrix(corpus: Iterable[MorphAnalysis] | Mapping[MorphAnalysis, int],
+def build_matrix(corpus: Iterable[MorphAnalysis],
                  cap: int = 40000,
                  inventory: SuffixInventory | None = None,
                  unknown_tags: Counter | None = None) -> LemmaSuffixMatrix:
     """Count suffix tags per lemma over ``corpus`` and normalize rows.
 
-    ``corpus`` is the analyses, or a map from each distinct analysis to
-    its number of occurrences.  Keeps the ``cap`` most frequent lemmas
-    (ties broken lexicographically).  Tags absent from the inventory are
-    skipped; pass a Counter as ``unknown_tags`` to collect them for
-    diagnostics.  Each distinct analysis is counted once with its number
-    of occurrences, so the memory held is O(distinct analyses), whatever
-    the corpus length.
+    Keeps the ``cap`` most frequent lemmas (ties broken lexicographically).
+    Tags absent from the inventory are skipped; pass a Counter as
+    ``unknown_tags`` to collect them for diagnostics.  Each distinct
+    analysis is counted once with its number of occurrences, so the
+    memory held is O(distinct analyses), whatever the corpus length.
     """
-    counts = corpus if isinstance(corpus, Mapping) else Counter(corpus)
     builder = MatrixBuilder(inventory)
-    for analysis, count in counts.items():
+    for analysis, count in Counter(corpus).items():
         builder.update(analysis, count)
     matrix = builder.build(cap)
     if unknown_tags is not None:
@@ -292,8 +289,8 @@ class _Formatted(dict):
         return text
 
 
-def iter_matrix(matrix: LemmaSuffixMatrix) -> Iterator[str]:
-    """The text of :func:`write_matrix`, one line per chunk.
+def _matrix_lines(matrix: LemmaSuffixMatrix) -> Iterator[str]:
+    """The lines of :func:`write_matrix`, each with its line break.
 
     Each distinct value is formatted once per write.  ``-0.0`` equals
     ``0.0`` as a dict key but prints with its sign, so a row holding a
@@ -311,9 +308,14 @@ def iter_matrix(matrix: LemmaSuffixMatrix) -> Iterator[str]:
         yield f"{lemma}\t{values}\n"
 
 
-def write_matrix(matrix: LemmaSuffixMatrix) -> str:
-    """Serialize a matrix: a tag header row, then one 9-decimal row per lemma."""
-    return "".join(iter_matrix(matrix))
+def write_matrix(matrix: LemmaSuffixMatrix,
+                 out: IO[str] | None = None) -> str | None:
+    """Serialize a matrix: a tag header row, then one 9-decimal row per lemma.
+
+    Returns the text or, given a text handle ``out``, writes it there a
+    line at a time.
+    """
+    return join_or_write(_matrix_lines(matrix), out)
 
 
 def _parse_row(line_no: int, texts: list[str]) -> tuple[float, ...]:

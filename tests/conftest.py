@@ -40,6 +40,21 @@ class ShortReads:
         return self._buffer.read(self._limit if size < 0 else min(size, self._limit))
 
 
+class Written:
+    """A text handle that keeps each piece written to it, in order."""
+
+    def __init__(self):
+        self.chunks: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.chunks.append(text)
+        return len(text)
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+
 @pytest.fixture(scope="session")
 def lexicon():
     return load_lexicon(default_lexicon_dir())

@@ -3,7 +3,6 @@
 import io
 import random
 import re
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from ruleparse import (ConlluError, MorphAnalysis, Sentence, SidecarError,
                        Token, group_by_sentence, parse_conllu,
                        read_morph_sidecar, write_conllu)
-from ruleparse.conllu import count_morph_sidecar, iter_morph_sidecar
+from ruleparse.conllu import iter_morph_sidecar
 
 from conftest import ShortReads, random_conllu_sentence, sent, tok
 
@@ -611,11 +610,6 @@ def test_read_morph_sidecar_matches_reference():
         "unparseable morpheme sequence ", "duplicate entry for sentence  token "}
 
 
-def sidecar_counts(source):
-    """What :func:`count_morph_sidecar` should return, from the map."""
-    return dict(Counter(read_morph_sidecar(source).values()))
-
-
 def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
     rng = random.Random(77)
     text = write_conllu([random_conllu_sentence(rng) for _ in range(60)])
@@ -641,9 +635,7 @@ def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
         expected = outcome(read_morph_sidecar, case)
         assert outcome(read_morph_sidecar, ShortReads(case, limit)) == expected
         assert outcome(lambda t: dict(iter_morph_sidecar(t)),
-                       ShortReads(case, limit)) == expected
-        assert outcome(count_morph_sidecar, ShortReads(case, limit)) \
-            == outcome(sidecar_counts, case), (case, limit)
+                       ShortReads(case, limit)) == expected, (case, limit)
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -655,20 +647,19 @@ def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
 def test_sidecar_error_names_its_line_wherever_the_chunks_end(bad, message):
     text = f"1\t1\tev\tNoun\r\n1\t2\tgöz\tNoun+Acc\r\n{bad}\r\n3\t1\tev\tAdv\n"
     for limit in range(1, len(text) + 1):
-        for read in (read_morph_sidecar, count_morph_sidecar,
-                     lambda t: list(iter_morph_sidecar(t))):
+        for read in (read_morph_sidecar, lambda t: list(iter_morph_sidecar(t))):
             with pytest.raises(SidecarError) as excinfo:
                 read(ShortReads(text, limit))
             assert str(excinfo.value) == message, limit
 
 
-def test_count_morph_sidecar_counts_each_distinct_pair_once():
-    counts = count_morph_sidecar("1\t1\tev\tNoun+A3sg\n1\t2\tev\tNoun+A3sg\n"
+def test_sidecar_analyses_share_equal_lemmas_and_tags():
+    sidecar = read_morph_sidecar("1\t1\tev\tNoun+A3sg\n1\t2\tev\tNoun+A3sg\n"
                                  "2\t1\tev\tNoun+A3pl\n# 2\t2\tev\tNoun\n")
-    assert counts == {MorphAnalysis("ev", "Noun", ("A3sg",)): 2,
-                      MorphAnalysis("ev", "Noun", ("A3pl",)): 1}
-    first, second = counts
-    # Equal tags are one string within a read.
+    first, second = sidecar[1, 1], sidecar[2, 1]
+    assert first == MorphAnalysis("ev", "Noun", ("A3sg",))
+    assert second == MorphAnalysis("ev", "Noun", ("A3pl",))
+    # Equal lemmas and tags are one string within a read.
     assert first.lemma is second.lemma and first.pos is second.pos
 
 

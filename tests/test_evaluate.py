@@ -245,12 +245,6 @@ def test_kernel_starts_from_a_buffered_half_word(monkeypatch, chunk_bytes):
                 == expected_rng.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist())
 
 
-def test_kernel_needs_pcg64():
-    diffs = np.array([1, -1, 2], dtype=np.int64)
-    with pytest.raises(ValueError, match="PCG64"):
-        evaluate._pair_p_value(diffs, 10, np.random.Generator(np.random.MT19937(0)))
-
-
 class Output(list):
     """A system output that can be watched for being freed."""
 

@@ -12,9 +12,9 @@ from ruleparse import (FeatureBundle, HybridConfig, RuleAssignment, RuleCode,
 from ruleparse.errors import InputFormatError
 from ruleparse.features import (MODE_INFL, MODE_LAST, MODE_RULE, MODE_SUFVEC,
                                 RESERVED_MISC_KEYS, RULE_CODE_HEADER,
-                                _bundle_misc, iter_export, iter_jsonl)
+                                _bundle_misc)
 
-from conftest import ma, random_conllu_sentence, sent, tok
+from conftest import Written, ma, random_conllu_sentence, sent, tok
 
 RULE_ONLY = HybridConfig(frozenset({MODE_RULE}))
 RULE_LAST = HybridConfig(frozenset({MODE_RULE, MODE_LAST}))
@@ -351,22 +351,24 @@ def test_jsonl_export_tells_zero_from_negative_zero():
 # -- streamed exports --------------------------------------------------------
 
 
-def test_streamed_exports_give_one_chunk_per_sentence():
+def test_exports_to_a_handle_write_a_sentence_at_a_time():
     rng = random.Random(4245)
     for _ in range(100):
         sentences, bundles = random_jsonl_input(rng)
-        for stream, whole in ((iter_export, export), (iter_jsonl, export_jsonl)):
-            chunks = list(stream(sentences, bundles))
-            assert len(chunks) == len(sentences)
-            assert "".join(chunks) == whole(sentences, bundles)
+        for write in (export, export_jsonl):
+            out = Written()
+            assert write(sentences, bundles, out) is None
+            assert len(out.chunks) == len(sentences)
+            assert "".join(out.chunks) == write(sentences, bundles)
 
 
-@pytest.mark.parametrize("stream", [iter_export, iter_jsonl])
-def test_streamed_exports_check_before_the_first_chunk(example, stream):
+@pytest.mark.parametrize("write", [export, export_jsonl])
+def test_exports_check_before_the_first_chunk(example, write):
     sentence, _, assignments = example
     bundles = encode(sentence, assignments, None, None, RULE_ONLY)
-    # The call raises: no chunk has to be drawn for the check to run.
+    out = Written()
     with pytest.raises(InputFormatError, match="sentence 2: .* align"):
-        stream([sentence, sentence], [bundles, bundles[:-1]])
+        write([sentence, sentence], [bundles, bundles[:-1]], out)
     with pytest.raises(InputFormatError, match="align"):
-        stream([sentence, sentence], [bundles])
+        write([sentence, sentence], [bundles], out)
+    assert out.chunks == []

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy  # noqa: F401  (imported before tracing: sigtest loads it)
 
 from ruleparse import cli, write_conllu
-from ruleparse.features import FeatureBundle, iter_jsonl
+from ruleparse.features import FeatureBundle, export_jsonl
 
 from conftest import random_treebank, sent, tok
 
@@ -78,7 +78,7 @@ def test_sigtest_memory_is_near_one_parsed_file(tmp_path):
     assert peak < resident + parse_peak + (1 << 19)
 
 
-def test_jsonl_export_streams_through_emit(tmp_path):
+def test_jsonl_export_streams_to_its_output_file(tmp_path):
     rng = random.Random(43)
     rows = [tuple(rng.choice((0.0, 0.25, 0.5)) for _ in range(81))
             for _ in range(4)]
@@ -90,8 +90,12 @@ def test_jsonl_export_streams_through_emit(tmp_path):
                                       suffix_vector=rng.choice(rows))
                         for _ in range(length)])
     output = tmp_path / "features.jsonl"
-    peak = traced_peak(lambda: cli._emit(iter_jsonl(sentences, bundles),
-                                         str(output), "features", [], {}))
+
+    def write():
+        with cli._output(str(output), "features", [], {}) as out:
+            export_jsonl(sentences, bundles, out)
+
+    peak = traced_peak(write)
     size = output.stat().st_size
     print(f"jsonl: output {size}, peak {peak}")
     assert size > 1 << 20

@@ -11,9 +11,9 @@ from ruleparse import (InputFormatError, LemmaSuffixMatrix, MorphAnalysis,
                        last_suffix, load_inventory, read_matrix, suffix_vector,
                        write_matrix)
 from ruleparse.morpho import (INFLECTIONAL, MatrixBuilder, ROOT_POS_TAGS,
-                              ROOT_POS_TO_UPOS, iter_matrix)
+                              ROOT_POS_TO_UPOS)
 
-from conftest import ShortReads, ma
+from conftest import ShortReads, Written, ma
 
 
 def test_packaged_inventory_shape():
@@ -293,20 +293,11 @@ def test_read_matrix_rejects_ragged_rows():
         read_matrix("lemma\tGen\tAcc\nev\t1.0\n", inv)
 
 
-def test_build_matrix_takes_a_count_map():
-    analyses = random_analyses(random.Random(29), 300, with_junk=True)
-    unknown_list, unknown_map = Counter(), Counter()
-    from_list = build_matrix(analyses, cap=5, unknown_tags=unknown_list)
-    from_map = build_matrix(Counter(analyses), cap=5, unknown_tags=unknown_map)
-    assert from_map.rows == from_list.rows
-    assert unknown_map == unknown_list
-
-
-def test_iter_matrix_chunks_are_the_lines_of_write_matrix():
+def test_write_matrix_to_a_handle_writes_a_line_at_a_time():
     matrix = build_matrix(random_analyses(random.Random(31), 200))
-    chunks = list(iter_matrix(matrix))
-    assert "".join(chunks) == write_matrix(matrix)
-    assert chunks == write_matrix(matrix).splitlines(keepends=True)
+    out = Written()
+    assert write_matrix(matrix, out) is None
+    assert out.chunks == write_matrix(matrix).splitlines(keepends=True)
 
 
 def test_read_matrix_streamed_equals_read_from_text():

@@ -65,3 +65,38 @@ def test_iter_lines_on_files_opened_without_newline_translation(tmp_path):
 @pytest.mark.parametrize("source", ["a\nb\r\nc", ShortReads("a\nb\r\nc", 2)])
 def test_lines_of_takes_strings_and_handles(source):
     assert list(lines_of(source)) == ["a", "b", "c"]
+
+
+class CountedChunk(str):
+    """A chunk that counts the characters split through it."""
+
+    split = 0
+
+    def splitlines(self, *args):
+        CountedChunk.split += len(self)
+        return super().splitlines(*args)
+
+
+class CountedReads(ShortReads):
+    def __init__(self, text: str, limit: int):
+        super().__init__(text, limit)
+        self.returned = 0
+
+    def read(self, size: int = -1) -> str:
+        chunk = super().read(size)
+        self.returned += len(chunk)
+        return CountedChunk(chunk)
+
+
+@pytest.mark.parametrize("text", [
+    "x" * 64 * 500 + "\n" + "y" * 64 * 500,
+    "a\n" + "x" * 64 * 500 + "\x85b" + "y" * 6400,
+], ids=["newline", "next-line"])
+def test_a_line_many_chunks_long_is_split_once(text):
+    # Each character is split once, in the chunk that read it, not again
+    # with every later chunk of a line that has no break yet.
+    CountedChunk.split = 0
+    handle = CountedReads(text, 64)
+    assert list(iter_lines(handle, 64)) == text.splitlines()
+    assert handle.returned == len(text)
+    assert CountedChunk.split == len(text)
