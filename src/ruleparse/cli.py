@@ -39,7 +39,8 @@ from .evaluate import ablate, ablation_steps, randomization_test, score
 from .features import (HybridConfig, MODE_RULE, MODE_SUFVEC, encode, export,
                        export_jsonl)
 from .lexicon import default_lexicon_dir, load_lexicon
-from .morpho import build_matrix, load_inventory, read_matrix, write_matrix
+from .morpho import (MorphAnalysis, build_matrix, load_inventory, read_matrix,
+                     write_matrix)
 
 DEFAULT_RULE_FLAG = "cpi,nc,pc,ac,aaj,ajc,ajn"
 ENV_PREFIX = "RULEPARSE_"
@@ -86,6 +87,21 @@ def _open_text(path: str | Path) -> IO[str]:
 def _load_treebank(path: str | Path) -> list[Sentence]:
     with _open_text(path) as handle:
         return parse_conllu(handle)
+
+
+def _read_sidecar(path: str, sentences: list[Sentence]
+                  ) -> dict[tuple[int, int], MorphAnalysis]:
+    """The sidecar at ``path``, once each of its lines is known to name a
+    token of ``sentences``."""
+    with _open_text(path) as handle:
+        sidecar = read_morph_sidecar(handle)
+    lengths = [len(sentence.tokens) for sentence in sentences]
+    for ordinal, token_id in sidecar:
+        if ordinal > len(lengths) or token_id > lengths[ordinal - 1]:
+            raise AlignmentError(
+                f"sidecar entry for sentence {ordinal} token {token_id} "
+                "names no token of the treebank")
+    return sidecar
 
 
 def _load_inventory(path: str | None):
@@ -218,8 +234,7 @@ def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
     the sentences, their feature bundles, the rule config and the
     engine's diagnostics."""
     sentences = _load_treebank(args.treebank)
-    with _open_text(args.sidecar) as handle:
-        grouped = _group_analyses(read_morph_sidecar(handle))
+    grouped = _group_analyses(_read_sidecar(args.sidecar, sentences))
     config = _parse_rules(args.rules)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
@@ -334,8 +349,7 @@ def cmd_sigtest(args) -> int:
 
 def cmd_ablate(args) -> int:
     gold = _load_treebank(args.gold)
-    with _open_text(args.sidecar) as handle:
-        sidecar = read_morph_sidecar(handle)
+    sidecar = _read_sidecar(args.sidecar, gold)
     lexicon = load_lexicon(args.lexicons)
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
     results = ablate(gold, sidecar, lexicon, steps)

@@ -15,7 +15,9 @@ The schedule is one ordered table (``_ONCE``, then ``_REPEATED``):
 3. CPI (complex predicates/idioms) and NC (lexicon compounds) each run
    once.
 4. PC, AAJ, AV, AJN, NV repeat in that order until a full pass assigns
-   nothing.
+   nothing.  Each pass before that one assigns a token, so an n-token
+   sentence takes at most n passes; more is a broken invariant
+   (``EngineError``).
 
 Each rule is a module-level pair test; a run sends the enabled ones, in
 schedule order, through the same left-to-right scan.  Disabling a rule
@@ -114,16 +116,14 @@ _VALUE = {code: code.value for code in RuleCode}
 
 @dataclass(frozen=True)
 class RuleConfig:
-    """Which rules run, and a defensive bound on engine iterations."""
+    """Which rules run.  How often the repeated rules run is bounded by
+    the sentence, not by the config (see :func:`run`)."""
 
     enabled: frozenset[RuleCode] = DEFAULT_RULES
-    max_iterations: int = 1000
 
     def __post_init__(self):
         if RuleCode.NONE in self.enabled:
             raise ValueError("NONE is not a rule")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -606,12 +606,16 @@ def run(sentence: Sentence,
         if code in enabled:
             _scan(state, try_pair, bits, first)
 
-    iterations = 0
+    # A pass that assigns nothing ends the loop, and no run assigns more
+    # than n - 1 of a sentence's n tokens (the heads form no cycle), so a
+    # run makes at most n passes.
+    n = len(sentence.tokens)
+    passes = 0
     while state.remaining:
-        iterations += 1
-        if iterations > config.max_iterations:
+        passes += 1
+        if passes > n:
             raise EngineError(
-                f"rule loop exceeded {config.max_iterations} iterations")
+                f"rule loop made more than {n} passes over a {n}-token sentence")
         before = len(state.assignments)
         for code, try_pair, first in repeated:
             if code in enabled:

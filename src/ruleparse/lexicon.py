@@ -42,24 +42,20 @@ def fold(text: str) -> str:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Loaded lexicon entries plus the derived pair-match sets.
+    """What the rule engine reads of a lexicon directory.
 
-    Entry sets hold full (folded, whitespace-normalized) entries.  The
-    ``pairs`` map holds, per compound class, every matchable adjacent
-    bigram as a first-word map: ``pairs[cls][first]`` is the frozenset of
-    words that may follow ``first``.  A two-word entry contributes
-    itself, a longer entry each consecutive word pair, so it can be
-    matched greedily left to right.  The map's keys are the words that
-    start a pair.  Every word is folded text without whitespace (entry
-    components come from ``str.split()``): the rule engine looks
-    already-folded words up directly, and a word holding whitespace or an
-    empty word matches nothing.
+    The two adverb sets hold the folded, whitespace-normalized entries of
+    ``adv_degree.txt`` and ``adv_emph.txt``.  The ``pairs`` map holds,
+    per compound class, every matchable adjacent bigram as a first-word
+    map: ``pairs[cls][first]`` is the frozenset of words that may follow
+    ``first``.  A two-word entry contributes itself, a longer entry each
+    consecutive word pair, so it can be matched greedily left to right.
+    The map's keys are the words that start a pair.  Every word is folded
+    text without whitespace (entry components come from ``str.split()``):
+    the rule engine looks already-folded words up directly, and a word
+    holding whitespace or an empty word matches nothing.
     """
 
-    complex_predicates: frozenset[str]
-    noun_compounds: frozenset[str]
-    possessive_compounds: frozenset[str]
-    reduplicated_compounds: frozenset[str]
     degree_adverbs: frozenset[str]
     head_emphasizing_adverbs: frozenset[str]
     pairs: dict[str, dict[str, frozenset[str]]]
@@ -106,16 +102,10 @@ def load_lexicon(directory: str | Path) -> Lexicon:
     for cls, name in _FILENAMES.items():
         raw[cls] = _read_entries(directory / name,
                                  require_compound=cls in COMPOUND_CLASSES)
-    joined = {cls: frozenset(" ".join(e) for e in raw[cls]) for cls in raw}
-    pairs = {cls: _pair_map(raw[cls]) for cls in COMPOUND_CLASSES}
     return Lexicon(
-        complex_predicates=joined["cpi"],
-        noun_compounds=joined["nc"],
-        possessive_compounds=joined["pc"],
-        reduplicated_compounds=joined["redup"],
-        degree_adverbs=joined["degree"],
-        head_emphasizing_adverbs=joined["emph"],
-        pairs=pairs,
+        degree_adverbs=frozenset(" ".join(e) for e in raw["degree"]),
+        head_emphasizing_adverbs=frozenset(" ".join(e) for e in raw["emph"]),
+        pairs={cls: _pair_map(raw[cls]) for cls in COMPOUND_CLASSES},
     )
 
 

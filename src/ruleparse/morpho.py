@@ -122,9 +122,8 @@ def load_inventory(source: str | IO[str] | None = None) -> SuffixInventory:
     if source is None:
         source = resources.files("ruleparse").joinpath(
             "data/suffix_inventory.txt").read_text(encoding="utf-8")
-    text = source.read() if hasattr(source, "read") else source
     entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(lines_of(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -212,54 +211,6 @@ def suffix_vector(matrix: LemmaSuffixMatrix, lemma: str) -> tuple[float, ...]:
     return row
 
 
-class MatrixBuilder:
-    """Counting stage for ``build_matrix``: feed each analysis, or each
-    distinct analysis once with its count, then build."""
-
-    def __init__(self, inventory: SuffixInventory | None = None):
-        self.inventory = inventory or default_inventory()
-        # lemma -> {inventory tag: count}, and lemma -> count
-        self.counts: dict[str, dict[str, int]] = {}
-        self.freq: dict[str, int] = {}
-        self.unknown_tags: Counter = Counter()
-
-    def update(self, analysis: MorphAnalysis, count: int = 1) -> None:
-        """Count ``analysis`` as seen ``count`` times."""
-        lemma = analysis.lemma
-        self.freq[lemma] = self.freq.get(lemma, 0) + count
-        row = self.counts.get(lemma)
-        if row is None:
-            row = self.counts[lemma] = {}
-        index = self.inventory.index
-        for tag in analysis.tags:
-            if tag in index:
-                row[tag] = row.get(tag, 0) + count
-            elif tag not in ROOT_POS_TAGS:
-                self.unknown_tags[tag] += count
-
-    def build(self, cap: int = 40000) -> LemmaSuffixMatrix:
-        if cap < 1:
-            raise ValueError("cap must be a positive integer")
-        # Most frequent lemmas first; lexicographic order breaks ties so
-        # the kept set is deterministic.
-        freq = self.freq
-        ranked = sorted(freq, key=lambda lemma: (-freq[lemma], lemma))
-        index = self.inventory.index
-        width = len(index)
-        rows = {}
-        for lemma in sorted(ranked[:cap]):
-            # A row counts inventory tags only; a lemma never seen with
-            # one keeps the all-zero vector.
-            row = self.counts[lemma]
-            vector = [0.0] * width
-            total = sum(row.values())
-            if total:
-                for tag, n in row.items():
-                    vector[index[tag]] = n / total
-            rows[lemma] = tuple(vector)
-        return LemmaSuffixMatrix(self.inventory, rows)
-
-
 def build_matrix(corpus: Iterable[MorphAnalysis],
                  cap: int = 40000,
                  inventory: SuffixInventory | None = None,
@@ -272,13 +223,39 @@ def build_matrix(corpus: Iterable[MorphAnalysis],
     analysis is counted once with its number of occurrences, so the
     memory held is O(distinct analyses), whatever the corpus length.
     """
-    builder = MatrixBuilder(inventory)
+    inventory = inventory or default_inventory()
+    index = inventory.index
+    # lemma -> {inventory tag: count}, and lemma -> count
+    counts: dict[str, dict[str, int]] = {}
+    freq: dict[str, int] = {}
+    unknown = Counter() if unknown_tags is None else unknown_tags
     for analysis, count in Counter(corpus).items():
-        builder.update(analysis, count)
-    matrix = builder.build(cap)
-    if unknown_tags is not None:
-        unknown_tags.update(builder.unknown_tags)
-    return matrix
+        lemma = analysis.lemma
+        freq[lemma] = freq.get(lemma, 0) + count
+        row = counts.setdefault(lemma, {})
+        for tag in analysis.tags:
+            if tag in index:
+                row[tag] = row.get(tag, 0) + count
+            elif tag not in ROOT_POS_TAGS:
+                unknown[tag] += count
+    if cap < 1:
+        raise ValueError("cap must be a positive integer")
+    # Most frequent lemmas first; lexicographic order breaks ties so the
+    # kept set is deterministic.
+    ranked = sorted(freq, key=lambda lemma: (-freq[lemma], lemma))
+    width = len(index)
+    rows = {}
+    for lemma in sorted(ranked[:cap]):
+        # A row counts inventory tags only; a lemma never seen with one
+        # keeps the all-zero vector.
+        row = counts[lemma]
+        vector = [0.0] * width
+        total = sum(row.values())
+        if total:
+            for tag, n in row.items():
+                vector[index[tag]] = n / total
+        rows[lemma] = tuple(vector)
+    return LemmaSuffixMatrix(inventory, rows)
 
 
 class _Formatted(dict):

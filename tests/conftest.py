@@ -243,6 +243,17 @@ def deep_chain(n: int, kind: str):
     return sent(*tokens), analyses
 
 
+def determiner_chain(n: int):
+    """``n - 1`` determiners and then a noun: each determiner attaches to
+    the noun once the one after it has, one engine pass per step.
+    Returns the sentence, headed so, and its analyses."""
+    tokens = [tok(i, "bu", "DET", "bu", head=n, deprel="det") for i in range(1, n)]
+    tokens.append(tok(n, "ev", "NOUN", "ev", head=0, deprel="root"))
+    analyses = {i: ma("bu", "Det") for i in range(1, n)}
+    analyses[n] = ma("ev", "Noun", "A3sg", "Nom")
+    return sent(*tokens), analyses
+
+
 def sidecar_text(analyses: dict) -> str:
     lines = []
     for (ordinal, token_id), analysis in sorted(analyses.items()):

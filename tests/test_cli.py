@@ -331,6 +331,25 @@ def test_ablate_sidecar_missing_a_sentence_exits_2(corpus, tmp_path, capsys):
     assert "has no morphological analysis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,ordinal,token_id", [
+    ("1\t9\tev\tNoun+A3sg+Nom", 1, 9),
+    ("7\t1\tev\tNoun+A3sg+Nom", 7, 1),
+])
+@pytest.mark.parametrize("command", ["annotate", "features", "ablate"])
+def test_sidecar_line_naming_no_token_exits_2(corpus, tmp_path, capsys, command,
+                                              extra, ordinal, token_id):
+    treebank, _ = corpus
+    sidecar = tmp_path / "extra.morph"
+    sidecar.write_text(SIDECAR + extra + "\n", encoding="utf-8")
+    output = tmp_path / "out"
+    assert main([command, str(treebank), str(sidecar),
+                 "--output", str(output)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: sidecar entry for sentence {ordinal} token {token_id} "
+        "names no token of the treebank\n")
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("command", ["annotate", "features", "ablate"])
 def test_no_jobs_flag(corpus, capsys, command):
     treebank, sidecar = corpus
@@ -383,7 +402,7 @@ def test_engine_failure_exits_3(corpus, capsys, monkeypatch):
     treebank, sidecar = corpus
 
     def explode(*args, **kwargs):
-        raise EngineError("rule loop exceeded 1000 iterations")
+        raise EngineError("rule loop made more than 3 passes")
 
     monkeypatch.setattr("ruleparse.cli.run", explode)
     assert main(["annotate", str(treebank), str(sidecar)]) == 3

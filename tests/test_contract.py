@@ -1,0 +1,183 @@
+"""The exit-code contract, checked by mutating valid inputs.
+
+Every subcommand runs in process through ``cli.main`` on a small valid
+input set (a random treebank, or one long chain of late-bound or
+leftward-attaching words), with one of its input files mutated: a
+dropped or extra column, a column set to a bad id, head or value, bytes
+that are not UTF-8, an empty or truncated file, a line dropped or
+repeated, or sidecar lines that name no token.  The command must exit 0
+or 2, never 3 or with an uncaught exception; unmutated inputs must exit
+0, and a sidecar line that names no token must exit 2 wherever a
+treebank is read beside it.
+"""
+
+import io
+import random
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ruleparse import build_matrix, write_conllu, write_matrix
+from ruleparse.cli import main
+
+from conftest import (deep_chain, determiner_chain, random_treebank,
+                      sidecar_text, with_random_tree)
+
+COMMANDS = ("annotate", "features", "matrix", "score", "sigtest", "ablate")
+MUTATIONS = ("none", "drop_column", "extra_column", "set_column", "non_utf8",
+             "empty", "truncate", "drop_line", "repeat_line", "extra_sidecar_lines")
+BASES = ("random", "adjectives", "adverbs", "determiners")
+# Values a mutated column takes: bad ids and heads, numbers a matrix row
+# may not hold, and values that are fine.
+JUNK = ("0", "-1", "x", "", "_", "1.5", "1-2", "2.1", "99999", "nan", "NaN",
+        "inf", "-Infinity", "1e400", "-0.25", "1", "3", "Noun", "Noun++A3sg",
+        " ", " 1")
+HYBRIDS = ("rule", "infl", "last", "sufvec", "rule+last")
+
+
+def base_inputs(base: str, size: int, rng: random.Random):
+    """Gold sentences and their sidecar map for one kind of input."""
+    if base == "random":
+        gold, _, analyses = random_treebank(rng, size % 6 + 1, max_len=12)
+        return gold, analyses
+    if base == "determiners":
+        sentence, analyses = determiner_chain(size)
+    else:
+        sentence, analyses = deep_chain(size, base)
+    return [sentence], {(1, i): a for i, a in analyses.items()}
+
+
+def write_inputs(directory: Path, base: str, size: int, rng: random.Random):
+    """The input files, by name: treebank, sidecar, matrix and one system
+    output in each of two directories."""
+    gold, analyses = base_inputs(base, size, rng)
+    files = {
+        "gold": directory / "gold.conllu",
+        "sidecar": directory / "morph.tsv",
+        "matrix": directory / "matrix.tsv",
+        "system_a": directory / "a" / "run.conllu",
+        "system_b": directory / "b" / "run.conllu",
+    }
+    files["gold"].write_text(write_conllu(gold), encoding="utf-8")
+    files["sidecar"].write_text(sidecar_text(analyses), encoding="utf-8")
+    files["matrix"].write_text(write_matrix(build_matrix(analyses.values())),
+                               encoding="utf-8")
+    for side in ("system_a", "system_b"):
+        files[side].parent.mkdir()
+        system = [with_random_tree(rng, sentence) for sentence in gold]
+        files[side].write_text(write_conllu(system), encoding="utf-8")
+    return files, len(gold), max(len(s.tokens) for s in gold)
+
+
+def command_line(command: str, files: dict, out: Path, rng: random.Random):
+    """The arguments of one run of ``command``, and the input files it reads."""
+    gold, sidecar = str(files["gold"]), str(files["sidecar"])
+    if command == "annotate":
+        rules = [r for r in ("cpi", "nc", "pc", "ac", "aaj", "ajc", "ajn", "av", "nv")
+                 if rng.random() < 0.7]
+        return (["annotate", gold, sidecar, "--rules", ",".join(rules),
+                 "--diagnostics", str(out) + ".diag"], ["gold", "sidecar"])
+    if command == "features":
+        hybrid = rng.choice(HYBRIDS)
+        argv = ["features", gold, sidecar, "--hybrid", hybrid,
+                "--format", rng.choice(("conllu", "jsonl"))]
+        if hybrid == "sufvec":
+            return argv + ["--matrix", str(files["matrix"])], \
+                ["gold", "sidecar", "matrix"]
+        return argv, ["gold", "sidecar"]
+    if command == "matrix":
+        return ["matrix", sidecar, "--cap", str(rng.randint(1, 50))], ["sidecar"]
+    if command == "score":
+        return ["score", gold, str(files["system_a"])], ["gold", "system_a"]
+    if command == "sigtest":
+        return (["sigtest", gold, str(files["system_a"].parent),
+                 str(files["system_b"].parent), "--shuffles", "20"],
+                ["gold", "system_a", "system_b"])
+    argv = ["ablate", gold, sidecar]
+    return argv + ["--no-av-nv"] * (rng.random() < 0.5), ["gold", "sidecar"]
+
+
+def mutate(data: bytes, mutation: str, rng: random.Random, sentences: int,
+           longest: int) -> bytes:
+    """``data`` with one mutation applied where it can be."""
+    if mutation == "none":
+        return data
+    if mutation == "empty":
+        return b""
+    if mutation == "non_utf8":
+        at = rng.randint(0, len(data))
+        return data[:at] + rng.choice((b"\xff", b"\xc3", b"\xed\xa0\x80")) + data[at:]
+    if mutation == "truncate":
+        return data[:rng.randint(0, len(data))]
+    lines = data.decode("utf-8").split("\n")
+    if mutation == "extra_sidecar_lines":
+        extra = [f"{sentences + rng.randint(1, 5)}\t1\tev\tNoun+A3sg+Nom",
+                 f"{rng.randint(1, sentences)}\t{longest + rng.randint(1, 5)}"
+                 "\tev\tNoun"]
+        return "\n".join(lines[:-1] + rng.sample(extra, rng.randint(1, 2))
+                         + lines[-1:]).encode("utf-8")
+    entries = [i for i, line in enumerate(lines)
+               if line and not line.startswith("#")]
+    if not entries:
+        return data
+    at = rng.choice(entries)
+    cols = lines[at].split("\t")
+    if mutation == "drop_column":
+        del cols[rng.randrange(len(cols))]
+    elif mutation == "extra_column":
+        cols.insert(rng.randint(0, len(cols)), rng.choice(JUNK))
+    elif mutation == "set_column":
+        cols[rng.randrange(len(cols))] = rng.choice(JUNK)
+    elif mutation == "drop_line":
+        cols = None
+    elif mutation == "repeat_line":
+        lines.insert(rng.choice(entries), lines[at])
+    if cols is None:
+        del lines[at]
+    else:
+        lines[at] = "\t".join(cols)
+    return "\n".join(lines).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(base=st.sampled_from(BASES), size=st.integers(2, 300),
+       command=st.sampled_from(COMMANDS), mutation=st.sampled_from(MUTATIONS),
+       seed=st.integers(0, 2**32 - 1))
+# A 1,002-token sentence that takes 1,002 engine passes.
+@example(base="determiners", size=1002, command="annotate", mutation="none", seed=0)
+@example(base="determiners", size=1002, command="ablate", mutation="none", seed=0)
+@example(base="random", size=1, command="annotate",
+         mutation="extra_sidecar_lines", seed=0)
+@example(base="random", size=1, command="features",
+         mutation="extra_sidecar_lines", seed=0)
+@example(base="random", size=1, command="ablate",
+         mutation="extra_sidecar_lines", seed=0)
+def test_every_input_exits_0_or_2(base, size, command, mutation, seed):
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        files, sentences, longest = write_inputs(directory, base, size, rng)
+        out = directory / "out"
+        argv, inputs = command_line(command, files, out, rng)
+        target = rng.choice(inputs)
+        if mutation == "extra_sidecar_lines":
+            target = "sidecar"
+        path = files[target]
+        path.write_bytes(mutate(path.read_bytes(), mutation, rng, sentences,
+                                longest))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(argv + ["--output", str(out)])
+    if mutation == "none":
+        assert code == 0, err.getvalue()
+    elif mutation == "extra_sidecar_lines" and command in ("annotate", "features",
+                                                            "ablate"):
+        assert code == 2
+        assert "names no token of the treebank" in err.getvalue()
+    else:
+        assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

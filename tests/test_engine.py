@@ -12,12 +12,15 @@ import pytest
 
 from ruleparse import (ALL_RULES, DEFAULT_RULES, Diagnostics, EngineError,
                        RuleCode, RuleConfig, ablation_steps, assigned_heads,
-                       default_lexicon_dir, engine, fold, load_lexicon, run)
+                       default_lexicon_dir, engine, fold, load_lexicon, run,
+                       write_conllu)
+from ruleparse.cli import main
 from ruleparse.engine import EngineState, SentenceView
 from ruleparse.morpho import ROOT_POS_TO_UPOS
 
-from conftest import (DEEP_CHAINS, deep_chain, ma, random_conllu_sentence,
-                      random_sentence, reference_pair_keys, sent, tok)
+from conftest import (DEEP_CHAINS, deep_chain, determiner_chain, ma,
+                      random_conllu_sentence, random_sentence,
+                      reference_pair_keys, sent, sidecar_text, tok)
 
 AV_ENABLED = RuleConfig(enabled=DEFAULT_RULES | {RuleCode.AV})
 EVERYTHING = RuleConfig(enabled=ALL_RULES)
@@ -397,8 +400,6 @@ def test_rules_can_be_disabled(lexicon):
 def test_config_validation():
     with pytest.raises(ValueError):
         RuleConfig(enabled=frozenset({RuleCode.NONE}))
-    with pytest.raises(ValueError):
-        RuleConfig(max_iterations=0)
 
 
 def test_missing_analysis_is_an_error(lexicon):
@@ -407,17 +408,44 @@ def test_missing_analysis_is_an_error(lexicon):
         run(sentence, {}, lexicon)
 
 
-def test_iteration_cap_raises(lexicon):
-    # Two chained attachments need two passes; a cap of one pass trips.
+def test_pass_bound_takes_one_pass_per_leftward_step(lexicon):
+    # Each determiner attaches to the noun only once the one after it has
+    # left the remaining list: n - 1 assigning passes, then an empty one.
+    n = 1002
+    sentence, analyses = determiner_chain(n)
+    diagnostics = Diagnostics()
+    assignments = run(sentence, analyses, lexicon, diagnostics=diagnostics)
+    assert [(a.dependent, a.head) for a in assignments] == \
+        [(i, n) for i in range(n - 1, 0, -1)]
+    assert diagnostics.fire_counts == {"PC": n - 1}
+
+
+def test_a_pass_that_assigns_without_consuming_raises(
+        lexicon, monkeypatch, tmp_path, capsys):
+    # A repeated rule that records an assignment but leaves every token in
+    # place breaks the invariant the pass bound rests on.
+    def stuck(state, x, y):
+        state.assignments.append(engine.RuleAssignment(x, y, RuleCode.PC))
+        return False
+
+    monkeypatch.setattr(engine, "_REPEATED",
+                        ((RuleCode.PC, stuck, engine._PC_FIRST, 0),))
     rows = [
         (1, "ev", "NOUN", ma("ev", "Noun", "A3sg", "Nom")),
         (2, "kapı", "NOUN", ma("kapı", "Noun", "A3sg", "Nom")),
-        (3, "geldi", "VERB", ma("gel", "Verb","Past", "A3sg")),
+        (3, "geldi", "VERB", ma("gel", "Verb", "Past", "A3sg")),
     ]
     sentence, analyses = build(rows)
-    tight = RuleConfig(enabled=ALL_RULES, max_iterations=1)
-    with pytest.raises(EngineError, match="exceeded"):
-        run(sentence, analyses, lexicon, tight)
+    with pytest.raises(EngineError, match="more than 3 passes"):
+        run(sentence, analyses, lexicon)
+    treebank = tmp_path / "t.conllu"
+    treebank.write_text(write_conllu([sentence]), encoding="utf-8")
+    sidecar = tmp_path / "t.morph"
+    sidecar.write_text(sidecar_text({(1, i): a for i, a in analyses.items()}),
+                       encoding="utf-8")
+    assert main(["annotate", str(treebank), str(sidecar)]) == 3
+    assert "internal error: rule loop made more than 3 passes" in \
+        capsys.readouterr().err
 
 
 def test_empty_sentence(lexicon):

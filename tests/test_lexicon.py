@@ -23,11 +23,10 @@ def test_fold_is_idempotent(text):
 
 
 def test_default_lexicons_load(lexicon):
-    for entries in (lexicon.complex_predicates, lexicon.noun_compounds,
-                    lexicon.possessive_compounds, lexicon.reduplicated_compounds,
+    for entries in (*(lexicon.pairs[cls] for cls in COMPOUND_CLASSES),
                     lexicon.degree_adverbs, lexicon.head_emphasizing_adverbs):
         assert len(entries) > 0
-    assert "kuru yemiş" in lexicon.noun_compounds
+    assert "yemiş" in lexicon.pairs["nc"]["kuru"]
     assert "çok" in lexicon.degree_adverbs
     assert "bile" in lexicon.head_emphasizing_adverbs
 
@@ -88,7 +87,7 @@ def test_single_word_compound_entry_is_an_error(tmp_path):
 def test_comments_blanks_and_case_are_normalized(tmp_path):
     _write_minimal(tmp_path, {"nc.txt": "# compounds\n\n  KURU   YEMİŞ  \n"})
     lex = load_lexicon(tmp_path)
-    assert lex.noun_compounds == frozenset({"kuru yemiş"})
+    assert lex.pairs["nc"] == {"kuru": frozenset({"yemiş"})}
     assert lex.match_pair("nc", "kuru", "yemiş")
 
 

@@ -10,8 +10,7 @@ from ruleparse import (InputFormatError, LemmaSuffixMatrix, MorphAnalysis,
                        build_matrix, default_inventory, inflectional_suffixes,
                        last_suffix, load_inventory, read_matrix, suffix_vector,
                        write_matrix)
-from ruleparse.morpho import (INFLECTIONAL, MatrixBuilder, ROOT_POS_TAGS,
-                              ROOT_POS_TO_UPOS)
+from ruleparse.morpho import INFLECTIONAL, ROOT_POS_TAGS, ROOT_POS_TO_UPOS
 
 from conftest import ShortReads, Written, ma
 
@@ -38,9 +37,13 @@ def test_inventory_index_matches_order():
 
 
 def test_load_inventory_from_stream():
-    inv = load_inventory(io.StringIO("# comment\nFoo\tinflectional\n\nBar\tderivational\n"))
-    assert inv.tags == ("Foo", "Bar")
-    assert inv.inflectional == {"Foo"}
+    text = "# comment\nFoo\tinflectional\n\nBar\tderivational\n"
+    # A handle is read line by line, wherever its reads end.
+    for source in [io.StringIO(text)] + [ShortReads(text, limit)
+                                         for limit in range(1, len(text) + 1)]:
+        inv = load_inventory(source)
+        assert inv.tags == ("Foo", "Bar")
+        assert inv.inflectional == {"Foo"}
 
 
 @pytest.mark.parametrize("text", [
@@ -48,10 +51,17 @@ def test_load_inventory_from_stream():
     "Foo\tinflectional\tmore",               # extra column
     "Foo\tweird",                            # unknown class
     "Foo\tinflectional\nFoo\tderivational",  # duplicate tag
+    "# c\n\nFoo\tinflectional\tmore",        # extra column on line 3
 ])
 def test_load_inventory_rejects_malformed(text):
-    with pytest.raises(InputFormatError):
+    with pytest.raises(InputFormatError) as expected:
         load_inventory(text)
+    # A handle gives the same error, line number included, wherever its
+    # reads end.
+    for limit in range(1, len(text) + 1):
+        with pytest.raises(InputFormatError) as excinfo:
+            load_inventory(ShortReads(text, limit))
+        assert str(excinfo.value) == str(expected.value)
 
 
 def test_root_pos_upos_mapping():
@@ -153,11 +163,18 @@ def random_analyses(rng, n, with_junk=False):
 
 def test_matrix_matches_naive_oracle_exactly():
     rng = random.Random(7)
-    for trial in range(20):
-        analyses = random_analyses(rng, rng.randint(1, 100))
-        matrix = build_matrix(analyses)
-        expected = naive_matrix(analyses, matrix.inventory, 40000)
-        assert matrix.rows == expected
+    for trial in range(40):
+        # Half the inputs carry tags outside the inventory, root POS tags
+        # among them; caps from one lemma to more than there are.
+        analyses = random_analyses(rng, rng.randint(1, 250),
+                                   with_junk=trial % 2 == 1)
+        cap = rng.choice((1, rng.randint(1, 10), 40000))
+        unknown = Counter()
+        matrix = build_matrix(analyses, cap=cap, unknown_tags=unknown)
+        assert matrix.rows == naive_matrix(analyses, matrix.inventory, cap)
+        assert unknown == Counter(
+            tag for a in analyses for tag in a.tags
+            if tag not in matrix.inventory and tag not in ROOT_POS_TAGS)
 
 
 def test_matrix_rows_normalized():
@@ -192,32 +209,6 @@ def test_matrix_input_order_is_irrelevant():
     shuffled = analyses[:]
     rng.shuffle(shuffled)
     assert build_matrix(analyses).rows == build_matrix(shuffled).rows
-
-
-def test_counted_updates_equal_single_updates_exactly():
-    rng = random.Random(17)
-    for trial in range(20):
-        analyses = random_analyses(rng, rng.randint(1, 250), with_junk=True)
-        single = MatrixBuilder()
-        for a in analyses:
-            single.update(a)
-        # Each distinct analysis fed as a few counted updates, in any order.
-        parts = []
-        for a, count in Counter(analyses).items():
-            while count:
-                part = rng.randint(1, count)
-                parts.append((a, part))
-                count -= part
-        rng.shuffle(parts)
-        counted = MatrixBuilder()
-        for a, count in parts:
-            counted.update(a, count)
-        assert counted.freq == single.freq
-        assert counted.unknown_tags == single.unknown_tags
-        cap = rng.randint(1, 10)
-        assert counted.build(cap).rows == single.build(cap).rows
-        assert counted.build().rows == naive_matrix(analyses, counted.inventory,
-                                                    40000)
 
 
 def test_unknown_tags_counted_but_root_pos_ignored():
