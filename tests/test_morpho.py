@@ -177,6 +177,33 @@ def test_matrix_matches_naive_oracle_exactly():
             if tag not in matrix.inventory and tag not in ROOT_POS_TAGS)
 
 
+def test_counted_updates_equal_single_updates_exactly():
+    rng = random.Random(17)
+    for trial in range(20):
+        analyses = random_analyses(rng, rng.randint(1, 250), with_junk=True)
+        unknown_single = Counter()
+        cap = rng.randint(1, 10)
+        single = build_matrix(analyses, cap=cap, unknown_tags=unknown_single)
+        # Each distinct analysis fed as a few runs of equal (not identical)
+        # copies, the runs in any order, so build_matrix counts them once
+        # each with a multiplicity.
+        parts = []
+        for a, count in Counter(analyses).items():
+            while count:
+                part = rng.randint(1, count)
+                parts.append([ma(a.lemma, a.pos, *a.tags)
+                              for _ in range(part)])
+                count -= part
+        rng.shuffle(parts)
+        grouped = [a for part in parts for a in part]
+        unknown_counted = Counter()
+        counted = build_matrix(grouped, cap=cap, unknown_tags=unknown_counted)
+        assert counted.rows == single.rows
+        assert unknown_counted == unknown_single
+        assert build_matrix(grouped).rows == naive_matrix(
+            analyses, counted.inventory, 40000)
+
+
 def test_matrix_rows_normalized():
     rng = random.Random(11)
     matrix = build_matrix(random_analyses(rng, 200))
