@@ -13,7 +13,7 @@ from .conllu import (Sentence, Token, group_by_sentence, parse_conllu,
                      read_morph_sidecar, write_conllu)
 from .engine import (ALL_RULES, DEFAULT_RULES, Diagnostics, RuleAssignment,
                      RuleCode, RuleConfig, assigned_heads, run)
-from .errors import (AlignmentError, ConlluError, EngineError,
+from .errors import (AlignmentError, AnalysisError, ConlluError, EngineError,
                      InputFormatError, LexiconError, SidecarError)
 from .evaluate import (AblationStep, AttachmentScores, SigResult, ablate,
                        ablation_steps, randomization_test, score)
@@ -32,7 +32,7 @@ __all__ = [
     "RuleCode", "RuleConfig", "RuleAssignment", "Diagnostics",
     "DEFAULT_RULES", "ALL_RULES", "run", "assigned_heads",
     "InputFormatError", "ConlluError", "SidecarError", "LexiconError",
-    "AlignmentError", "EngineError",
+    "AlignmentError", "AnalysisError", "EngineError",
     "AttachmentScores", "SigResult", "AblationStep",
     "score", "randomization_test", "ablate", "ablation_steps",
     "FeatureBundle", "HybridConfig", "encode", "export", "export_jsonl",

@@ -28,13 +28,14 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from . import __version__
-from .conllu import (Sentence, iter_morph_sidecar, parse_conllu,
-                     read_morph_sidecar)
+from .conllu import (Columns, Sentence, check_positions, iter_morph_sidecar,
+                     parse_conllu, read_columns, read_morph_sidecar)
 # Bound under this name because the benchmark's layer trace wraps
 # ``cli._group_analyses`` to time the grouping step.
 from .conllu import group_by_sentence as _group_analyses
 from .engine import (ALL_RULES, Diagnostics, RuleCode, RuleConfig, run)
-from .errors import AlignmentError, EngineError, InputFormatError
+from .errors import (AlignmentError, AnalysisError, EngineError,
+                     InputFormatError)
 from .evaluate import ablate, ablation_steps, randomization_test, score
 from .features import (HybridConfig, MODE_RULE, MODE_SUFVEC, encode, export,
                        export_jsonl)
@@ -89,19 +90,16 @@ def _load_treebank(path: str | Path) -> list[Sentence]:
         return parse_conllu(handle)
 
 
-def _read_sidecar(path: str, sentences: list[Sentence]
-                  ) -> dict[tuple[int, int], MorphAnalysis]:
-    """The sidecar at ``path``, once each of its lines is known to name a
-    token of ``sentences``."""
+def _load_columns(path: str | Path) -> list[Columns]:
+    """The HEAD and DEPREL columns of the treebank at ``path``: all that
+    ``score`` and ``sigtest`` read of it."""
     with _open_text(path) as handle:
-        sidecar = read_morph_sidecar(handle)
-    lengths = [len(sentence.tokens) for sentence in sentences]
-    for ordinal, token_id in sidecar:
-        if ordinal > len(lengths) or token_id > lengths[ordinal - 1]:
-            raise AlignmentError(
-                f"sidecar entry for sentence {ordinal} token {token_id} "
-                "names no token of the treebank")
-    return sidecar
+        return read_columns(handle)
+
+
+def _read_sidecar(path: str) -> dict[tuple[int, int], MorphAnalysis]:
+    with _open_text(path) as handle:
+        return read_morph_sidecar(handle)
 
 
 def _load_inventory(path: str | None):
@@ -234,17 +232,22 @@ def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
     the sentences, their feature bundles, the rule config and the
     engine's diagnostics."""
     sentences = _load_treebank(args.treebank)
-    grouped = _group_analyses(_read_sidecar(args.sidecar, sentences))
+    sidecar = _read_sidecar(args.sidecar)
+    check_positions(sidecar, sentences)
+    grouped = _group_analyses(sidecar)
     config = _parse_rules(args.rules)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
     bundles = []
     for ordinal, sentence in enumerate(sentences, start=1):
         analyses = grouped.get(ordinal, {})
-        assignments = None if lexicon is None else run(
-            sentence, analyses, lexicon, config, diagnostics)
-        bundles.append(encode(sentence, assignments, analyses, matrix, hybrid,
-                              inventory))
+        try:
+            assignments = None if lexicon is None else run(
+                sentence, analyses, lexicon, config, diagnostics)
+            bundles.append(encode(sentence, assignments, analyses, matrix,
+                                  hybrid, inventory))
+        except AnalysisError as exc:
+            raise AnalysisError(f"sentence {ordinal}: {exc}") from None
     return sentences, bundles, config, diagnostics
 
 
@@ -308,9 +311,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_score(args) -> int:
-    gold = _load_treebank(args.gold)
-    system = _load_treebank(args.system)
-    result = score(gold, system)
+    result = score(_load_columns(args.gold), _load_columns(args.system))
     with _output(args.output, "score", [args.gold, args.system], {}) as out:
         out.write(_json_text(result.to_dict()))
     return 0
@@ -324,14 +325,14 @@ def _conllu_files(path: str) -> list[Path]:
 
 
 def cmd_sigtest(args) -> int:
-    gold = _load_treebank(args.gold)
+    gold = _load_columns(args.gold)
     files_a = _conllu_files(args.dir_a)
     files_b = _conllu_files(args.dir_b)
-    # Each file is parsed when the test reaches it and dropped once it is
+    # Each file is read when the test reaches it and dropped once it is
     # reduced to its per-sentence counts: side A, then side B, in order.
     result = randomization_test(gold,
-                                map(_load_treebank, files_a),
-                                map(_load_treebank, files_b),
+                                map(_load_columns, files_a),
+                                map(_load_columns, files_b),
                                 shuffles=args.shuffles,
                                 metric=args.metric,
                                 seed=args.seed)
@@ -349,7 +350,7 @@ def cmd_sigtest(args) -> int:
 
 def cmd_ablate(args) -> int:
     gold = _load_treebank(args.gold)
-    sidecar = _read_sidecar(args.sidecar, gold)
+    sidecar = _read_sidecar(args.sidecar)
     lexicon = load_lexicon(args.lexicons)
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
     results = ablate(gold, sidecar, lexicon, steps)

@@ -9,10 +9,10 @@ list; empty-node lines are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, count, repeat
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConlluError, SidecarError
+from .errors import AlignmentError, ConlluError, SidecarError
 from .morpho import MorphAnalysis
 from .textio import join_or_write, lines_of
 
@@ -135,144 +135,183 @@ _set_analysis_lemma, _set_analysis_pos, _set_analysis_tags = (
     MorphAnalysis.__dict__[f.name].__set__ for f in fields(MorphAnalysis))
 
 
-def parse_conllu(source: str | IO[str]) -> list[Sentence]:
-    """Parse a CoNLL-U character stream into a list of sentences.
+# One sentence as the checking core yields it: its token rows as
+# ``(line number, columns)``, its HEAD column, comments and range lines.
+_Checked = tuple[list[tuple[int, list[str]]], list[int | None], list[str],
+                 list[tuple[int, str]]]
+# A sentence's HEAD and DEPREL columns, as :func:`read_columns` gives them.
+Columns = tuple[tuple[int | None, ...], tuple[str | None, ...]]
+
+
+def _checked_sentences(source: str | IO[str], feats_of: dict[str, tuple],
+                       misc_of: dict[str, tuple]) -> Iterator[_Checked]:
+    """The checking core of the CoNLL-U readers: each sentence, once every
+    check of its lines, its token rows and its tree has passed.
 
     A handle is read line by line, not whole.  Raises :class:`ConlluError`
     naming the sentence ordinal and line number on any structural problem
     (wrong column count, non-contiguous ids, out-of-range heads, broken
-    trees, empty-node lines).
-
-    Equal FORM, LEMMA, UPOS, XPOS, DEPREL and DEPS values, and equal FEATS
-    and MISC columns, are one shared object within one call.
+    trees, empty-node lines).  A line's own problems are raised as it is
+    read; at the end of a sentence come its token problems, in line
+    order, then the sentence's.  ``feats_of`` and ``misc_of`` map each
+    FEATS and MISC column checked so far to its items, so a repeated
+    column is parsed once.
     """
-    sentences: list[Sentence] = []
     comments: list[str] = []
     rows: list[tuple[int, list[str]]] = []
     ranges: list[tuple[int, str]] = []
-    # Per-read sharing: a form maps to itself, any other string value to
-    # itself ("_" to None), and a FEATS or MISC column to its parsed items.
-    forms = {}.setdefault
-    shared = {"_": None}.setdefault
-    feats_of: dict[str, tuple] = {"_": ()}
-    misc_of: dict[str, tuple] = {"_": ()}
-
-    def flush(line_no: int) -> None:
-        nonlocal comments, rows, ranges
-        if not comments and not rows and not ranges:
-            return
-        ordinal = len(sentences) + 1
-        if not rows:
-            raise ConlluError(ordinal, line_no, "sentence has no token lines")
-        # Token problems come first, in line order; then the sentence's.
-        tokens = [_token_from_columns(ln, cols, ordinal, forms, shared,
-                                      feats_of, misc_of)
-                  for ln, cols in rows]
-        heads = [t.head for t in tokens]
-        if [t.id for t in tokens] != list(range(1, len(tokens) + 1)):
-            raise ConlluError(ordinal, rows[0][0], "non-contiguous ids")
-        n = len(tokens)
-        for (ln, _), head in zip(rows, heads):
-            if head is not None and head > n:
-                raise ConlluError(ordinal, ln, f"head {head} out of range")
-        if None not in heads:
-            problem = _tree_problem(heads)
-            if problem is not None:
-                raise ConlluError(ordinal, rows[0][0], problem)
-        sentence = _new(Sentence)
-        _set_tokens(sentence, tuple(tokens))
-        _set_comments(sentence, tuple(comments))
-        _set_ranges(sentence, tuple(ranges))
-        sentences.append(sentence)
-        comments, rows, ranges = [], [], []
-
-    line_no = 0
-    for line_no, line in enumerate(lines_of(source), start=1):
+    ordinal = 1
+    # The blank line after the last one ends the last sentence.
+    for line_no, line in enumerate(chain(lines_of(source), ("",)), start=1):
         if line == "":
-            flush(line_no)
+            if not comments and not rows and not ranges:
+                continue
+            if not rows:
+                raise ConlluError(ordinal, line_no, "sentence has no token lines")
+            heads = _checked_heads(rows, ordinal, feats_of, misc_of)
+            yield rows, heads, comments, ranges
+            ordinal += 1
+            comments, rows, ranges = [], [], []
             continue
         if line.startswith("#"):
             comments.append(line)
             continue
         cols = line.split("\t")
         if len(cols) != 10:
-            raise ConlluError(len(sentences) + 1, line_no,
+            raise ConlluError(ordinal, line_no,
                               f"expected 10 tab-separated columns, got {len(cols)}")
         if "" in cols:
-            raise ConlluError(len(sentences) + 1, line_no, "empty column")
+            raise ConlluError(ordinal, line_no, "empty column")
         id_col = cols[ID]
         if "-" in id_col:
             parts = id_col.split("-")
             if len(parts) != 2 or not all(p.isdigit() for p in parts) \
                     or int(parts[0]) > int(parts[1]):
-                raise ConlluError(len(sentences) + 1, line_no,
-                                  f"bad token range {id_col!r}")
+                raise ConlluError(ordinal, line_no, f"bad token range {id_col!r}")
             ranges.append((len(rows), line))
             continue
         if "." in id_col:
-            raise ConlluError(len(sentences) + 1, line_no,
-                              "empty-node lines are not supported")
+            raise ConlluError(ordinal, line_no, "empty-node lines are not supported")
         rows.append((line_no, cols))
-    flush(line_no + 1)
+
+
+def _checked_heads(rows: list[tuple[int, list[str]]], ordinal: int,
+                   feats_of: dict[str, tuple], misc_of: dict[str, tuple]
+                   ) -> list[int | None]:
+    """The HEAD column of one sentence's token rows, once each row, in
+    line order, and then the sentence have passed their checks."""
+    ids = []
+    heads: list[int | None] = []
+    for line_no, cols in rows:
+        try:
+            token_id = int(cols[ID])
+        except ValueError:
+            raise ConlluError(ordinal, line_no, f"bad token id {cols[ID]!r}") from None
+        head_raw = cols[HEAD]
+        if head_raw == "_":
+            head = None
+        else:
+            try:
+                head = int(head_raw)
+            except ValueError:
+                raise ConlluError(ordinal, line_no, f"bad head {head_raw!r}") from None
+        if cols[FEATS] not in feats_of:
+            feats_of[cols[FEATS]] = _feats_items(cols[FEATS], ordinal, line_no)
+        if cols[MISC] not in misc_of:
+            misc_of[cols[MISC]] = _misc_items(cols[MISC], ordinal, line_no)
+        problem = _token_problem(token_id, cols[FORM], head)
+        if problem is not None:
+            raise ConlluError(ordinal, line_no, problem)
+        ids.append(token_id)
+        heads.append(head)
+    if ids != list(range(1, len(ids) + 1)):
+        raise ConlluError(ordinal, rows[0][0], "non-contiguous ids")
+    n = len(ids)
+    for (line_no, _), head in zip(rows, heads):
+        if head is not None and head > n:
+            raise ConlluError(ordinal, line_no, f"head {head} out of range")
+    if None not in heads:
+        problem = _tree_problem(heads)
+        if problem is not None:
+            raise ConlluError(ordinal, rows[0][0], problem)
+    return heads
+
+
+def _feats_items(column: str, ordinal: int, line_no: int) -> tuple:
+    items = []
+    seen = set()
+    for item in column.split("|"):
+        key, sep, value = item.partition("=")
+        if not sep or not key:
+            raise ConlluError(ordinal, line_no, f"bad feature item {item!r}")
+        if key in seen:
+            raise ConlluError(ordinal, line_no, f"duplicate feature key {key!r}")
+        seen.add(key)
+        items.append((key, value))
+    return tuple(items)
+
+
+def _misc_items(column: str, ordinal: int, line_no: int) -> tuple:
+    items = []
+    for item in column.split("|"):
+        if not item:
+            raise ConlluError(ordinal, line_no, "empty item in MISC column")
+        key, sep, value = item.partition("=")
+        items.append((key, value if sep else None))
+    return tuple(items)
+
+
+def parse_conllu(source: str | IO[str]) -> list[Sentence]:
+    """Parse a CoNLL-U character stream into a list of sentences.
+
+    Checks it as :func:`_checked_sentences` does, raising
+    :class:`ConlluError` on the first problem.  Equal FORM, LEMMA, UPOS,
+    XPOS, DEPREL and DEPS values, and equal FEATS and MISC columns, are
+    one shared object within one call.
+    """
+    # Per-read sharing: a form maps to itself, any other string value to
+    # itself ("_" to None), and a FEATS or MISC column to its parsed items.
+    form_of = {}.setdefault
+    shared = {"_": None}.setdefault
+    feats_of: dict[str, tuple] = {"_": ()}
+    misc_of: dict[str, tuple] = {"_": ()}
+    sentences = []
+    for rows, heads, comments, ranges in _checked_sentences(source, feats_of,
+                                                            misc_of):
+        tokens = []
+        for token_id, (_, cols), head in zip(count(1), rows, heads):
+            token = _new(Token)
+            _set_id(token, token_id)
+            _set_form(token, form_of(cols[FORM], cols[FORM]))
+            _set_lemma(token, shared(cols[LEMMA], cols[LEMMA]))
+            _set_upos(token, shared(cols[UPOS], cols[UPOS]))
+            _set_xpos(token, shared(cols[XPOS], cols[XPOS]))
+            _set_feats(token, feats_of[cols[FEATS]])
+            _set_head(token, head)
+            _set_deprel(token, shared(cols[DEPREL], cols[DEPREL]))
+            _set_deps(token, shared(cols[DEPS], cols[DEPS]))
+            _set_misc(token, misc_of[cols[MISC]])
+            tokens.append(token)
+        sentence = _new(Sentence)
+        _set_tokens(sentence, tuple(tokens))
+        _set_comments(sentence, tuple(comments))
+        _set_ranges(sentence, tuple(ranges))
+        sentences.append(sentence)
     return sentences
 
 
-def _token_from_columns(line_no: int, cols: list[str], ordinal: int,
-                        forms, shared, feats_of: dict[str, tuple],
-                        misc_of: dict[str, tuple]) -> Token:
-    try:
-        token_id = int(cols[ID])
-    except ValueError:
-        raise ConlluError(ordinal, line_no, f"bad token id {cols[ID]!r}") from None
-    head_raw = cols[HEAD]
-    if head_raw == "_":
-        head = None
-    else:
-        try:
-            head = int(head_raw)
-        except ValueError:
-            raise ConlluError(ordinal, line_no, f"bad head {head_raw!r}") from None
+def read_columns(source: str | IO[str]) -> list[Columns]:
+    """Each sentence's HEAD and DEPREL columns, ``_`` read as None.
 
-    feats = feats_of.get(cols[FEATS])
-    if feats is None:
-        items = []
-        seen = set()
-        for item in cols[FEATS].split("|"):
-            key, sep, value = item.partition("=")
-            if not sep or not key:
-                raise ConlluError(ordinal, line_no, f"bad feature item {item!r}")
-            if key in seen:
-                raise ConlluError(ordinal, line_no, f"duplicate feature key {key!r}")
-            seen.add(key)
-            items.append((key, value))
-        feats = feats_of[cols[FEATS]] = tuple(items)
-
-    misc = misc_of.get(cols[MISC])
-    if misc is None:
-        items = []
-        for item in cols[MISC].split("|"):
-            if not item:
-                raise ConlluError(ordinal, line_no, "empty item in MISC column")
-            key, sep, value = item.partition("=")
-            items.append((key, value if sep else None))
-        misc = misc_of[cols[MISC]] = tuple(items)
-
-    form = forms(cols[FORM], cols[FORM])
-    problem = _token_problem(token_id, form, head)
-    if problem is not None:
-        raise ConlluError(ordinal, line_no, problem)
-    token = _new(Token)
-    _set_id(token, token_id)
-    _set_form(token, form)
-    _set_lemma(token, shared(cols[LEMMA], cols[LEMMA]))
-    _set_upos(token, shared(cols[UPOS], cols[UPOS]))
-    _set_xpos(token, shared(cols[XPOS], cols[XPOS]))
-    _set_feats(token, feats)
-    _set_head(token, head)
-    _set_deprel(token, shared(cols[DEPREL], cols[DEPREL]))
-    _set_deps(token, shared(cols[DEPS], cols[DEPS]))
-    _set_misc(token, misc)
-    return token
+    Checks the stream exactly as :func:`parse_conllu` does and raises the
+    same errors, but builds no :class:`Token` or :class:`Sentence`: what
+    scoring needs, at a fraction of the cost.
+    """
+    deprel = {"_": None}.setdefault
+    return [(tuple(heads), tuple([deprel(cols[DEPREL], cols[DEPREL])
+                                  for _, cols in rows]))
+            for rows, heads, _, _ in _checked_sentences(source, {"_": ()},
+                                                        {"_": ()})]
 
 
 def format_misc(items: Sequence[tuple[str, str | None]]) -> str:
@@ -407,3 +446,15 @@ def group_by_sentence(sidecar: Mapping[tuple[int, int], MorphAnalysis]
     for (ordinal, token_id), analysis in sidecar.items():
         grouped.setdefault(ordinal, {})[token_id] = analysis
     return grouped
+
+
+def check_positions(sidecar: Iterable[tuple[int, int]],
+                    sentences: Sequence[Sentence]) -> None:
+    """Raise :class:`AlignmentError` on the first sidecar position, in the
+    sidecar's order, that names no token of ``sentences``."""
+    lengths = [len(sentence.tokens) for sentence in sentences]
+    for ordinal, token_id in sidecar:
+        if ordinal > len(lengths) or token_id > lengths[ordinal - 1]:
+            raise AlignmentError(
+                f"sidecar entry for sentence {ordinal} token {token_id} "
+                "names no token of the treebank")

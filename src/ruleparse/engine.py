@@ -73,7 +73,7 @@ from enum import Enum
 # benchmark's call counter does) sees every call.
 from . import lexicon as _lexicon
 from .conllu import Sentence
-from .errors import EngineError
+from .errors import AnalysisError, EngineError
 from .lexicon import Lexicon
 from .morpho import MorphAnalysis, ROOT_POS_TO_UPOS
 
@@ -197,7 +197,7 @@ class SentenceView(Mapping):
         for token in sentence.tokens:
             analysis = analyses.get(token.id)
             if analysis is None:
-                raise ValueError(
+                raise AnalysisError(
                     f"token {token.id} ({token.form!r}) has no morphological analysis")
             tags = analysis.tags
             case = None

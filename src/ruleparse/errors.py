@@ -35,5 +35,9 @@ class AlignmentError(InputFormatError):
     """Two treebanks that should align token-for-token do not."""
 
 
+class AnalysisError(InputFormatError):
+    """A token that needs a morphological analysis has none."""
+
+
 class EngineError(RuntimeError):
     """The rule engine violated one of its own invariants."""

@@ -11,22 +11,31 @@ against the observed one.  With add-one smoothing the reported p-value
 is never zero.  Model comparisons are run file-wise: five outputs per
 side yield twenty-five p-values, summarized by their harmonic mean.
 
-The shuffles of one file pair come from one generator, in blocks of
-4,096.  ``Generator.integers(0, 2, dtype=np.int8)`` turns each byte of
+The shuffles of one file pair come from one PCG64 generator, in blocks
+of 4,096.  ``Generator.integers(0, 2, dtype=np.int8)`` turns each byte of
 the generator's 32-bit word stream into one sign, ``byte >> 7``, low byte
-first, and drops the unused bytes of a call's last word.  The kernel
-draws those words itself (``integers(0, 1 << 32, dtype=np.uint32)``) in
-sub-chunks of a multiple of 4 shuffles, so every chunk starts on a word
-boundary and each block ends where a single ``int8`` draw would have:
-the signs, and so the p-values, are the ones that draw gives.  It then
-sums each shuffle through one 256-entry table per 8 sentences, in memory
-that is O(sentences) plus a fixed chunk.  ``tests/test_evaluate.py``
+first, and drops the unused bytes of a call's last word.  A PCG64 hands
+out each 64-bit output as two 32-bit words, its low half and then its
+high half, so the kernel draws the 64-bit outputs themselves
+(``bit_generator.random_raw``) and reads their bytes, low byte first.
+It starts with the half-word the state holds back, if any, and leaves
+the state as 32-bit draws would.  It draws sub-chunks of a multiple of 4
+shuffles, so every sub-chunk starts on a word boundary and each block
+ends where a single ``int8`` draw would have: the signs, and so the
+p-values, are the ones that draw gives.  It sums each sub-chunk's
+shuffles with one matrix-vector product of the 0/1 signs and the diffs,
+in float32 when the absolute diffs sum below 2**24, so every partial sum
+is an integer float32 holds exactly, and in float64 otherwise.  Its
+memory is O(sentences) plus a fixed chunk.  ``tests/test_evaluate.py``
 checks it against the direct ``int8`` kernel, and ``tests/test_golden.py``
 pins its p-values.
 
+Scoring reads only the HEAD and DEPREL columns of each sentence
+(:func:`columns`), so ``score`` and ``randomization_test`` take either
+sentences or the columns :func:`~ruleparse.conllu.read_columns` reads.
 ``randomization_test`` takes the outputs of each side as iterables and
 reduces each output to its per-sentence correct counts as soon as it is
-drawn, so a caller that parses files lazily holds one at a time.
+drawn, so a caller that reads files lazily holds one at a time.
 
 numpy is imported by the functions that use it, so only the significance
 test pays for loading it.
@@ -35,11 +44,12 @@ test pays for loading it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from operator import and_, eq
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .conllu import Sentence, group_by_sentence
+from .conllu import Columns, Sentence, check_positions, group_by_sentence
 from .engine import Diagnostics, RuleCode, RuleConfig, SentenceView, run
-from .errors import AlignmentError
+from .errors import AlignmentError, AnalysisError
 from .lexicon import Lexicon
 from .morpho import MorphAnalysis
 
@@ -50,10 +60,12 @@ if TYPE_CHECKING:
 # block would end, dropping the rest of its last 32-bit word, so another
 # block size gives other p-values.
 _BLOCK_SHUFFLES = 4096
-# Signs per kernel sub-chunk, one byte each: the working memory beside
-# the per-sentence tables.  Each of a sub-chunk's arrays is about this
-# size; below glibc's 128 KiB mmap threshold they come from the heap
-# instead of fresh pages faulted in on every sub-chunk.
+# Signs per kernel sub-chunk: the random bytes a sub-chunk draws.  Below
+# glibc's 128 KiB mmap threshold each draw comes from the heap instead of
+# fresh pages faulted in on every sub-chunk; the float signs it becomes
+# go into one buffer per file pair.  On 25 pairs of 1,001 sentences and
+# 10,000 shuffles the kernel took 0.21 s of CPU at 96 KiB, 0.24 at 64,
+# 0.22 at 128 and 0.54 at 512 (medians of 7, 2-CPU x86-64, OpenBLAS).
 _CHUNK_BYTES = 96 << 10
 
 
@@ -83,45 +95,54 @@ class AttachmentScores:
         }
 
 
-def _check_aligned(gold: Sequence[Sentence], system: Sequence[Sentence]) -> None:
+def columns(treebank: Iterable[Sentence | Columns]) -> list[Columns]:
+    """Each sentence of ``treebank`` as its HEAD and DEPREL columns, the
+    form :func:`~ruleparse.conllu.read_columns` reads; column pairs pass
+    through.  What :func:`score` and :func:`randomization_test` work on."""
+    return [(tuple([t.head for t in s.tokens]), tuple([t.deprel for t in s.tokens]))
+            if isinstance(s, Sentence) else s for s in treebank]
+
+
+def _check_aligned(gold: Sequence[Columns], system: Sequence[Columns]) -> None:
     if len(gold) != len(system):
         raise AlignmentError(
             f"sentence counts differ: gold has {len(gold)}, system has {len(system)}")
-    for ordinal, (g, s) in enumerate(zip(gold, system), start=1):
-        if len(g.tokens) != len(s.tokens):
+    for ordinal, ((g, _), (s, _)) in enumerate(zip(gold, system), start=1):
+        if len(g) != len(s):
             raise AlignmentError(
                 f"sentence {ordinal}: token counts differ "
-                f"(gold {len(g.tokens)}, system {len(s.tokens)})")
+                f"(gold {len(g)}, system {len(s)})")
 
 
-def _sentence_counts(ordinal: int, gold: Sentence, system: Sentence) -> tuple[int, int, int]:
-    total = len(gold.tokens)
-    heads = labeled = 0
-    for g, s in zip(gold.tokens, system.tokens):
-        if g.head is None:
-            raise AlignmentError(
-                f"sentence {ordinal}: gold token {g.id} has no head")
-        if s.head == g.head:
-            heads += 1
-            if s.deprel == g.deprel:
-                labeled += 1
-    return total, heads, labeled
+def _correct_counts(gold: Sequence[Columns], system: Sequence[Columns]
+                    ) -> Iterator[tuple[int, int]]:
+    """Per sentence, its tokens with the gold head and those that also
+    have the gold label, once the treebanks are known to align."""
+    _check_aligned(gold, system)
+    for ordinal, ((gold_heads, gold_deprels), (heads, deprels)) in enumerate(
+            zip(gold, system), start=1):
+        if None in gold_heads:
+            raise AlignmentError(f"sentence {ordinal}: gold token "
+                                 f"{gold_heads.index(None) + 1} has no head")
+        head_hits = list(map(eq, gold_heads, heads))
+        yield sum(head_hits), sum(map(and_, head_hits,
+                                      map(eq, gold_deprels, deprels)))
 
 
-def score(gold: Sequence[Sentence], system: Sequence[Sentence]) -> AttachmentScores:
-    """Attachment scores of ``system`` against ``gold``.
+def score(gold: Iterable[Sentence | Columns],
+          system: Iterable[Sentence | Columns]) -> AttachmentScores:
+    """Attachment scores of ``system`` against ``gold``, given as
+    sentences or as :func:`columns`.
 
     Requires matching sentence and per-sentence token counts; raises
     :class:`AlignmentError` naming the first mismatched sentence.
     """
-    _check_aligned(gold, system)
-    total = heads = labeled = 0
-    for ordinal, (g, s) in enumerate(zip(gold, system), start=1):
-        t, h, l = _sentence_counts(ordinal, g, s)
-        total += t
+    gold, system = columns(gold), columns(system)
+    heads = labeled = 0
+    for h, l in _correct_counts(gold, system):
         heads += h
         labeled += l
-    return AttachmentScores(total, heads, labeled)
+    return AttachmentScores(sum(len(g) for g, _ in gold), heads, labeled)
 
 
 @dataclass(frozen=True)
@@ -148,24 +169,31 @@ class SigResult:
         }
 
 
-def _per_sentence_correct(gold: Sequence[Sentence], system: Sequence[Sentence],
+def _per_sentence_correct(gold: Sequence[Columns],
+                          system: Iterable[Sentence | Columns],
                           metric: str) -> np.ndarray:
     import numpy as np
 
-    _check_aligned(gold, system)
-    values = []
-    for ordinal, (g, s) in enumerate(zip(gold, system), start=1):
-        _, heads, labeled = _sentence_counts(ordinal, g, s)
-        values.append(heads if metric == "uas" else labeled)
-    return np.asarray(values, dtype=np.int64)
+    pick = 0 if metric == "uas" else 1
+    return np.asarray([counts[pick] for counts in
+                       _correct_counts(gold, columns(system))], dtype=np.int64)
+
+
+def _sum_dtype(diffs: np.ndarray) -> type:
+    """The float type in which every partial sum of ``diffs`` is exact:
+    float32 below 2**24, float64 otherwise."""
+    import numpy as np
+
+    return np.float32 if int(np.abs(diffs).sum()) < 1 << 24 else np.float64
 
 
 def _pair_p_value(diffs: np.ndarray, shuffles: int, rng: np.random.Generator) -> float:
     """Add-one p-value of ``|sum(diffs)|`` among ``shuffles`` sign flips.
 
     A shuffle's sum is ``2 * s - sum(diffs)``, where ``s`` sums the diffs
-    whose sign is +1.  Signs are packed 8 sentences to a byte, and ``s``
-    is gathered from one table of the 256 partial sums per 8 sentences.
+    whose sign is +1: the product of the shuffle's 0/1 signs and the
+    diffs.  ``rng`` must be backed by PCG64, whose 32-bit words are each
+    64-bit output's low half, then its high half.
     """
     import numpy as np
 
@@ -173,33 +201,50 @@ def _pair_p_value(diffs: np.ndarray, shuffles: int, rng: np.random.Generator) ->
     if n == 0:
         return 1.0
     total = int(diffs.sum())
-    groups = -(-n // 8)
-    padded = np.zeros(groups * 8, dtype=np.int64)
-    padded[:n] = diffs
-    # Row b of ``bits`` holds b's bits high bit first, the order in which
-    # ``np.packbits`` packs 8 sentences into one byte.
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    tables = (padded.reshape(groups, 8) @ bits.T).ravel()
-    offsets = np.arange(0, groups * 256, 256, dtype=np.intp)
+    # |2s - total| >= |total| exactly when s >= max(total, 0) or
+    # s <= min(total, 0); with total 0, every shuffle.
+    high, low = max(total, 0), min(total, 0)
+    dtype = _sum_dtype(diffs)
+    weights = diffs.astype(dtype)
     # A multiple of 4 shuffles holds a whole number of 32-bit words.
     rows = max(4, min(_BLOCK_SHUFFLES, _CHUNK_BYTES // n) // 4 * 4)
+    signs = np.empty((rows, n), dtype=dtype)
+    bits = rng.bit_generator
+    state = bits.state
+    # The high half-word of the last 64-bit output drawn (as 32-bit draws
+    # would keep it) and whether it is still to be used.
+    last_high, buffered = state["uinteger"], state["has_uint32"]
     at_least = 0
     for block_start in range(0, shuffles, _BLOCK_SHUFFLES):
         block = min(_BLOCK_SHUFFLES, shuffles - block_start)
         for start in range(0, block, rows):
             take = min(rows, block - start)
-            words = rng.integers(0, 1 << 32, size=-(-take * n // 4),
-                                 dtype=np.uint32)
-            # Low byte first, as the generator hands out a word's bytes.
-            signs = (words.astype("<u4", copy=False).view(np.uint8)[:take * n]
-                     .reshape(take, n) >> 7)
-            sums = np.take(tables, np.packbits(signs, axis=1) + offsets).sum(axis=1)
-            at_least += int(np.count_nonzero(np.abs(2 * sums - total) >= abs(total)))
+            # The sub-chunk's 32-bit words: the buffered half-word, if
+            # any, then whole 64-bit outputs; an odd count leaves the
+            # last output's high half buffered.
+            words = -(-take * n // 4) - buffered
+            raw = bits.random_raw(-(-words // 2)).astype("<u8", copy=False)
+            data = raw.view(np.uint8)
+            if buffered:
+                data = np.concatenate(
+                    (np.array([last_high], dtype="<u4").view(np.uint8), data))
+            if raw.size:
+                last_high = int(raw[-1]) >> 32
+            buffered = words % 2
+            chunk = signs[:take]
+            # Low byte first, as the generator hands out a word's bytes;
+            # a byte's sign is its top bit.
+            np.greater_equal(data[:take * n].reshape(take, n), 128, out=chunk)
+            sums = chunk @ weights
+            at_least += int(np.count_nonzero((sums >= high) | (sums <= low)))
+    state = bits.state
+    state["uinteger"], state["has_uint32"] = last_high, buffered
+    bits.state = state
     return (1 + at_least) / (1 + shuffles)
 
 
-def _side_correct(gold: Sequence[Sentence],
-                  outputs: Iterable[Sequence[Sentence]],
+def _side_correct(gold: Sequence[Columns],
+                  outputs: Iterable[Iterable[Sentence | Columns]],
                   metric: str) -> list[np.ndarray]:
     # ``map`` lets go of each output once its counts are made, before it
     # draws the next one; a loop variable would hold it one draw longer.
@@ -210,9 +255,9 @@ def _side_correct(gold: Sequence[Sentence],
     return correct
 
 
-def randomization_test(gold: Sequence[Sentence],
-                       outputs_a: Iterable[Sequence[Sentence]],
-                       outputs_b: Iterable[Sequence[Sentence]],
+def randomization_test(gold: Iterable[Sentence | Columns],
+                       outputs_a: Iterable[Iterable[Sentence | Columns]],
+                       outputs_b: Iterable[Iterable[Sentence | Columns]],
                        shuffles: int = 10000,
                        metric: str = "uas",
                        seed: int = 0) -> SigResult:
@@ -234,6 +279,7 @@ def randomization_test(gold: Sequence[Sentence],
         raise ValueError("shuffles must be >= 1")
     if metric not in ("uas", "las"):
         raise ValueError(f"unknown metric {metric!r}")
+    gold = columns(gold)
     correct_a = _side_correct(gold, outputs_a, metric)
     correct_b = _side_correct(gold, outputs_b, metric)
     children = np.random.SeedSequence(seed).spawn(len(correct_a) * len(correct_b))
@@ -317,14 +363,21 @@ def ablate(gold: Sequence[Sentence],
     their heads.  Coverage is the fraction of tokens that received a
     head; precision is the fraction of assigned heads that match the gold
     head (None when nothing was assigned).  ``analyses`` is keyed by
-    ``(sentence_ordinal, token_id)`` as read from a sidecar file.  Each
-    sentence's :class:`SentenceView` is built once and shared by every
+    ``(sentence_ordinal, token_id)`` as read from a sidecar file; an
+    entry that names no token of ``gold`` raises :class:`AlignmentError`,
+    and a token without an analysis raises :class:`AnalysisError` naming
+    its sentence.  Each sentence's :class:`SentenceView` is built once and shared by every
     step.
     """
     steps = list(steps) if steps is not None else ablation_steps()
+    check_positions(analyses, gold)
     by_sentence = group_by_sentence(analyses)
-    views = [SentenceView(sent, by_sentence.get(ordinal, {}))
-             for ordinal, sent in enumerate(gold, start=1)]
+    views = []
+    for ordinal, sent in enumerate(gold, start=1):
+        try:
+            views.append(SentenceView(sent, by_sentence.get(ordinal, {})))
+        except AnalysisError as exc:
+            raise AnalysisError(f"sentence {ordinal}: {exc}") from None
     gold_heads = [{t.id: t.head for t in sent.tokens} for sent in gold]
     total = sum(len(sent.tokens) for sent in gold)
     results = []

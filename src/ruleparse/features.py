@@ -21,7 +21,7 @@ from typing import IO, Iterator, Mapping, Sequence
 
 from .conllu import Sentence, Token, format_misc, write_conllu
 from .engine import RuleAssignment, RuleCode
-from .errors import InputFormatError
+from .errors import AnalysisError, InputFormatError
 from .morpho import (LemmaSuffixMatrix, MorphAnalysis, SuffixInventory,
                      inflectional_suffixes, last_suffix, suffix_vector)
 from .textio import join_or_write
@@ -105,7 +105,7 @@ def encode(sentence: Sentence,
     for token in sentence.tokens:
         analysis = analyses.get(token.id) if analyses else None
         if want_suffix and analysis is None:
-            raise ValueError(
+            raise AnalysisError(
                 f"token {token.id} ({token.form!r}) has no morphological "
                 f"analysis but a suffix feature mode is selected")
         rule_code = None

@@ -117,7 +117,7 @@ def load_inventory(source: str | IO[str] | None = None) -> SuffixInventory:
 
     With no argument the packaged default (81 tags) is loaded.  Lines
     starting with ``#`` and blank lines are ignored; entry order defines
-    column order.
+    column order.  A stream with no entries is rejected.
     """
     if source is None:
         source = resources.files("ruleparse").joinpath(
@@ -132,6 +132,8 @@ def load_inventory(source: str | IO[str] | None = None) -> SuffixInventory:
             raise InputFormatError(
                 f"inventory line {line_no}: expected 'tag<TAB>class', got {line!r}")
         entries.append((parts[0], parts[1]))
+    if not entries:
+        raise InputFormatError("invalid suffix inventory: no entries")
     try:
         return SuffixInventory(tuple(entries))
     except ValueError as exc:
@@ -164,7 +166,8 @@ def inflectional_suffixes(analysis: MorphAnalysis,
     does not list; an inventory that lists one gives it its class.  Any
     other tag missing from the inventory raises.
     """
-    inventory = inventory or default_inventory()
+    if inventory is None:
+        inventory = default_inventory()
     keep = []
     for tag in analysis.tags:
         if tag in ROOT_POS_TAGS:
@@ -223,7 +226,8 @@ def build_matrix(corpus: Iterable[MorphAnalysis],
     analysis is counted once with its number of occurrences, so the
     memory held is O(distinct analyses), whatever the corpus length.
     """
-    inventory = inventory or default_inventory()
+    if inventory is None:
+        inventory = default_inventory()
     index = inventory.index
     # lemma -> {inventory tag: count}, and lemma -> count
     counts: dict[str, dict[str, int]] = {}
@@ -319,7 +323,8 @@ def read_matrix(source: str | IO[str],
     line by line, and each distinct value text is parsed and checked
     once per read: the rows share one float per text.
     """
-    inventory = inventory or default_inventory()
+    if inventory is None:
+        inventory = default_inventory()
     lines = iter(lines_of(source))
     header = next(lines, None)
     if header is None:

@@ -331,6 +331,44 @@ def test_ablate_sidecar_missing_a_sentence_exits_2(corpus, tmp_path, capsys):
     assert "has no morphological analysis" in capsys.readouterr().err
 
 
+MISSING = "error: sentence 3: token 2 ('ev') has no morphological analysis"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["annotate"], MISSING),
+    (["ablate"], MISSING),
+    (["features", "--hybrid", "rule"], MISSING),
+    (["features", "--hybrid", "last"],
+     MISSING + " but a suffix feature mode is selected"),
+], ids=["annotate", "ablate", "features-rule", "features-last"])
+def test_missing_analysis_names_its_sentence(corpus, tmp_path, capsys, argv,
+                                             message):
+    treebank, _ = corpus
+    sidecar = tmp_path / "partial.morph"
+    sidecar.write_text("".join(line + "\n" for line in SIDECAR.splitlines()
+                               if not line.startswith("3\t2\t")), encoding="utf-8")
+    assert main(argv[:1] + [str(treebank), str(sidecar)] + argv[1:]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("text", ["", "# tag\tclass\n", "\n  \n"],
+                         ids=["empty", "comment", "blank"])
+@pytest.mark.parametrize("command", ["matrix", "features"])
+def test_inventory_with_no_entries_exits_2(corpus, tmp_path, capsys, command,
+                                           text):
+    # An empty inventory once fell back to the packaged one.
+    treebank, sidecar = corpus
+    inventory = tmp_path / "inventory.tsv"
+    inventory.write_text(text, encoding="utf-8")
+    output = tmp_path / "out"
+    argv = (["matrix", str(sidecar)] if command == "matrix" else
+            ["features", str(treebank), str(sidecar), "--hybrid", "infl"])
+    assert main(argv + ["--inventory", str(inventory),
+                        "--output", str(output)]) == 2
+    assert capsys.readouterr().err == "error: invalid suffix inventory: no entries\n"
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("extra,ordinal,token_id", [
     ("1\t9\tev\tNoun+A3sg+Nom", 1, 9),
     ("7\t1\tev\tNoun+A3sg+Nom", 7, 1),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ruleparse import (ConlluError, MorphAnalysis, Sentence, SidecarError,
                        Token, group_by_sentence, parse_conllu,
                        read_morph_sidecar, write_conllu)
-from ruleparse.conllu import iter_morph_sidecar
+from ruleparse.conllu import iter_morph_sidecar, read_columns
 
 from conftest import ShortReads, random_conllu_sentence, sent, tok
 
@@ -548,6 +548,12 @@ def mutated(rng, lines, mutate):
     return "\n".join(lines) + rng.choice(["\n", "\n\n", ""])
 
 
+def reference_columns(text):
+    """Each sentence's heads and deprels, as the reference reads them."""
+    return [(tuple(t.head for t in s.tokens), tuple(t.deprel for t in s.tokens))
+            for s in reference_parse_conllu(text)]
+
+
 def test_parse_conllu_matches_reference():
     kinds = set()
     for seed in range(4):
@@ -556,6 +562,7 @@ def test_parse_conllu_matches_reference():
         text = write_conllu(sentences)
         assert outcome(parse_conllu, text) == outcome(reference_parse_conllu, text) \
             == ("ok", sentences)
+        assert outcome(read_columns, text) == outcome(reference_columns, text)
         blocks = text.split("\n\n")
 
         def mutate(line):
@@ -570,6 +577,9 @@ def test_parse_conllu_matches_reference():
             case = mutated(rng, lines, mutate)
             got = outcome(parse_conllu, case)
             assert got == outcome(reference_parse_conllu, case), case
+            # The column reader runs the same checks, and keeps only
+            # the heads and deprels.
+            assert outcome(read_columns, case) == outcome(reference_columns, case), case
             kinds.add(kind_of(got))
     assert kinds == {
         "ok", "sentence has no token lines", "expected  tab-separated columns, got ",
@@ -623,6 +633,8 @@ def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
         limit = rng.randint(1, 64)
         assert outcome(parse_conllu, ShortReads(case, limit)) \
             == outcome(parse_conllu, case), (case, limit)
+        assert outcome(read_columns, ShortReads(case, limit)) \
+            == outcome(read_columns, case), (case, limit)
 
     lemmas = ["ev", "gel", "göz", "kapı"]
     morphemes = ["Noun+A3sg+Nom", "Verb+Past+A3sg", "Adv"]

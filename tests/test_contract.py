@@ -2,17 +2,22 @@
 
 Every subcommand runs in process through ``cli.main`` on a small valid
 input set (a random treebank, or one long chain of late-bound or
-leftward-attaching words), with one of its input files mutated: a
-dropped or extra column, a column set to a bad id, head or value, bytes
-that are not UTF-8, an empty or truncated file, a line dropped or
-repeated, or sidecar lines that name no token.  The command must exit 0
+leftward-attaching words, with a copy of the packaged suffix inventory
+and lexicon directory), with one of its input files mutated: a dropped
+or extra column, a column set to a bad id, head or value (a suffix class
+among them), bytes that are not UTF-8, an empty, comment-only or
+truncated file, a line dropped or repeated (a duplicate inventory tag),
+or sidecar lines that name no token.  A mutated lexicon is one file of
+the copied directory.  Or a flag is set out of its range: ``--cap`` or
+``--shuffles`` below 1, or an unknown rule.  The command must exit 0
 or 2, never 3 or with an uncaught exception; unmutated inputs must exit
-0, and a sidecar line that names no token must exit 2 wherever a
-treebank is read beside it.
+0, a sidecar line that names no token must exit 2 wherever a treebank
+is read beside it, and so must a flag out of range.
 """
 
 import io
 import random
+import shutil
 import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
@@ -20,21 +25,27 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ruleparse import build_matrix, write_conllu, write_matrix
+from ruleparse import (build_matrix, default_lexicon_dir, write_conllu,
+                       write_matrix)
 from ruleparse.cli import main
+from ruleparse.morpho import default_inventory
 
 from conftest import (deep_chain, determiner_chain, random_treebank,
                       sidecar_text, with_random_tree)
 
 COMMANDS = ("annotate", "features", "matrix", "score", "sigtest", "ablate")
 MUTATIONS = ("none", "drop_column", "extra_column", "set_column", "non_utf8",
-             "empty", "truncate", "drop_line", "repeat_line", "extra_sidecar_lines")
+             "empty", "comment_only", "truncate", "drop_line", "repeat_line",
+             "extra_sidecar_lines", "bad_flag")
+# The input a mutation goes to, when the command reads it; any input the
+# command reads otherwise.
+TARGETS = ("any", "inventory", "lexicon")
 BASES = ("random", "adjectives", "adverbs", "determiners")
 # Values a mutated column takes: bad ids and heads, numbers a matrix row
 # may not hold, and values that are fine.
 JUNK = ("0", "-1", "x", "", "_", "1.5", "1-2", "2.1", "99999", "nan", "NaN",
         "inf", "-Infinity", "1e400", "-0.25", "1", "3", "Noun", "Noun++A3sg",
-        " ", " 1")
+        " ", " 1", "infl", "deriv", "Infl", "kuru yemiş")
 HYBRIDS = ("rule", "infl", "last", "sufvec", "rule+last")
 
 
@@ -51,16 +62,23 @@ def base_inputs(base: str, size: int, rng: random.Random):
 
 
 def write_inputs(directory: Path, base: str, size: int, rng: random.Random):
-    """The input files, by name: treebank, sidecar, matrix and one system
-    output in each of two directories."""
+    """The input files, by name: treebank, sidecar, matrix, one system
+    output in each of two directories, the suffix inventory and one file
+    of the lexicon directory, picked at random."""
     gold, analyses = base_inputs(base, size, rng)
+    lexicons = shutil.copytree(default_lexicon_dir(), directory / "lexicons")
     files = {
         "gold": directory / "gold.conllu",
         "sidecar": directory / "morph.tsv",
         "matrix": directory / "matrix.tsv",
         "system_a": directory / "a" / "run.conllu",
         "system_b": directory / "b" / "run.conllu",
+        "inventory": directory / "inventory.tsv",
+        "lexicon": rng.choice(sorted(lexicons.iterdir())),
     }
+    files["inventory"].write_text(
+        "".join(f"{tag}\t{cls}\n" for tag, cls in default_inventory().entries),
+        encoding="utf-8")
     files["gold"].write_text(write_conllu(gold), encoding="utf-8")
     files["sidecar"].write_text(sidecar_text(analyses), encoding="utf-8")
     files["matrix"].write_text(write_matrix(build_matrix(analyses.values())),
@@ -72,38 +90,52 @@ def write_inputs(directory: Path, base: str, size: int, rng: random.Random):
     return files, len(gold), max(len(s.tokens) for s in gold)
 
 
-def command_line(command: str, files: dict, out: Path, rng: random.Random):
-    """The arguments of one run of ``command``, and the input files it reads."""
+def command_line(command: str, files: dict, out: Path, rng: random.Random,
+                 bad_flag: bool, with_inventory: bool):
+    """The arguments of one run of ``command``, and the input files it
+    reads.  With ``bad_flag`` a flag that takes a number or a rule list
+    gets a value out of its range; ``with_inventory`` passes the copied
+    inventory to the commands that take one."""
     gold, sidecar = str(files["gold"]), str(files["sidecar"])
+    lexicons = ["--lexicons", str(files["lexicon"].parent)]
+    inventory = ["--inventory", str(files["inventory"])] * with_inventory
     if command == "annotate":
         rules = [r for r in ("cpi", "nc", "pc", "ac", "aaj", "ajc", "ajn", "av", "nv")
-                 if rng.random() < 0.7]
+                 if rng.random() < 0.7] + ["xyz"] * bad_flag
         return (["annotate", gold, sidecar, "--rules", ",".join(rules),
-                 "--diagnostics", str(out) + ".diag"], ["gold", "sidecar"])
+                 "--diagnostics", str(out) + ".diag"] + lexicons,
+                ["gold", "sidecar", "lexicon"])
     if command == "features":
         hybrid = rng.choice(HYBRIDS)
         argv = ["features", gold, sidecar, "--hybrid", hybrid,
-                "--format", rng.choice(("conllu", "jsonl"))]
+                "--format", rng.choice(("conllu", "jsonl"))] + inventory
+        reads = ["gold", "sidecar"] + ["inventory"] * bool(inventory)
+        if hybrid.startswith("rule"):
+            argv += lexicons
+            reads.append("lexicon")
         if hybrid == "sufvec":
-            return argv + ["--matrix", str(files["matrix"])], \
-                ["gold", "sidecar", "matrix"]
-        return argv, ["gold", "sidecar"]
+            return argv + ["--matrix", str(files["matrix"])], reads + ["matrix"]
+        return argv, reads
     if command == "matrix":
-        return ["matrix", sidecar, "--cap", str(rng.randint(1, 50))], ["sidecar"]
+        cap = rng.choice((0, -1, -40000)) if bad_flag else rng.randint(1, 50)
+        return (["matrix", sidecar, "--cap", str(cap)] + inventory,
+                ["sidecar"] + ["inventory"] * bool(inventory))
     if command == "score":
         return ["score", gold, str(files["system_a"])], ["gold", "system_a"]
     if command == "sigtest":
+        shuffles = rng.choice((0, -1, -10000)) if bad_flag else 20
         return (["sigtest", gold, str(files["system_a"].parent),
-                 str(files["system_b"].parent), "--shuffles", "20"],
+                 str(files["system_b"].parent), "--shuffles", str(shuffles)],
                 ["gold", "system_a", "system_b"])
-    argv = ["ablate", gold, sidecar]
-    return argv + ["--no-av-nv"] * (rng.random() < 0.5), ["gold", "sidecar"]
+    argv = ["ablate", gold, sidecar] + lexicons
+    return argv + ["--no-av-nv"] * (rng.random() < 0.5), \
+        ["gold", "sidecar", "lexicon"]
 
 
 def mutate(data: bytes, mutation: str, rng: random.Random, sentences: int,
            longest: int) -> bytes:
     """``data`` with one mutation applied where it can be."""
-    if mutation == "none":
+    if mutation in ("none", "bad_flag"):
         return data
     if mutation == "empty":
         return b""
@@ -113,6 +145,8 @@ def mutate(data: bytes, mutation: str, rng: random.Random, sentences: int,
     if mutation == "truncate":
         return data[:rng.randint(0, len(data))]
     lines = data.decode("utf-8").split("\n")
+    if mutation == "comment_only":
+        return "\n".join("# " + line for line in lines).encode("utf-8")
     if mutation == "extra_sidecar_lines":
         extra = [f"{sentences + rng.randint(1, 5)}\t1\tev\tNoun+A3sg+Nom",
                  f"{rng.randint(1, sentences)}\t{longest + rng.randint(1, 5)}"
@@ -145,26 +179,34 @@ def mutate(data: bytes, mutation: str, rng: random.Random, sentences: int,
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(base=st.sampled_from(BASES), size=st.integers(2, 300),
        command=st.sampled_from(COMMANDS), mutation=st.sampled_from(MUTATIONS),
-       seed=st.integers(0, 2**32 - 1))
+       target=st.sampled_from(TARGETS), seed=st.integers(0, 2**32 - 1))
 # A 1,002-token sentence that takes 1,002 engine passes.
-@example(base="determiners", size=1002, command="annotate", mutation="none", seed=0)
-@example(base="determiners", size=1002, command="ablate", mutation="none", seed=0)
+@example(base="determiners", size=1002, command="annotate", mutation="none",
+         target="any", seed=0)
+@example(base="determiners", size=1002, command="ablate", mutation="none",
+         target="any", seed=0)
 @example(base="random", size=1, command="annotate",
-         mutation="extra_sidecar_lines", seed=0)
+         mutation="extra_sidecar_lines", target="any", seed=0)
 @example(base="random", size=1, command="features",
-         mutation="extra_sidecar_lines", seed=0)
+         mutation="extra_sidecar_lines", target="any", seed=0)
 @example(base="random", size=1, command="ablate",
-         mutation="extra_sidecar_lines", seed=0)
-def test_every_input_exits_0_or_2(base, size, command, mutation, seed):
+         mutation="extra_sidecar_lines", target="any", seed=0)
+# An empty inventory once fell back to the packaged one.
+@example(base="random", size=1, command="matrix", mutation="empty",
+         target="inventory", seed=0)
+def test_every_input_exits_0_or_2(base, size, command, mutation, target, seed):
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         files, sentences, longest = write_inputs(directory, base, size, rng)
         out = directory / "out"
-        argv, inputs = command_line(command, files, out, rng)
-        target = rng.choice(inputs)
+        argv, inputs = command_line(
+            command, files, out, rng, bad_flag=mutation == "bad_flag",
+            with_inventory=target == "inventory" or rng.random() < 0.5)
         if mutation == "extra_sidecar_lines":
             target = "sidecar"
+        elif target not in inputs:
+            target = rng.choice(inputs)
         path = files[target]
         path.write_bytes(mutate(path.read_bytes(), mutation, rng, sentences,
                                 longest))
@@ -177,6 +219,11 @@ def test_every_input_exits_0_or_2(base, size, command, mutation, seed):
                                                             "ablate"):
         assert code == 2
         assert "names no token of the treebank" in err.getvalue()
+    elif mutation == "bad_flag" and command in ("annotate", "matrix", "sigtest"):
+        assert code == 2, err.getvalue()
+    elif mutation in ("empty", "comment_only") and target == "inventory":
+        assert code == 2
+        assert err.getvalue() == "error: invalid suffix inventory: no entries\n"
     else:
         assert code in (0, 2), err.getvalue()
     if code == 2:

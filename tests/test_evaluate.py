@@ -8,11 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
-from ruleparse import (AlignmentError, RuleCode, ablate, ablation_steps,
-                       randomization_test, score)
+from ruleparse import (AlignmentError, AnalysisError, RuleCode, ablate,
+                       ablation_steps, randomization_test, score, write_conllu)
 import ruleparse.evaluate as evaluate
 import ruleparse.lexicon as lexicon_module
-from ruleparse.conllu import read_morph_sidecar
+from ruleparse.conllu import read_columns, read_morph_sidecar
 
 from conftest import ma, random_treebank, sent, sidecar_text, tok, with_random_tree
 
@@ -87,6 +87,25 @@ def test_score_alignment_errors():
     headless = [sent(tok(1, "a"))]
     with pytest.raises(AlignmentError, match="no head"):
         score(headless, gold)
+
+
+def test_sentences_and_columns_score_alike():
+    rng = random.Random(2024)
+    for _ in range(20):
+        gold, bare, _ = random_treebank(rng, rng.randint(1, 8), max_len=12)
+        systems = [[with_random_tree(rng, s) for s in bare] for _ in range(3)]
+        gold_columns = read_columns(write_conllu(gold))
+        assert gold_columns == evaluate.columns(gold)
+        system_columns = [read_columns(write_conllu(s)) for s in systems]
+        assert score(gold, systems[0]) == score(gold_columns, system_columns[0]) \
+            == score(gold, system_columns[0])
+        for metric in ("uas", "las"):
+            seed = rng.randrange(1000)
+            assert randomization_test(gold, systems[:2], systems[2:],
+                                      shuffles=300, metric=metric, seed=seed) \
+                == randomization_test(gold_columns, system_columns[:2],
+                                      system_columns[2:], shuffles=300,
+                                      metric=metric, seed=seed)
 
 
 def test_to_dict_round_numbers():
@@ -200,6 +219,15 @@ def reference_pair_p_value(diffs, shuffles, rng):
 def test_kernel_matches_direct_int8_draw(monkeypatch, chunk_bytes):
     # Small chunk budgets split every block into many sub-chunks.
     monkeypatch.setattr(evaluate, "_CHUNK_BYTES", chunk_bytes)
+    original_sum_dtype = evaluate._sum_dtype
+    sum_types = set()
+
+    def recording_sum_dtype(diffs):
+        dtype = original_sum_dtype(diffs)
+        sum_types.add(dtype)
+        return dtype
+
+    monkeypatch.setattr(evaluate, "_sum_dtype", recording_sum_dtype)
     rng = random.Random(chunk_bytes)
     for _ in range(30):
         n = rng.choice([rng.randint(0, 20), rng.randint(21, 1200)])
@@ -217,6 +245,9 @@ def test_kernel_matches_direct_int8_draw(monkeypatch, chunk_bytes):
         if n:
             # Both consumed the same generator words.
             assert kernel_rng.bit_generator.state == expected_rng.bit_generator.state
+    # A spread of 10**6 over more than 16 sentences can pass 2**24, where
+    # float32 sums stop being exact.
+    assert sum_types == {np.float32, np.float64}
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 61, evaluate._CHUNK_BYTES])
@@ -327,8 +358,20 @@ def test_ablation_coverage_is_monotone(lexicon):
 def test_ablation_sidecar_missing_a_sentence(lexicon):
     gold, _, analyses = random_treebank(random.Random(32), 5)
     without_third = {key: a for key, a in analyses.items() if key[0] != 3}
-    with pytest.raises(ValueError, match="has no morphological analysis"):
+    with pytest.raises(AnalysisError, match=r"^sentence 3: token 1 \('.+'\) "
+                                            "has no morphological analysis$"):
         ablate(gold, without_third, lexicon)
+
+
+@pytest.mark.parametrize("position", [(6, 1), (2, 99)])
+def test_ablation_rejects_a_sidecar_entry_that_names_no_token(lexicon, position):
+    gold, _, analyses = random_treebank(random.Random(34), 5, max_len=12)
+    extra = dict(analyses)
+    extra[position] = ma("ev", "Noun")
+    with pytest.raises(AlignmentError) as excinfo:
+        ablate(gold, extra, lexicon)
+    assert str(excinfo.value) == (f"sidecar entry for sentence {position[0]} "
+                                  f"token {position[1]} names no token of the treebank")
 
 
 def test_ablation_step_to_dict(lexicon):
