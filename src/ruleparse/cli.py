@@ -254,21 +254,23 @@ def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
 def cmd_annotate(args) -> int:
     sentences, bundles, config, diagnostics = _encode_treebank(
         args, HybridConfig(frozenset({MODE_RULE})))
+    report = dict(diagnostics.to_dict(),
+                  sentences=len(sentences),
+                  tokens=sum(len(s.tokens) for s in sentences),
+                  assigned=sum(diagnostics.fire_counts.values()))
+    diag_text = _json_text(report)
+    # The report is emitted before the output is opened, so a report
+    # that cannot be written leaves no output file behind.
+    if args.diagnostics:
+        Path(args.diagnostics).write_text(diag_text, encoding="utf-8")
+    else:
+        sys.stderr.write(diag_text)
     # "jobs" is kept at 1 so the manifest stays byte-identical with the
     # one the benchmark's expected digests were recorded from.
     with _output(args.output, "annotate", [args.treebank, args.sidecar],
                  {"rules": sorted(c.value for c in config.enabled),
                   "lexicons": str(args.lexicons), "jobs": 1}) as out:
         export(sentences, bundles, out)
-    report = dict(diagnostics.to_dict(),
-                  sentences=len(sentences),
-                  tokens=sum(len(s.tokens) for s in sentences),
-                  assigned=sum(diagnostics.fire_counts.values()))
-    diag_text = _json_text(report)
-    if args.diagnostics:
-        Path(args.diagnostics).write_text(diag_text, encoding="utf-8")
-    else:
-        sys.stderr.write(diag_text)
     return 0
 
 

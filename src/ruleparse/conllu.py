@@ -412,13 +412,19 @@ def iter_morph_sidecar(source: str | IO[str]) -> Iterator[tuple[tuple[int, int],
     It keeps the set of positions seen and the distinct analyses, but not
     a map from every position to its analysis, and reads a handle line by
     line, so a corpus-scale consumer (``matrix``) holds O(distinct
-    analyses) plus that set.
+    analyses) plus that set.  Each position is kept as one packed int,
+    ``ordinal << 32 | token_id``, so a token id of 2**32 or more is
+    rejected.
     """
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for line_no, key, analysis in _iter_sidecar(source):
-        if key in seen:
+        ordinal, token_id = key
+        if token_id >> 32:
+            raise SidecarError(line_no, f"token id {token_id} is not below 2**32")
+        packed = ordinal << 32 | token_id
+        if packed in seen:
             raise _duplicate(line_no, key)
-        seen.add(key)
+        seen.add(packed)
         yield key, analysis
 
 

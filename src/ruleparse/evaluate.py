@@ -366,28 +366,32 @@ def ablate(gold: Sequence[Sentence],
     ``(sentence_ordinal, token_id)`` as read from a sidecar file; an
     entry that names no token of ``gold`` raises :class:`AlignmentError`,
     and a token without an analysis raises :class:`AnalysisError` naming
-    its sentence.  Each sentence's :class:`SentenceView` is built once and shared by every
-    step.
+    its sentence.
+
+    Sentences are the outer loop and steps the inner one: each sentence's
+    :class:`SentenceView` is built once, run under every step and dropped
+    before the next sentence, so one view is alive at a time and each
+    step keeps only its two counters.
     """
     steps = list(steps) if steps is not None else ablation_steps()
     check_positions(analyses, gold)
     by_sentence = group_by_sentence(analyses)
-    views = []
+    assigned = [0] * len(steps)
+    matching = [0] * len(steps)
+    total = 0
     for ordinal, sent in enumerate(gold, start=1):
         try:
-            views.append(SentenceView(sent, by_sentence.get(ordinal, {})))
+            view = SentenceView(sent, by_sentence.get(ordinal, {}))
         except AnalysisError as exc:
             raise AnalysisError(f"sentence {ordinal}: {exc}") from None
-    gold_heads = [{t.id: t.head for t in sent.tokens} for sent in gold]
-    total = sum(len(sent.tokens) for sent in gold)
-    results = []
-    for step_no, config in enumerate(steps, start=1):
-        assigned = matching = 0
-        for sent, view, heads in zip(gold, views, gold_heads):
+        tokens = sent.tokens
+        total += len(tokens)
+        for k, config in enumerate(steps):
             assignments = run(sent, view, lexicon, config, diagnostics)
-            assigned += len(assignments)
-            matching += sum(1 for a in assignments if heads[a.dependent] == a.head)
-        rules = tuple(sorted(code.value for code in config.enabled))
-        results.append(AblationStep(step=step_no, rules=rules, total=total,
-                                    assigned=assigned, matching=matching))
-    return results
+            assigned[k] += len(assignments)
+            matching[k] += sum(1 for a in assignments
+                               if tokens[a.dependent - 1].head == a.head)
+    return [AblationStep(step=k + 1,
+                         rules=tuple(sorted(code.value for code in config.enabled)),
+                         total=total, assigned=assigned[k], matching=matching[k])
+            for k, config in enumerate(steps)]

@@ -60,12 +60,6 @@ class Lexicon:
     head_emphasizing_adverbs: frozenset[str]
     pairs: dict[str, dict[str, frozenset[str]]]
 
-    def match_pair(self, cls: str, first: str, second: str) -> bool:
-        """True iff the folded pair is matchable in ``cls``."""
-        if cls not in COMPOUND_CLASSES:
-            raise ValueError(f"unknown compound class {cls!r}")
-        return fold(second) in self.pairs[cls].get(fold(first), ())
-
 
 def _read_entries(path: Path, require_compound: bool) -> list[tuple[str, ...]]:
     if not path.is_file():

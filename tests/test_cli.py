@@ -246,6 +246,18 @@ def test_matrix_duplicate_position_exits_2(corpus, tmp_path, capsys):
     assert not (tmp_path / "m.tsv").exists()
 
 
+def test_matrix_rejects_a_token_id_of_2_to_the_32(corpus, tmp_path, capsys):
+    _, sidecar = corpus
+    bad = tmp_path / "big.morph"
+    bad.write_text(sidecar.read_text(encoding="utf-8")
+                   + f"3\t{2**32 - 1}\tev\tNoun+A3sg+Nom\n"
+                   + f"3\t{2**32}\tev\tNoun+A3sg+Nom\n", encoding="utf-8")
+    assert main(["matrix", str(bad), "--output", str(tmp_path / "m.tsv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 11: token id 4294967296 is not below 2**32\n")
+    assert not (tmp_path / "m.tsv").exists()
+
+
 @pytest.mark.parametrize("kind", sorted(DEEP_CHAINS))
 def test_deep_late_binding_chain_exits_0(tmp_path, capsys, kind):
     n = 5000
@@ -468,6 +480,23 @@ def test_features_missing_analysis_exits_2_and_writes_nothing(
     else:
         assert output.read_text(encoding="utf-8") == existing
     assert not (tmp_path / "features.jsonl.manifest.json").exists()
+
+
+@pytest.mark.parametrize("existing", [None, "earlier output\n"])
+def test_annotate_unwritable_diagnostics_exits_2_and_writes_nothing(
+        corpus, tmp_path, capsys, existing):
+    treebank, sidecar = corpus
+    output = tmp_path / "out.conllu"
+    if existing is not None:
+        output.write_text(existing, encoding="utf-8")
+    assert main(["annotate", str(treebank), str(sidecar), "--output", str(output),
+                 "--diagnostics", str(tmp_path / "nodir" / "d.json")]) == 2
+    assert "d.json" in capsys.readouterr().err
+    if existing is None:
+        assert not output.exists()
+    else:
+        assert output.read_text(encoding="utf-8") == existing
+    assert not (tmp_path / "out.conllu.manifest.json").exists()
 
 
 def test_outputs_are_written_as_the_text_forms_give_them(corpus, tmp_path, capsys):

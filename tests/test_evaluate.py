@@ -12,7 +12,10 @@ from ruleparse import (AlignmentError, AnalysisError, RuleCode, ablate,
                        ablation_steps, randomization_test, score, write_conllu)
 import ruleparse.evaluate as evaluate
 import ruleparse.lexicon as lexicon_module
-from ruleparse.conllu import read_columns, read_morph_sidecar
+from ruleparse.conllu import group_by_sentence, read_columns, read_morph_sidecar
+from ruleparse.engine import Diagnostics, SentenceView
+from ruleparse.engine import run as engine_run
+from ruleparse.evaluate import AblationStep
 
 from conftest import ma, random_treebank, sent, sidecar_text, tok, with_random_tree
 
@@ -403,3 +406,66 @@ def test_ablation_folds_each_word_once_whatever_the_step_count(lexicon, monkeypa
     calls.clear()
     ablate(gold, analyses, lexicon)
     assert len(calls) == one_step > 0
+
+
+def reference_ablate(gold, analyses, lexicon, steps=None, diagnostics=None):
+    """The steps-outer ablation: every sentence's view and gold-head map
+    built up front, then each step run over all of them."""
+    steps = list(steps) if steps is not None else ablation_steps()
+    by_sentence = group_by_sentence(analyses)
+    views = [SentenceView(sentence, by_sentence.get(ordinal, {}))
+             for ordinal, sentence in enumerate(gold, start=1)]
+    gold_heads = [{t.id: t.head for t in sentence.tokens} for sentence in gold]
+    total = sum(len(sentence.tokens) for sentence in gold)
+    results = []
+    for step_no, config in enumerate(steps, start=1):
+        assigned = matching = 0
+        for sentence, view, heads in zip(gold, views, gold_heads):
+            assignments = engine_run(sentence, view, lexicon, config, diagnostics)
+            assigned += len(assignments)
+            matching += sum(1 for a in assignments if heads[a.dependent] == a.head)
+        rules = tuple(sorted(code.value for code in config.enabled))
+        results.append(AblationStep(step=step_no, rules=rules, total=total,
+                                    assigned=assigned, matching=matching))
+    return results
+
+
+class TrackedView(SentenceView):
+    """A view that can be weakly referenced, to count the live ones."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("schedule", ["8-step", "6-step", "no steps"])
+def test_ablate_matches_the_steps_outer_reference(lexicon, monkeypatch, schedule):
+    steps = {"8-step": ablation_steps(), "6-step": ablation_steps(False),
+             "no steps": []}[schedule]
+    views = []
+    calls = []
+
+    def tracking_run(sentence, view, *rest):
+        if not any(ref() is view for ref in views):
+            views.append(weakref.ref(view))
+        calls.append((sentence, sum(ref() is not None for ref in views)))
+        return engine_run(sentence, view, *rest)
+
+    monkeypatch.setattr(evaluate, "SentenceView", TrackedView)
+    monkeypatch.setattr(evaluate, "run", tracking_run)
+    rng = random.Random(35)
+    matched = 0
+    for _ in range(8):
+        gold, _, analyses = random_treebank(rng, rng.randint(0, 30), max_len=20)
+        want_diagnostics, got_diagnostics = Diagnostics(), Diagnostics()
+        want = reference_ablate(gold, analyses, lexicon, steps, want_diagnostics)
+        views.clear()
+        calls.clear()
+        got = ablate(gold, analyses, lexicon, steps, got_diagnostics)
+        assert got == want
+        assert got_diagnostics == want_diagnostics
+        # Sentences are the outer loop, and one view is alive at a time.
+        index = {id(sentence): k for k, sentence in enumerate(gold)}
+        assert [index[id(sentence)] for sentence, _ in calls] == [
+            k for k in range(len(gold)) for _ in steps]
+        assert all(alive == 1 for _, alive in calls)
+        matched += sum(step.matching for step in got)
+    assert (matched > 0) == bool(steps)

@@ -1,7 +1,9 @@
-"""Memory bounds of the streamed compare path, measured with tracemalloc.
+"""Memory bounds of the streamed compare path and of the ablation,
+measured with tracemalloc.
 
 Each bound is set between what the streamed code holds and what a
-whole-file read or a whole-text write would hold on the same input.
+whole-file read, a whole-text write or a view of every sentence at once
+would hold on the same input.
 """
 
 import random
@@ -9,7 +11,9 @@ import tracemalloc
 
 import numpy  # noqa: F401  (imported before tracing: sigtest loads it)
 
-from ruleparse import cli, write_conllu
+from ruleparse import ablate, cli, write_conllu
+from ruleparse.conllu import group_by_sentence
+from ruleparse.engine import SentenceView
 from ruleparse.features import FeatureBundle, export_jsonl
 
 from conftest import random_treebank, sent, tok
@@ -46,7 +50,10 @@ def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path):
             lemma, morphemes = pairs[i % len(pairs)]
             handle.write(f"{i // 20 + 1}\t{i % 20 + 1}\t{lemma}\t{morphemes}\n")
     text_size = corpus.stat().st_size
-    _, positions = traced_size(lambda: {(i // 20 + 1, i % 20 + 1)
+    # The reader keeps each position as one packed int; a set of
+    # (sentence, token) tuples holds about half as much again, more than
+    # the bound below allows.
+    _, positions = traced_size(lambda: {(i // 20 + 1) << 32 | (i % 20 + 1)
                                         for i in range(n)})
     output = tmp_path / "m.tsv"
     peak = traced_peak(lambda: cli.main(["matrix", str(corpus),
@@ -100,3 +107,24 @@ def test_jsonl_export_streams_to_its_output_file(tmp_path):
     print(f"jsonl: output {size}, peak {peak}")
     assert size > 1 << 20
     assert peak < size / 8
+
+
+def test_ablate_holds_one_sentence_view_at_a_time(lexicon):
+    # About 3,700 tokens.  Every view at once, with its first-member bits,
+    # takes about 1.1 MB.  Ablate's peak above its inputs, the sidecar
+    # grouped by sentence and one view, is about 0.2 MB; a loop that
+    # builds every view before the first step runs peaks near 1.6 MB.
+    gold, _, analyses = random_treebank(random.Random(47), 500)
+    grouped = group_by_sentence(analyses)
+
+    def every_view():
+        views = [SentenceView(sentence, grouped.get(ordinal, {}))
+                 for ordinal, sentence in enumerate(gold, start=1)]
+        for view in views:
+            view.first_members(lexicon)
+        return views
+
+    _, views = traced_size(every_view)
+    peak = traced_peak(lambda: ablate(gold, analyses, lexicon))
+    print(f"ablate: every view {views}, peak {peak}")
+    assert peak < views / 2
