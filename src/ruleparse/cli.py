@@ -9,9 +9,10 @@ Whenever a command writes to an output file, a ``<output>.manifest.json``
 is written beside it recording the command, configuration, tool version,
 and a SHA-256 hash of every input file.
 
-Input files are read line by line, and outputs are written a sentence
-or a matrix row at a time.  Every input check runs before the output is
-opened, so a command that fails creates and truncates no output file.
+Every input file is read line by line through :func:`_read` (``matrix``
+streams its corpus through :func:`_open_text`).  Outputs go to temporary
+files beside their paths, moved into place once every file of the
+command is written, so a command that fails changes no file.
 """
 
 from __future__ import annotations
@@ -22,29 +23,29 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from . import __version__
-from .conllu import (Columns, Sentence, check_positions, iter_morph_sidecar,
-                     parse_conllu, read_columns, read_morph_sidecar)
+from .conllu import (iter_morph_sidecar, parse_conllu, read_columns,
+                     read_morph_sidecar)
 # Bound under this name because the benchmark's layer trace wraps
 # ``cli._group_analyses`` to time the grouping step.
 from .conllu import group_by_sentence as _group_analyses
-from .engine import (ALL_RULES, Diagnostics, RuleCode, RuleConfig, run)
-from .errors import (AlignmentError, AnalysisError, EngineError,
-                     InputFormatError)
+from .engine import ALL_RULES, Diagnostics, RuleConfig, run
+from .errors import AlignmentError, EngineError, InputFormatError
 from .evaluate import ablate, ablation_steps, randomization_test, score
 from .features import (HybridConfig, MODE_RULE, MODE_SUFVEC, encode, export,
                        export_jsonl)
 from .lexicon import default_lexicon_dir, load_lexicon
-from .morpho import (MorphAnalysis, build_matrix, load_inventory, read_matrix,
-                     write_matrix)
+from .morpho import build_matrix, load_inventory, read_matrix, write_matrix
 
 DEFAULT_RULE_FLAG = "cpi,nc,pc,ac,aaj,ajc,ajn"
 ENV_PREFIX = "RULEPARSE_"
+_RULE_OF_NAME = {code.value: code for code in ALL_RULES}
 
 
 def _env(name: str, fallback: str) -> str:
@@ -52,14 +53,10 @@ def _env(name: str, fallback: str) -> str:
 
 
 def _parse_rules(flag: str) -> RuleConfig:
-    names = [part.strip() for part in flag.split(",") if part.strip()]
     enabled = set()
-    for name in names:
-        try:
-            code = RuleCode(name.upper())
-        except ValueError:
-            raise InputFormatError(f"unknown rule {name!r}") from None
-        if code not in ALL_RULES:
+    for name in filter(None, (part.strip() for part in flag.split(","))):
+        code = _RULE_OF_NAME.get(name.upper())
+        if code is None:
             raise InputFormatError(f"unknown rule {name!r}")
         enabled.add(code)
     return RuleConfig(enabled=frozenset(enabled))
@@ -85,28 +82,12 @@ def _open_text(path: str | Path) -> IO[str]:
     return open(path, encoding="utf-8")
 
 
-def _load_treebank(path: str | Path) -> list[Sentence]:
+def _read(path: str | Path, reader: Callable, *args):
+    """``reader(handle, *args)`` on the file at ``path``, opened by
+    :func:`_open_text`.  Callers name the reader as a module global, so a
+    wrapper installed on this module sees the call."""
     with _open_text(path) as handle:
-        return parse_conllu(handle)
-
-
-def _load_columns(path: str | Path) -> list[Columns]:
-    """The HEAD and DEPREL columns of the treebank at ``path``: all that
-    ``score`` and ``sigtest`` read of it."""
-    with _open_text(path) as handle:
-        return read_columns(handle)
-
-
-def _read_sidecar(path: str) -> dict[tuple[int, int], MorphAnalysis]:
-    with _open_text(path) as handle:
-        return read_morph_sidecar(handle)
-
-
-def _load_inventory(path: str | None):
-    if not path:
-        return None
-    with _open_text(path) as handle:
-        return load_inventory(handle)
+        return reader(handle, *args)
 
 
 def _sha256(path: str) -> str:
@@ -121,31 +102,54 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _staged(path: str, temps: dict[str, str]) -> IO[str]:
+    """A text handle on a new temporary file beside ``path``, recorded in
+    ``temps`` under ``path``.  It gets the mode a new ``path`` would."""
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path) or None,
+                                prefix=os.path.basename(path) + ".",
+                                suffix=".tmp")
+    temps[path] = temp
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(temp, 0o666 & ~umask)
+    return open(fd, "w", encoding="utf-8")
+
+
 @contextmanager
 def _output(output: str | None, command: str, inputs: list[str],
-            config: dict) -> Iterator[IO[str]]:
-    """The text handle a command writes its output to: stdout, or the
-    output file, with a manifest written beside it once the body of the
-    ``with`` statement has written the output without an error."""
-    if output is None:
-        yield sys.stdout
-        return
-    with open(output, "w", encoding="utf-8") as handle:
-        yield handle
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "created": datetime.now(timezone.utc).isoformat(),
-        "inputs": {path: _sha256(path) for path in inputs},
-        "config": config,
-        "output": output,
-    }
-    Path(output + ".manifest.json").write_text(_json_text(manifest),
-                                               encoding="utf-8")
+            config: dict, texts: dict[str, str] | None = None
+            ) -> Iterator[IO[str]]:
+    """The text handle a command writes its output to: stdout, or a
+    temporary file beside the output.  ``texts`` maps more paths to their
+    text.  Every file, the manifest included, is moved into place only
+    once the ``with`` body has written the output; on an error none is."""
+    temps: dict[str, str] = {}
+    try:
+        for path, text in (texts or {}).items():
+            with _staged(path, temps) as handle:
+                handle.write(text)
+        if output is None:
+            yield sys.stdout
+        else:
+            with _staged(output, temps) as handle:
+                yield handle
+            manifest = {"command": command, "version": __version__,
+                        "created": datetime.now(timezone.utc).isoformat(),
+                        "inputs": {path: _sha256(path) for path in inputs},
+                        "config": config, "output": output}
+            with _staged(output + ".manifest.json", temps) as handle:
+                handle.write(_json_text(manifest))
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps.values():
+            with suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
 
 
-def _add_common(parser: argparse.ArgumentParser, *, rules=False, seed=False,
-                fmt=False, hybrid=False, lexicons=False) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, rules=False,
+                lexicons=False) -> None:
     if rules:
         parser.add_argument("--rules", default=_env("RULES", DEFAULT_RULE_FLAG),
                             help="comma-separated rule codes "
@@ -154,20 +158,6 @@ def _add_common(parser: argparse.ArgumentParser, *, rules=False, seed=False,
         parser.add_argument("--lexicons", default=_env("LEXICONS", None)
                             or str(default_lexicon_dir()),
                             help="directory with the six lexicon files")
-    if seed:
-        # A string default is converted by ``type`` only when the
-        # subcommand that takes it runs, so a bad value exits 2 there.
-        parser.add_argument("--seed", type=int, default=_env("SEED", "0"),
-                            help="random seed")
-    if fmt:
-        parser.add_argument("--format", choices=("conllu", "jsonl"),
-                            default=_env("FORMAT", "conllu"),
-                            help="output format")
-    if hybrid:
-        parser.add_argument("--hybrid",
-                            choices=("rule", "infl", "last", "sufvec", "rule+last"),
-                            default=_env("HYBRID", "rule"),
-                            help="feature configuration")
     parser.add_argument("--output", default=None,
                         help="output file (default: stdout)")
 
@@ -190,7 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="emit per-token feature bundles")
     p.add_argument("treebank")
     p.add_argument("sidecar")
-    _add_common(p, rules=True, fmt=True, hybrid=True, lexicons=True)
+    _add_common(p, rules=True, lexicons=True)
+    p.add_argument("--format", choices=("conllu", "jsonl"),
+                   default=_env("FORMAT", "conllu"), help="output format")
+    p.add_argument("--hybrid",
+                   choices=("rule", "infl", "last", "sufvec", "rule+last"),
+                   default=_env("HYBRID", "rule"), help="feature configuration")
     p.add_argument("--matrix", default=None,
                    help="lemma-suffix matrix file (required for sufvec)")
     p.add_argument("--inventory", default=None,
@@ -215,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffles", type=int, default=10000)
     p.add_argument("--metric", choices=("uas", "las"),
                    default=_env("METRIC", "uas"))
-    _add_common(p, seed=True)
+    # A string default is converted by ``type`` only when ``sigtest``
+    # runs, so a bad value exits 2 there and nowhere else.
+    p.add_argument("--seed", type=int, default=_env("SEED", "0"),
+                   help="random seed")
+    _add_common(p)
 
     p = sub.add_parser("ablate", help="cumulative rule ablation over a gold treebank")
     p.add_argument("gold")
@@ -231,23 +230,17 @@ def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
     and the encoder: the body of ``annotate`` and ``features``.  Returns
     the sentences, their feature bundles, the rule config and the
     engine's diagnostics."""
-    sentences = _load_treebank(args.treebank)
-    sidecar = _read_sidecar(args.sidecar)
-    check_positions(sidecar, sentences)
-    grouped = _group_analyses(sidecar)
+    sentences = _read(args.treebank, parse_conllu)
+    grouped = _group_analyses(_read(args.sidecar, read_morph_sidecar), sentences)
     config = _parse_rules(args.rules)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
     bundles = []
-    for ordinal, sentence in enumerate(sentences, start=1):
-        analyses = grouped.get(ordinal, {})
-        try:
-            assignments = None if lexicon is None else run(
-                sentence, analyses, lexicon, config, diagnostics)
-            bundles.append(encode(sentence, assignments, analyses, matrix,
-                                  hybrid, inventory))
-        except AnalysisError as exc:
-            raise AnalysisError(f"sentence {ordinal}: {exc}") from None
+    for sentence, analyses in zip(sentences, grouped):
+        assignments = None if lexicon is None else run(
+            sentence, analyses, lexicon, config, diagnostics)
+        bundles.append(encode(sentence, assignments, analyses, matrix,
+                              hybrid, inventory))
     return sentences, bundles, config, diagnostics
 
 
@@ -259,37 +252,33 @@ def cmd_annotate(args) -> int:
                   tokens=sum(len(s.tokens) for s in sentences),
                   assigned=sum(diagnostics.fire_counts.values()))
     diag_text = _json_text(report)
-    # The report is emitted before the output is opened, so a report
-    # that cannot be written leaves no output file behind.
-    if args.diagnostics:
-        Path(args.diagnostics).write_text(diag_text, encoding="utf-8")
-    else:
+    if not args.diagnostics:
         sys.stderr.write(diag_text)
     # "jobs" is kept at 1 so the manifest stays byte-identical with the
     # one the benchmark's expected digests were recorded from.
     with _output(args.output, "annotate", [args.treebank, args.sidecar],
                  {"rules": sorted(c.value for c in config.enabled),
-                  "lexicons": str(args.lexicons), "jobs": 1}) as out:
+                  "lexicons": str(args.lexicons), "jobs": 1},
+                 {args.diagnostics: diag_text} if args.diagnostics else None
+                 ) as out:
         export(sentences, bundles, out)
     return 0
 
 
 def cmd_features(args) -> int:
     hybrid = HybridConfig.from_flag(args.hybrid)
-    inventory = _load_inventory(args.inventory)
+    inventory = _read(args.inventory, load_inventory) if args.inventory else None
     matrix = None
     if MODE_SUFVEC in hybrid.modes:
         if not args.matrix:
             raise InputFormatError("--matrix is required for the sufvec mode")
-        with _open_text(args.matrix) as handle:
-            matrix = read_matrix(handle, inventory)
+        matrix = _read(args.matrix, read_matrix, inventory)
     elif args.matrix:
         raise InputFormatError("--matrix is only valid with the sufvec mode")
     sentences, bundles, config, _ = _encode_treebank(args, hybrid, matrix,
                                                      inventory)
     inputs = [args.treebank, args.sidecar]
-    if args.matrix:
-        inputs.append(args.matrix)
+    inputs += [path for path in (args.matrix, args.inventory) if path]
     write = export_jsonl if args.format == "jsonl" else export
     with _output(args.output, "features", inputs,
                  {"hybrid": args.hybrid, "format": args.format,
@@ -299,21 +288,23 @@ def cmd_features(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    inventory = _load_inventory(args.inventory)
+    inventory = _read(args.inventory, load_inventory) if args.inventory else None
     # Read as the build consumes it: the build counts each distinct
     # analysis, and the reader keeps only the positions for the
     # duplicate check, not a map from each position to its analysis.
     with _open_text(args.corpus) as handle:
         analyses = (analysis for _, analysis in iter_morph_sidecar(handle))
         matrix = build_matrix(analyses, cap=args.cap, inventory=inventory)
-    with _output(args.output, "matrix", [args.corpus],
+    inputs = [args.corpus] + ([args.inventory] if args.inventory else [])
+    with _output(args.output, "matrix", inputs,
                  {"cap": args.cap, "lemmas": len(matrix)}) as out:
         write_matrix(matrix, out)
     return 0
 
 
 def cmd_score(args) -> int:
-    result = score(_load_columns(args.gold), _load_columns(args.system))
+    result = score(_read(args.gold, read_columns),
+                   _read(args.system, read_columns))
     with _output(args.output, "score", [args.gold, args.system], {}) as out:
         out.write(_json_text(result.to_dict()))
     return 0
@@ -327,14 +318,14 @@ def _conllu_files(path: str) -> list[Path]:
 
 
 def cmd_sigtest(args) -> int:
-    gold = _load_columns(args.gold)
+    gold = _read(args.gold, read_columns)
     files_a = _conllu_files(args.dir_a)
     files_b = _conllu_files(args.dir_b)
     # Each file is read when the test reaches it and dropped once it is
     # reduced to its per-sentence counts: side A, then side B, in order.
     result = randomization_test(gold,
-                                map(_load_columns, files_a),
-                                map(_load_columns, files_b),
+                                (_read(f, read_columns) for f in files_a),
+                                (_read(f, read_columns) for f in files_b),
                                 shuffles=args.shuffles,
                                 metric=args.metric,
                                 seed=args.seed)
@@ -351,8 +342,8 @@ def cmd_sigtest(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    gold = _load_treebank(args.gold)
-    sidecar = _read_sidecar(args.sidecar)
+    gold = _read(args.gold, parse_conllu)
+    sidecar = _read(args.sidecar, read_morph_sidecar)
     lexicon = load_lexicon(args.lexicons)
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
     results = ablate(gold, sidecar, lexicon, steps)

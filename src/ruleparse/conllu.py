@@ -4,6 +4,8 @@ Annotations produced by this package ride in the MISC column, so gold
 HEAD/DEPREL columns are never overwritten.  Multiword-token range lines
 are preserved verbatim for round-tripping but excluded from the token
 list; empty-node lines are rejected.
+
+:func:`group_by_sentence` is the one place a sidecar meets its treebank.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, fields
 from itertools import chain, count, repeat
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .errors import AlignmentError, ConlluError, SidecarError
+from .errors import AlignmentError, AnalysisError, ConlluError, SidecarError
 from .morpho import MorphAnalysis
 from .textio import join_or_write, lines_of
 
@@ -444,23 +446,31 @@ def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnal
     return result
 
 
-def group_by_sentence(sidecar: Mapping[tuple[int, int], MorphAnalysis]
-                      ) -> dict[int, dict[int, MorphAnalysis]]:
-    """Regroup a sidecar map as ``{sentence_ordinal: {token_id: analysis}}``,
-    keeping the sidecar's order."""
-    grouped: dict[int, dict[int, MorphAnalysis]] = {}
-    for (ordinal, token_id), analysis in sidecar.items():
-        grouped.setdefault(ordinal, {})[token_id] = analysis
-    return grouped
+def group_by_sentence(sidecar: Mapping[tuple[int, int], MorphAnalysis],
+                      sentences: Sequence[Sentence]
+                      ) -> list[dict[int, MorphAnalysis]]:
+    """The treebank–sidecar join: one ``{token_id: analysis}`` dict per
+    sentence, in treebank order, each in the sidecar's order.
 
-
-def check_positions(sidecar: Iterable[tuple[int, int]],
-                    sentences: Sequence[Sentence]) -> None:
-    """Raise :class:`AlignmentError` on the first sidecar position, in the
-    sidecar's order, that names no token of ``sentences``."""
+    Raises :class:`AlignmentError` on the first entry, in sidecar order,
+    that names no token, then :class:`AnalysisError` on the first token,
+    in treebank order, without an analysis.
+    """
     lengths = [len(sentence.tokens) for sentence in sentences]
-    for ordinal, token_id in sidecar:
-        if ordinal > len(lengths) or token_id > lengths[ordinal - 1]:
+    n_sentences = len(lengths)
+    grouped: list[dict[int, MorphAnalysis]] = [{} for _ in lengths]
+    for (ordinal, token_id), analysis in sidecar.items():
+        if not (0 < ordinal <= n_sentences and 0 < token_id <= lengths[ordinal - 1]):
             raise AlignmentError(
                 f"sidecar entry for sentence {ordinal} token {token_id} "
                 "names no token of the treebank")
+        grouped[ordinal - 1][token_id] = analysis
+    # Every entry is in range and names one position, so a sentence is
+    # complete exactly when its dict has an entry per token.
+    for ordinal, (length, analyses) in enumerate(zip(lengths, grouped), start=1):
+        if len(analyses) != length:
+            token = next(t for t in sentences[ordinal - 1].tokens
+                         if t.id not in analyses)
+            raise AnalysisError(f"sentence {ordinal}: token {token.id} "
+                                f"({token.form!r}) has no morphological analysis")
+    return grouped

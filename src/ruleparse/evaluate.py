@@ -37,6 +37,9 @@ sentences or the columns :func:`~ruleparse.conllu.read_columns` reads.
 reduces each output to its per-sentence correct counts as soon as it is
 drawn, so a caller that reads files lazily holds one at a time.
 
+Rule ablation joins the gold treebank and its sidecar
+(:func:`~ruleparse.conllu.group_by_sentence`) before the engine runs.
+
 numpy is imported by the functions that use it, so only the significance
 test pays for loading it.
 """
@@ -47,9 +50,9 @@ from dataclasses import dataclass
 from operator import and_, eq
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .conllu import Columns, Sentence, check_positions, group_by_sentence
+from .conllu import Columns, Sentence, group_by_sentence
 from .engine import Diagnostics, RuleCode, RuleConfig, SentenceView, run
-from .errors import AlignmentError, AnalysisError
+from .errors import AlignmentError
 from .lexicon import Lexicon
 from .morpho import MorphAnalysis
 
@@ -363,10 +366,8 @@ def ablate(gold: Sequence[Sentence],
     their heads.  Coverage is the fraction of tokens that received a
     head; precision is the fraction of assigned heads that match the gold
     head (None when nothing was assigned).  ``analyses`` is keyed by
-    ``(sentence_ordinal, token_id)`` as read from a sidecar file; an
-    entry that names no token of ``gold`` raises :class:`AlignmentError`,
-    and a token without an analysis raises :class:`AnalysisError` naming
-    its sentence.
+    ``(sentence_ordinal, token_id)`` as read from a sidecar file; the
+    join with ``gold`` raises its errors before any step runs.
 
     Sentences are the outer loop and steps the inner one: each sentence's
     :class:`SentenceView` is built once, run under every step and dropped
@@ -374,16 +375,11 @@ def ablate(gold: Sequence[Sentence],
     step keeps only its two counters.
     """
     steps = list(steps) if steps is not None else ablation_steps()
-    check_positions(analyses, gold)
-    by_sentence = group_by_sentence(analyses)
     assigned = [0] * len(steps)
     matching = [0] * len(steps)
     total = 0
-    for ordinal, sent in enumerate(gold, start=1):
-        try:
-            view = SentenceView(sent, by_sentence.get(ordinal, {}))
-        except AnalysisError as exc:
-            raise AnalysisError(f"sentence {ordinal}: {exc}") from None
+    for sent, sent_analyses in zip(gold, group_by_sentence(analyses, gold)):
+        view = SentenceView(sent, sent_analyses)
         tokens = sent.tokens
         total += len(tokens)
         for k, config in enumerate(steps):

@@ -213,6 +213,26 @@ def test_matrix_build_manifest_and_sufvec_use(corpus, tmp_path, capsys):
     assert len(vec.split(",")) == 81
 
 
+@pytest.mark.parametrize("command", ["matrix", "features"])
+def test_manifest_records_the_inventory(corpus, tmp_path, command):
+    treebank, sidecar = corpus
+    packaged = (Path(ruleparse.__file__).parent / "data"
+                / "suffix_inventory.txt").read_text(encoding="utf-8")
+    argv = (["matrix", str(sidecar)] if command == "matrix" else
+            ["features", str(treebank), str(sidecar), "--hybrid", "infl"])
+    for name, text in [("a.tsv", packaged), ("b.tsv", "# a copy\n" + packaged)]:
+        inventory = tmp_path / name
+        inventory.write_text(text, encoding="utf-8")
+        output = tmp_path / (name + ".out")
+        assert main(argv + ["--inventory", str(inventory),
+                            "--output", str(output)]) == 0
+        manifest = json.loads((tmp_path / (name + ".out.manifest.json")).read_text())
+        files = ([sidecar] if command == "matrix" else [treebank, sidecar]) \
+            + [inventory]
+        assert manifest["inputs"] == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
+                                      for f in files}
+
+
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e400",
                                    "-0.25"])
 def test_features_rejects_matrix_value_that_is_not_finite_and_non_negative(
@@ -350,8 +370,7 @@ MISSING = "error: sentence 3: token 2 ('ev') has no morphological analysis"
     (["annotate"], MISSING),
     (["ablate"], MISSING),
     (["features", "--hybrid", "rule"], MISSING),
-    (["features", "--hybrid", "last"],
-     MISSING + " but a suffix feature mode is selected"),
+    (["features", "--hybrid", "last"], MISSING),
 ], ids=["annotate", "ablate", "features-rule", "features-last"])
 def test_missing_analysis_names_its_sentence(corpus, tmp_path, capsys, argv,
                                              message):
@@ -361,6 +380,30 @@ def test_missing_analysis_names_its_sentence(corpus, tmp_path, capsys, argv,
                                if not line.startswith("3\t2\t")), encoding="utf-8")
     assert main(argv[:1] + [str(treebank), str(sidecar)] + argv[1:]) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("command,failing", [
+    ("annotate", "ruleparse.cli.run"),
+    ("features", "ruleparse.cli.run"),
+    ("features", "ruleparse.cli.encode"),
+    ("ablate", "ruleparse.evaluate.run"),
+], ids=["annotate", "features-run", "features-encode", "ablate"])
+def test_missing_analysis_wins_over_an_earlier_failure(corpus, tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       failing):
+    # The sidecar is joined with the treebank before the engine or the
+    # encoder runs, so their failure on sentence 1 is never reached.
+    treebank, _ = corpus
+    sidecar = tmp_path / "partial.morph"
+    sidecar.write_text("".join(line + "\n" for line in SIDECAR.splitlines()
+                               if not line.startswith("3\t2\t")), encoding="utf-8")
+
+    def explode(*args, **kwargs):
+        raise EngineError("rule loop made more than 3 passes")
+
+    monkeypatch.setattr(failing, explode)
+    assert main([command, str(treebank), str(sidecar)]) == 2
+    assert capsys.readouterr().err == MISSING + "\n"
 
 
 @pytest.mark.parametrize("text", ["", "# tag\tclass\n", "\n  \n"],
@@ -443,9 +486,20 @@ def test_malformed_treebank_exits_2(tmp_path, capsys):
 
 def test_unknown_rule_exits_2(corpus, capsys):
     treebank, sidecar = corpus
-    assert main(["annotate", str(treebank), str(sidecar),
-                 "--rules", "cpi,zzz"]) == 2
-    assert "unknown rule" in capsys.readouterr().err
+    # NONE is a rule code (of untouched tokens) but not a rule.
+    for flag, name in [("cpi,zzz", "zzz"), ("cpi, None ,nc", "None")]:
+        assert main(["annotate", str(treebank), str(sidecar), "--rules", flag]) == 2
+        assert capsys.readouterr().err == f"error: unknown rule {name!r}\n"
+
+
+def test_rule_names_are_read_in_any_case_and_spacing(corpus, capsys):
+    treebank, sidecar = corpus
+    outputs = []
+    for flag in ("CPI,nc", " nc , cpi ,,", "Cpi,NC"):
+        assert main(["annotate", str(treebank), str(sidecar), "--rules", flag]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert "# rule-codes" in outputs[0] and "Rule=NC" in outputs[0]
 
 
 def test_engine_failure_exits_3(corpus, capsys, monkeypatch):
@@ -497,6 +551,40 @@ def test_annotate_unwritable_diagnostics_exits_2_and_writes_nothing(
     else:
         assert output.read_text(encoding="utf-8") == existing
     assert not (tmp_path / "out.conllu.manifest.json").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("existing", [None, "earlier report\n"])
+def test_annotate_unwritable_output_leaves_the_report_as_it_was(
+        corpus, tmp_path, capsys, existing):
+    treebank, sidecar = corpus
+    report = tmp_path / "d.json"
+    if existing is not None:
+        report.write_text(existing, encoding="utf-8")
+    assert main(["annotate", str(treebank), str(sidecar),
+                 "--output", str(tmp_path / "nodir" / "o.conllu"),
+                 "--diagnostics", str(report)]) == 2
+    assert "o.conllu" in capsys.readouterr().err
+    if existing is None:
+        assert not report.exists()
+    else:
+        assert report.read_text(encoding="utf-8") == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["dev.conllu", "dev.morph"] + (["d.json"] if existing else []))
+
+
+def test_annotate_writes_report_and_output_with_the_usual_mode(corpus, tmp_path):
+    treebank, sidecar = corpus
+    output, report = tmp_path / "o.conllu", tmp_path / "d.json"
+    assert main(["annotate", str(treebank), str(sidecar), "--output", str(output),
+                 "--diagnostics", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["tokens"] == 9
+    assert "Rule=" in output.read_text(encoding="utf-8")
+    umask = os.umask(0)
+    os.umask(umask)
+    for path in (output, report, tmp_path / "o.conllu.manifest.json"):
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_outputs_are_written_as_the_text_forms_give_them(corpus, tmp_path, capsys):

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleparse import (ConlluError, MorphAnalysis, Sentence, SidecarError,
-                       Token, group_by_sentence, parse_conllu,
-                       read_morph_sidecar, write_conllu)
+from ruleparse import (AlignmentError, AnalysisError, ConlluError,
+                       MorphAnalysis, Sentence, SidecarError, Token,
+                       group_by_sentence, parse_conllu, read_morph_sidecar,
+                       write_conllu)
 from ruleparse.conllu import iter_morph_sidecar, read_columns
 
-from conftest import ShortReads, random_conllu_sentence, sent, tok
+from conftest import (ShortReads, random_conllu_sentence, random_treebank,
+                      sent, tok)
 
 BASIC = """\
 # sent_id = 1
@@ -199,13 +201,84 @@ def test_sidecar_parses_analyses():
     assert a.tags == ("A3pl", "Gen")
 
 
+# Every token of BASIC, its sentences interleaved and its tokens out of order.
+BASIC_SIDECAR = """\
+1\t3\tal\tVerb+Past+A1sg
+2\t1\tgel\tVerb+Past+A1sg
+1\t1\tkuru\tAdj
+1\t2\tyemiş\tNoun+A3sg+Nom
+"""
+
+
+def without_line(text, prefix):
+    return "".join(line + "\n" for line in text.splitlines()
+                   if not line.startswith(prefix))
+
+
 def test_group_by_sentence_keeps_every_entry_in_file_order():
-    sidecar = read_morph_sidecar(SIDECAR)
-    grouped = group_by_sentence(sidecar)
-    assert [(ordinal, token_id) for ordinal, analyses in grouped.items()
-            for token_id in analyses] == [(1, 1), (1, 2), (2, 1)]
-    assert all(grouped[ordinal][token_id] is analysis
+    sentences = parse_conllu(BASIC)
+    sidecar = read_morph_sidecar(BASIC_SIDECAR)
+    grouped = group_by_sentence(sidecar, sentences)
+    assert isinstance(grouped, list)
+    assert [list(analyses) for analyses in grouped] == [[3, 1, 2], [1]]
+    # The analyses are the objects the reader made, not copies.
+    assert all(grouped[ordinal - 1][token_id] is analysis
                for (ordinal, token_id), analysis in sidecar.items())
+
+
+def test_group_by_sentence_is_aligned_with_the_sentences():
+    rng = random.Random(5)
+    sentences, _, analyses = random_treebank(rng, 40, max_len=12)
+    entries = list(analyses.items())
+    rng.shuffle(entries)
+    grouped = group_by_sentence(dict(entries), sentences)
+    assert len(grouped) == len(sentences)
+    for ordinal, (sentence, sentence_analyses) in enumerate(
+            zip(sentences, grouped), start=1):
+        assert sorted(sentence_analyses) == [t.id for t in sentence.tokens]
+        assert list(sentence_analyses) == [token_id for (o, token_id), _ in entries
+                                           if o == ordinal]
+
+
+def test_group_by_sentence_of_no_sentences():
+    assert group_by_sentence({}, []) == []
+
+
+@pytest.mark.parametrize("extra,ordinal,token_id", [
+    ("1\t4\tev\tNoun", 1, 4), ("3\t1\tev\tNoun", 3, 1),
+])
+def test_group_by_sentence_rejects_an_entry_naming_no_token(extra, ordinal,
+                                                            token_id):
+    # The sidecar also lacks an analysis: the alignment error comes first.
+    sidecar = read_morph_sidecar(without_line(BASIC_SIDECAR, "1\t1\t") + extra)
+    with pytest.raises(AlignmentError) as excinfo:
+        group_by_sentence(sidecar, parse_conllu(BASIC))
+    assert str(excinfo.value) == (f"sidecar entry for sentence {ordinal} "
+                                  f"token {token_id} names no token of the treebank")
+
+
+@pytest.mark.parametrize("position", [(0, 1), (1, 0), (-1, 2)])
+def test_group_by_sentence_rejects_a_position_below_one(position):
+    sidecar = read_morph_sidecar(BASIC_SIDECAR)
+    sidecar[position] = MorphAnalysis("ev", "Noun")
+    with pytest.raises(AlignmentError, match="names no token of the treebank"):
+        group_by_sentence(sidecar, parse_conllu(BASIC))
+
+
+@pytest.mark.parametrize("dropped,message", [
+    (("1\t1\t",), "sentence 1: token 1 ('Kuru')"),
+    (("1\t3\t", "1\t2\t"), "sentence 1: token 2 ('yemiş')"),
+    (("2\t1\t", "1\t3\t"), "sentence 1: token 3 ('aldım')"),
+    (("2\t1\t",), "sentence 2: token 1 ('Geldim')"),
+])
+def test_group_by_sentence_reports_the_first_token_without_analysis(dropped,
+                                                                    message):
+    text = BASIC_SIDECAR
+    for prefix in dropped:
+        text = without_line(text, prefix)
+    with pytest.raises(AnalysisError) as excinfo:
+        group_by_sentence(read_morph_sidecar(text), parse_conllu(BASIC))
+    assert str(excinfo.value) == message + " has no morphological analysis"
 
 
 def test_sidecar_bare_root_has_no_tags():

@@ -12,7 +12,7 @@ from ruleparse import (AlignmentError, AnalysisError, RuleCode, ablate,
                        ablation_steps, randomization_test, score, write_conllu)
 import ruleparse.evaluate as evaluate
 import ruleparse.lexicon as lexicon_module
-from ruleparse.conllu import group_by_sentence, read_columns, read_morph_sidecar
+from ruleparse.conllu import read_columns, read_morph_sidecar
 from ruleparse.engine import Diagnostics, SentenceView
 from ruleparse.engine import run as engine_run
 from ruleparse.evaluate import AblationStep
@@ -412,9 +412,11 @@ def reference_ablate(gold, analyses, lexicon, steps=None, diagnostics=None):
     """The steps-outer ablation: every sentence's view and gold-head map
     built up front, then each step run over all of them."""
     steps = list(steps) if steps is not None else ablation_steps()
-    by_sentence = group_by_sentence(analyses)
-    views = [SentenceView(sentence, by_sentence.get(ordinal, {}))
-             for ordinal, sentence in enumerate(gold, start=1)]
+    by_sentence = [{} for _ in gold]
+    for (ordinal, token_id), analysis in analyses.items():
+        by_sentence[ordinal - 1][token_id] = analysis
+    views = [SentenceView(sentence, sentence_analyses)
+             for sentence, sentence_analyses in zip(gold, by_sentence)]
     gold_heads = [{t.id: t.head for t in sentence.tokens} for sentence in gold]
     total = sum(len(sentence.tokens) for sentence in gold)
     results = []

@@ -73,8 +73,8 @@ def test_sigtest_memory_is_near_one_parsed_file(tmp_path):
         (tmp_path / side).mkdir()
         for k in (1, 2):
             (tmp_path / side / f"run{k}.conllu").write_text(text, encoding="utf-8")
-    _, resident = traced_size(lambda: cli._load_treebank(gold_path))
-    parse_peak = traced_peak(lambda: cli._load_treebank(gold_path))
+    _, resident = traced_size(lambda: cli._read(gold_path, cli.parse_conllu))
+    parse_peak = traced_peak(lambda: cli._read(gold_path, cli.parse_conllu))
     peak = traced_peak(lambda: cli.main(
         ["sigtest", str(gold_path), str(tmp_path / "a"), str(tmp_path / "b"),
          "--shuffles", "10", "--output", str(tmp_path / "sig.json")]))
@@ -115,11 +115,11 @@ def test_ablate_holds_one_sentence_view_at_a_time(lexicon):
     # grouped by sentence and one view, is about 0.2 MB; a loop that
     # builds every view before the first step runs peaks near 1.6 MB.
     gold, _, analyses = random_treebank(random.Random(47), 500)
-    grouped = group_by_sentence(analyses)
+    grouped = group_by_sentence(analyses, gold)
 
     def every_view():
-        views = [SentenceView(sentence, grouped.get(ordinal, {}))
-                 for ordinal, sentence in enumerate(gold, start=1)]
+        views = [SentenceView(sentence, sentence_analyses)
+                 for sentence, sentence_analyses in zip(gold, grouped)]
         for view in views:
             view.first_members(lexicon)
         return views
