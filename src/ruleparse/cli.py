@@ -22,8 +22,8 @@ import codecs
 import hashlib
 import json
 import os
+import secrets
 import sys
-import tempfile
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
@@ -103,31 +103,33 @@ def _json_text(data: dict) -> str:
 
 
 def _staged(path: str, temps: dict[str, str]) -> IO[str]:
-    """A text handle on a new temporary file beside ``path``, recorded in
-    ``temps`` under ``path``.  It gets the mode a new ``path`` would."""
-    fd, temp = tempfile.mkstemp(dir=os.path.dirname(path) or None,
-                                prefix=os.path.basename(path) + ".",
-                                suffix=".tmp")
-    temps[path] = temp
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(temp, 0o666 & ~umask)
-    return open(fd, "w", encoding="utf-8")
+    """A text handle on a new file ``<path>.<random>.tmp``, in the
+    directory of ``path`` and with the mode a new ``path`` would get,
+    recorded in ``temps`` under ``path``."""
+    while True:
+        temp = f"{path}.{secrets.token_hex(4)}.tmp"
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        temps[path] = temp
+        return open(fd, "w", encoding="utf-8")
 
 
 @contextmanager
 def _output(output: str | None, command: str, inputs: list[str],
-            config: dict, texts: dict[str, str] | None = None
+            config: dict, report: tuple[str, str] | None = None
             ) -> Iterator[IO[str]]:
     """The text handle a command writes its output to: stdout, or a
-    temporary file beside the output.  ``texts`` maps more paths to their
-    text.  Every file, the manifest included, is moved into place only
-    once the ``with`` body has written the output; on an error none is."""
+    temporary file beside the output.  ``report`` is a ``(path, text)``
+    to write too.  Every file, the manifest included, is moved into place
+    only once the ``with`` body has written the output; on an error none
+    is."""
     temps: dict[str, str] = {}
     try:
-        for path, text in (texts or {}).items():
-            with _staged(path, temps) as handle:
-                handle.write(text)
+        if report is not None:
+            with _staged(report[0], temps) as handle:
+                handle.write(report[1])
         if output is None:
             yield sys.stdout
         else:
@@ -259,7 +261,7 @@ def cmd_annotate(args) -> int:
     with _output(args.output, "annotate", [args.treebank, args.sidecar],
                  {"rules": sorted(c.value for c in config.enabled),
                   "lexicons": str(args.lexicons), "jobs": 1},
-                 {args.diagnostics: diag_text} if args.diagnostics else None
+                 (args.diagnostics, diag_text) if args.diagnostics else None
                  ) as out:
         export(sentences, bundles, out)
     return 0

@@ -587,6 +587,22 @@ def test_annotate_writes_report_and_output_with_the_usual_mode(corpus, tmp_path)
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_bare_output_names_are_staged_beside_them_not_in_the_temp_dir(
+        corpus, tmp_path, monkeypatch):
+    # Staged in the temp dir, a bare name could not be moved into place
+    # when that dir is another filesystem; here it does not even exist.
+    import tempfile
+    treebank, sidecar = corpus
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "no-such-dir"))
+    assert main(["annotate", str(treebank), str(sidecar), "--output", "o.conllu",
+                 "--diagnostics", "d.json"]) == 0
+    assert "Rule=" in (tmp_path / "o.conllu").read_text(encoding="utf-8")
+    assert json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
+    assert (tmp_path / "o.conllu.manifest.json").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_outputs_are_written_as_the_text_forms_give_them(corpus, tmp_path, capsys):
     treebank, sidecar = corpus
     for argv, name in ((["annotate", str(treebank), str(sidecar)], "a.conllu"),
