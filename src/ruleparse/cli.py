@@ -52,6 +52,24 @@ def _env(name: str, fallback: str) -> str:
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
+def _add_choice(parser: argparse.ArgumentParser, flag: str,
+                choices: tuple[str, ...], name: str, fallback: str,
+                help: str | None = None) -> None:
+    """``flag``, one of ``choices``, defaulting to ``RULEPARSE_<name>``.
+
+    argparse converts a string default with ``type`` but never checks it
+    against ``choices``, so ``type`` checks every value, the environment
+    default included, with argparse's own message."""
+    def check(value: str) -> str:
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} "
+                f"(choose from {', '.join(map(repr, choices))})")
+        return value
+    parser.add_argument(flag, choices=choices, type=check,
+                        default=_env(name, fallback), help=help)
+
+
 def _parse_rules(flag: str) -> RuleConfig:
     enabled = set()
     for name in filter(None, (part.strip() for part in flag.split(","))):
@@ -124,7 +142,18 @@ def _output(output: str | None, command: str, inputs: list[str],
     temporary file beside the output.  ``report`` is a ``(path, text)``
     to write too.  Every file, the manifest included, is moved into place
     only once the ``with`` body has written the output; on an error none
-    is."""
+    is.  A path named twice or naming a directory fails before any file
+    is created."""
+    targets = [report[0]] if report is not None else []
+    if output is not None:
+        targets += [output, output + ".manifest.json"]
+    named = set()
+    for path in targets:
+        if os.path.abspath(path) in named:
+            raise InputFormatError(f"output path {path} is named twice")
+        if os.path.isdir(path):
+            raise InputFormatError(f"output path {path} is a directory")
+        named.add(os.path.abspath(path))
     temps: dict[str, str] = {}
     try:
         if report is not None:
@@ -183,11 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("treebank")
     p.add_argument("sidecar")
     _add_common(p, rules=True, lexicons=True)
-    p.add_argument("--format", choices=("conllu", "jsonl"),
-                   default=_env("FORMAT", "conllu"), help="output format")
-    p.add_argument("--hybrid",
-                   choices=("rule", "infl", "last", "sufvec", "rule+last"),
-                   default=_env("HYBRID", "rule"), help="feature configuration")
+    _add_choice(p, "--format", ("conllu", "jsonl"), "FORMAT", "conllu",
+                "output format")
+    _add_choice(p, "--hybrid", ("rule", "infl", "last", "sufvec", "rule+last"),
+                "HYBRID", "rule", "feature configuration")
     p.add_argument("--matrix", default=None,
                    help="lemma-suffix matrix file (required for sufvec)")
     p.add_argument("--inventory", default=None,
@@ -210,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir_a")
     p.add_argument("dir_b")
     p.add_argument("--shuffles", type=int, default=10000)
-    p.add_argument("--metric", choices=("uas", "las"),
-                   default=_env("METRIC", "uas"))
+    _add_choice(p, "--metric", ("uas", "las"), "METRIC", "uas")
     # A string default is converted by ``type`` only when ``sigtest``
     # runs, so a bad value exits 2 there and nowhere else.
     p.add_argument("--seed", type=int, default=_env("SEED", "0"),
@@ -227,13 +254,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_joined(treebank: str, sidecar: str) -> tuple[list, list[dict]]:
+    """The sentences of ``treebank`` and one ``{token_id: analysis}``
+    dict per sentence from ``sidecar``, every alignment error raised."""
+    sentences = _read(treebank, parse_conllu)
+    return sentences, _group_analyses(_read(sidecar, read_morph_sidecar),
+                                      sentences)
+
+
 def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
     """Treebank and sidecar through the engine (in the rule mode only)
     and the encoder: the body of ``annotate`` and ``features``.  Returns
     the sentences, their feature bundles, the rule config and the
     engine's diagnostics."""
-    sentences = _read(args.treebank, parse_conllu)
-    grouped = _group_analyses(_read(args.sidecar, read_morph_sidecar), sentences)
+    sentences, grouped = _read_joined(args.treebank, args.sidecar)
     config = _parse_rules(args.rules)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
@@ -344,11 +378,10 @@ def cmd_sigtest(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    gold = _read(args.gold, parse_conllu)
-    sidecar = _read(args.sidecar, read_morph_sidecar)
+    gold, grouped = _read_joined(args.gold, args.sidecar)
     lexicon = load_lexicon(args.lexicons)
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
-    results = ablate(gold, sidecar, lexicon, steps)
+    results = ablate(gold, grouped, lexicon, steps)
     with _output(args.output, "ablate", [args.gold, args.sidecar],
                  {"schedule": "6-step" if args.no_av_nv else "8-step"}) as out:
         out.write(_json_text({"steps": [r.to_dict() for r in results]}))

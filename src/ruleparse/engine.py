@@ -33,9 +33,6 @@ lexicon pair for CPI (a ``cpi`` pair) and NC (an ``nc``, ``redup`` or
 calling the pair test, which would return False on it with no side
 effect.  A rule that no token of the sentence can open, or whose test
 needs a second-member POS the sentence lacks, is not scanned at all.
-The bits are built once per view and lexicon
-(:meth:`SentenceView.first_members`), so the ablation harness, which
-shares each view across its steps, builds them once per sentence.
 
 Late binding is one map, ``waiting``, from a deferred pair's second
 member to its first member and code.  Deferring takes the first member
@@ -51,14 +48,15 @@ recorded on the dependent token.
 
 The facts the rules test never change during a run: a token's POS, its
 folded and de-duplicated word forms (surface form, analysis lemma,
-treebank lemma), and its genitive, accusative, possessive and bare
-flags.  A :class:`SentenceView` computes them once per sentence, indexed
-by token id, so lexicon tests are plain lookups in the lexicon's
+treebank lemma), its genitive, accusative, possessive and bare flags,
+and its first-member bits.  A :class:`SentenceView` computes them for
+one sentence and one lexicon in one pass over the tokens, indexed by
+token id, so lexicon tests are plain lookups in the lexicon's
 already-folded first-word map: one ``dict.get`` and one ``isdisjoint``
-per form of a pair's first token.  The view is also the sentence's
-analysis mapping: ``run`` reuses a view passed as ``analyses`` and
-builds one otherwise, so a caller that runs the same sentence under
-several rule sets (the ablation harness) builds each view once.
+per form of a pair's first token.  ``run`` uses a view passed as
+``analyses`` when it was built for the same sentence and lexicon, and
+builds one from a plain mapping, so a caller that runs the same sentence
+under several rule sets (the ablation harness) builds each view once.
 """
 
 from __future__ import annotations
@@ -166,13 +164,11 @@ class Diagnostics:
         }
 
 
-class SentenceView(Mapping):
-    """The static per-token facts of one sentence, built once.
+class SentenceView:
+    """The static per-token facts of one sentence under one lexicon, built
+    in one pass over its tokens.
 
-    A read-only ``Mapping[int, MorphAnalysis]`` over the analyses it was
-    built from, so it can stand in for them in :func:`run`, which then
-    reuses it instead of building a new one.  The per-token tuples are
-    indexed by token id (slot 0 is unused):
+    The per-token tuples are indexed by token id (slot 0 is unused):
 
     ``pos``         UPOS, falling back to the analysis root POS
     ``forms``       folded, de-duplicated surface form, analysis lemma
@@ -180,20 +176,26 @@ class SentenceView(Mapping):
     ``genitive``, ``accusative``, ``possessive``, ``bare``
                     case and possessive marking from the analysis tags
                     or the CoNLL-U features
+    ``bits``        the rules' first-member bits for ``lexicon``
 
-    :meth:`first_members` adds the rules' first-member bits for a
-    lexicon, built on first use and kept for that lexicon.  Nothing else
-    in a view changes after construction, and the bits are a function of
-    the facts and the lexicon, so one view may be shared by any number of
-    runs.
+    ``once`` and ``repeated`` hold the rules of ``_ONCE`` and
+    ``_REPEATED`` that can fire on the sentence, each as its code, pair
+    test and first-member bit (see the module docstring).  Nothing in a
+    view changes after construction, so one view may be shared by any
+    number of runs of its sentence and lexicon.
     """
 
-    __slots__ = ("sentence", "analyses", "pos", "forms", "genitive",
-                 "accusative", "possessive", "bare", "_first_members")
+    __slots__ = ("sentence", "lexicon", "pos", "forms", "genitive",
+                 "accusative", "possessive", "bare", "bits", "once", "repeated")
 
-    def __init__(self, sentence: Sentence, analyses: Mapping[int, MorphAnalysis]):
+    def __init__(self, sentence: Sentence, analyses: Mapping[int, MorphAnalysis],
+                 lexicon: Lexicon):
         fold = _lexicon.fold
+        pairs = lexicon.pairs
+        cpi, nc, redup, pc = pairs["cpi"], pairs["nc"], pairs["redup"], pairs["pc"]
+        degree = lexicon.degree_adverbs
         rows = []
+        seen = 0
         for token in sentence.tokens:
             analysis = analyses.get(token.id)
             if analysis is None:
@@ -221,83 +223,44 @@ class SentenceView(Mapping):
                 if folded not in forms:
                     forms += (folded,)
             upos = token.upos
+            pos = upos if upos is not None else ROOT_POS_TO_UPOS.get(analysis.pos)
+            bit = _POS_BITS.get(pos, 0)
+            for word in forms:
+                if word in cpi:
+                    bit |= _CPI_START
+                if word in nc or word in redup or word in pc:
+                    bit |= _NC_START
+            if bit & _ADV_FIRST and not degree.isdisjoint(forms):
+                bit |= _DEGREE_FIRST
+            seen |= bit
             rows.append((
-                upos if upos is not None else ROOT_POS_TO_UPOS.get(analysis.pos),
+                pos,
                 forms,
                 "Gen" in tags or case == "Gen",
                 "Acc" in tags or case == "Acc",
                 possessive,
                 not possessive and case in (None, "Nom")
                 and _OVERT_CASE_TAGS.isdisjoint(tags),
+                bit,
             ))
         self.sentence = sentence
-        self.analyses = analyses
+        self.lexicon = lexicon
         (self.pos, self.forms, self.genitive, self.accusative, self.possessive,
-         self.bare) = zip((None, (), False, False, False, False), *rows)
-        self._first_members = None
-
-    def __getitem__(self, token_id: int) -> MorphAnalysis:
-        return self.analyses[token_id]
-
-    def __iter__(self):
-        return iter(self.analyses)
-
-    def __len__(self) -> int:
-        return len(self.analyses)
-
-    def first_members(self, lexicon: Lexicon
-                      ) -> tuple[tuple[int, ...], Schedule, Schedule]:
-        """Per-token first-member bits for ``lexicon``, and the rules that
-        can fire on this sentence, split like the schedule into the ones
-        that run once and the ones that repeat.
-
-        Each rule comes with its pair test and its first-member bit (see
-        ``_ONCE`` and ``_REPEATED``): when ``bits[x] & bit`` is 0, token
-        ``x`` fails everything the test checks on a pair's first member
-        alone, so the test would return False, with no side effect, on
-        any pair ``x`` opens.  A rule is left out when no token has its
-        first bit, or none has the POS its test requires of a second
-        member: it cannot fire on the sentence.  Built on first use and
-        kept for that lexicon.
-        """
-        memo = self._first_members
-        if memo is not None and memo[0] is lexicon:
-            return memo[1]
-        pairs = lexicon.pairs
-        cpi, nc, redup, pc = pairs["cpi"], pairs["nc"], pairs["redup"], pairs["pc"]
-        degree = lexicon.degree_adverbs
-        bits = []
-        seen = 0
-        for tag, words in zip(self.pos, self.forms):
-            bit = _POS_BITS.get(tag, 0)
-            for word in words:
-                if word in cpi:
-                    bit |= _CPI_START
-                if word in nc or word in redup or word in pc:
-                    bit |= _NC_START
-            if bit & _ADV_FIRST and not degree.isdisjoint(words):
-                bit |= _DEGREE_FIRST
-            bits.append(bit)
-            seen |= bit
-        tables = (tuple(bits),
-                  tuple([(code, test, first) for code, test, first, second in _ONCE
-                         if seen & first and seen & second == second]),
-                  tuple([(code, test, first) for code, test, first, second in _REPEATED
-                         if seen & first and seen & second == second]))
-        self._first_members = (lexicon, tables)
-        return tables
+         self.bare, self.bits) = zip((None, (), False, False, False, False, 0), *rows)
+        self.once, self.repeated = (
+            tuple([(code, test, first) for code, test, first, second in schedule
+                   if seen & first and seen & second == second])
+            for schedule in (_ONCE, _REPEATED))
 
 
 class EngineState:
     """Mutable per-sentence working state of a rule run over a view."""
 
-    __slots__ = ("view", "lexicon", "remaining", "heads", "assignments",
-                 "waiting", "cp_marked", "diagnostics")
+    __slots__ = ("view", "remaining", "heads", "assignments", "waiting",
+                 "cp_marked", "diagnostics")
 
-    def __init__(self, view: SentenceView, lexicon: Lexicon,
-                 diagnostics: Diagnostics):
+    def __init__(self, view: SentenceView, diagnostics: Diagnostics):
         self.view = view
-        self.lexicon = lexicon
         # token ids are 1..n (a Sentence checks it), the view tuples' indices
         self.remaining: list[int] = list(range(1, len(view.pos)))
         self.heads: dict[int, int] = {}
@@ -310,7 +273,7 @@ class EngineState:
     def pair_in(self, cls: str, first_id: int, second_id: int) -> bool:
         """Lexicon pair match over every surface/lemma combination: one
         first-word lookup per form of the first token."""
-        follows = self.lexicon.pairs[cls]
+        follows = self.view.lexicon.pairs[cls]
         forms = self.view.forms
         seconds = forms[second_id]
         for first in forms[first_id]:
@@ -376,8 +339,6 @@ class EngineState:
 # ``try_pair(state, x, y) -> bool`` tests the adjacent remaining pair
 # ``x, y`` and reports whether it consumed it (see :func:`_scan`).
 TryPair = Callable[[EngineState, int, int], bool]
-# (code, pair test, first-member bit) per rule, in schedule order
-Schedule = tuple[tuple[RuleCode, TryPair, int], ...]
 
 
 def _scan(state: EngineState, try_pair: TryPair, bits: tuple[int, ...],
@@ -433,7 +394,7 @@ def _ac(state: EngineState, x: int, y: int) -> bool:
     view = state.view
     if view.pos[x] != "ADV" or view.pos[y] != "ADV":
         return False
-    if not state.lexicon.degree_adverbs.isdisjoint(view.forms[x]):
+    if not view.lexicon.degree_adverbs.isdisjoint(view.forms[x]):
         return state.assign(x, y, _AC)
     state.defer(x, y, _AC)
     return True
@@ -503,7 +464,7 @@ def _aaj(state: EngineState, x: int, y: int) -> bool:
     """A degree adverb attaches to the adjective directly after it."""
     view = state.view
     if (view.pos[x] == "ADV" and view.pos[y] == "ADJ"
-            and not state.lexicon.degree_adverbs.isdisjoint(view.forms[x])):
+            and not view.lexicon.degree_adverbs.isdisjoint(view.forms[x])):
         return state.assign(x, y, _AAJ)
     return False
 
@@ -514,7 +475,7 @@ def _av(state: EngineState, x: int, y: int) -> bool:
     view = state.view
     if view.pos[x] != "ADV" or view.pos[y] != "VERB":
         return False
-    if not state.lexicon.head_emphasizing_adverbs.isdisjoint(view.forms[x]):
+    if not view.lexicon.head_emphasizing_adverbs.isdisjoint(view.forms[x]):
         if x == 1:
             return False
         return state.assign(x, x - 1, _AV)
@@ -587,22 +548,24 @@ def run(sentence: Sentence,
         diagnostics: Diagnostics | None = None) -> list[RuleAssignment]:
     """Apply the enabled rules to one sentence.
 
-    ``analyses`` must map every token id to its morphological analysis;
-    it may be a :class:`SentenceView` of this sentence, which is then
-    used as is instead of being rebuilt.  Returns the assignments in the
-    order they were made; pass a :class:`Diagnostics` to accumulate fire
-    counts across sentences.
+    ``analyses`` must map every token id to its morphological analysis,
+    or be the :class:`SentenceView` of this sentence and ``lexicon``,
+    which is then used as is; a view of another sentence or lexicon
+    raises ValueError.  Returns the assignments in the order they were
+    made; pass a :class:`Diagnostics` to accumulate fire counts across
+    sentences.
     """
     config = config or _DEFAULT_CONFIG
-    if isinstance(analyses, SentenceView) and analyses.sentence is sentence:
-        view = analyses
-    else:
-        view = SentenceView(sentence, analyses)
-    state = EngineState(view, lexicon,
+    view = analyses if isinstance(analyses, SentenceView) \
+        else SentenceView(sentence, analyses, lexicon)
+    if view.sentence is not sentence or view.lexicon is not lexicon:
+        raise ValueError("the sentence view was built for another sentence "
+                         "or lexicon")
+    state = EngineState(view,
                         diagnostics if diagnostics is not None else Diagnostics())
     enabled = config.enabled
-    bits, once, repeated = view.first_members(lexicon)
-    for code, try_pair, first in once:
+    bits = view.bits
+    for code, try_pair, first in view.once:
         if code in enabled:
             _scan(state, try_pair, bits, first)
 
@@ -617,7 +580,7 @@ def run(sentence: Sentence,
             raise EngineError(
                 f"rule loop made more than {n} passes over a {n}-token sentence")
         before = len(state.assignments)
-        for code, try_pair, first in repeated:
+        for code, try_pair, first in view.repeated:
             if code in enabled:
                 _scan(state, try_pair, bits, first)
         if len(state.assignments) == before:

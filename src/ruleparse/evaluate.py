@@ -37,8 +37,9 @@ sentences or the columns :func:`~ruleparse.conllu.read_columns` reads.
 reduces each output to its per-sentence correct counts as soon as it is
 drawn, so a caller that reads files lazily holds one at a time.
 
-Rule ablation joins the gold treebank and its sidecar
-(:func:`~ruleparse.conllu.group_by_sentence`) before the engine runs.
+Rule ablation takes the gold treebank already joined with its sidecar
+(:func:`~ruleparse.conllu.group_by_sentence`): one analysis mapping per
+sentence, as :func:`~ruleparse.engine.run` takes them.
 
 numpy is imported by the functions that use it, so only the significance
 test pays for loading it.
@@ -48,9 +49,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import and_, eq
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .conllu import Columns, Sentence, group_by_sentence
+from .conllu import Columns, Sentence
 from .engine import Diagnostics, RuleCode, RuleConfig, SentenceView, run
 from .errors import AlignmentError
 from .lexicon import Lexicon
@@ -356,7 +357,7 @@ def ablation_steps(include_av_nv: bool = True) -> list[RuleConfig]:
 
 
 def ablate(gold: Sequence[Sentence],
-           analyses: dict[tuple[int, int], MorphAnalysis],
+           analyses: Iterable[Mapping[int, MorphAnalysis]],
            lexicon: Lexicon,
            steps: Iterable[RuleConfig] | None = None,
            diagnostics: Diagnostics | None = None) -> list[AblationStep]:
@@ -365,9 +366,10 @@ def ablate(gold: Sequence[Sentence],
     The engine runs on the gold sentences themselves; it never reads
     their heads.  Coverage is the fraction of tokens that received a
     head; precision is the fraction of assigned heads that match the gold
-    head (None when nothing was assigned).  ``analyses`` is keyed by
-    ``(sentence_ordinal, token_id)`` as read from a sidecar file; the
-    join with ``gold`` raises its errors before any step runs.
+    head (None when nothing was assigned).  ``analyses`` holds one
+    ``{token_id: analysis}`` mapping per gold sentence, in order, as
+    :func:`~ruleparse.conllu.group_by_sentence` returns them; a count
+    that differs from the sentences' raises ValueError.
 
     Sentences are the outer loop and steps the inner one: each sentence's
     :class:`SentenceView` is built once, run under every step and dropped
@@ -378,8 +380,8 @@ def ablate(gold: Sequence[Sentence],
     assigned = [0] * len(steps)
     matching = [0] * len(steps)
     total = 0
-    for sent, sent_analyses in zip(gold, group_by_sentence(analyses, gold)):
-        view = SentenceView(sent, sent_analyses)
+    for sent, sent_analyses in zip(gold, analyses, strict=True):
+        view = SentenceView(sent, sent_analyses, lexicon)
         tokens = sent.tokens
         total += len(tokens)
         for k, config in enumerate(steps):

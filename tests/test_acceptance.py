@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from ruleparse import (ablate, ablation_steps, build_matrix,
                        bundle_from_token, encode, export, parse_conllu,
                        randomization_test, run, suffix_vector, write_conllu)
-from ruleparse.conllu import read_morph_sidecar
+from ruleparse.conllu import group_by_sentence, read_morph_sidecar
 from ruleparse.features import MODE_RULE, MODE_SUFVEC, HybridConfig
 from ruleparse.morpho import default_inventory
 
@@ -71,7 +71,7 @@ def test_criterion_ablation_harness(lexicon):
         rng = random.Random(40)
         gold, _, raw = random_treebank(rng, 1000)
         sidecar = read_morph_sidecar(sidecar_text(raw))
-        results = ablate(gold, sidecar, lexicon)
+        results = ablate(gold, group_by_sentence(sidecar, gold), lexicon)
         assert len(results) == 8
         coverages = [r.coverage for r in results]
         assert all(b >= a for a, b in zip(coverages, coverages[1:]))

@@ -444,6 +444,19 @@ def test_sidecar_line_naming_no_token_exits_2(corpus, tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command", ["annotate", "features", "ablate"])
+def test_misaligned_sidecar_wins_over_a_missing_lexicon_dir(corpus, tmp_path,
+                                                            capsys, command):
+    treebank, _ = corpus
+    sidecar = tmp_path / "extra.morph"
+    sidecar.write_text(SIDECAR + "7\t1\tev\tNoun+A3sg+Nom\n", encoding="utf-8")
+    assert main([command, str(treebank), str(sidecar),
+                 "--lexicons", str(tmp_path / "no-such-dir")]) == 2
+    assert capsys.readouterr().err == (
+        "error: sidecar entry for sentence 7 token 1 names no token of the "
+        "treebank\n")
+
+
+@pytest.mark.parametrize("command", ["annotate", "features", "ablate"])
 def test_no_jobs_flag(corpus, capsys, command):
     treebank, sidecar = corpus
     with pytest.raises(SystemExit) as excinfo:
@@ -467,6 +480,36 @@ def test_bad_seed_env_fails_only_sigtest(corpus, tmp_path, capsys, monkeypatch):
         main(["sigtest", str(treebank), str(tmp_path / "a"), str(tmp_path / "b")])
     assert excinfo.value.code == 2
     assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,value", [
+    ("FORMAT", "xml"), ("HYBRID", "zz"), ("METRIC", "xyz"),
+])
+def test_a_bad_environment_default_fails_as_the_flag_does(tmp_path, capsys,
+                                                          monkeypatch, name,
+                                                          value):
+    # None of the inputs exists: the value is checked before any is read.
+    missing = str(tmp_path / "missing")
+    command = "sigtest" if name == "METRIC" else "features"
+    argv = [command, missing, missing] + ([missing] if command == "sigtest" else [])
+    argv += ["--output", str(tmp_path / "out")]
+    flag = "--" + name.lower()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, value])
+    assert excinfo.value.code == 2
+    from_flag = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid choice: {value!r} (choose from " \
+        in from_flag
+    monkeypatch.setenv("RULEPARSE_" + name, value)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == from_flag
+    # A flag still wins over the environment.
+    good = {"FORMAT": "jsonl", "HYBRID": "last", "METRIC": "las"}[name]
+    assert main(argv + [flag, good]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_input_exits_2(capsys):
@@ -571,6 +614,44 @@ def test_annotate_unwritable_output_leaves_the_report_as_it_was(
         assert report.read_text(encoding="utf-8") == existing
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["dev.conllu", "dev.morph"] + (["d.json"] if existing else []))
+
+
+@pytest.mark.parametrize("report", ["o", "./o", "o.manifest.json"])
+def test_a_path_named_twice_exits_2_and_writes_nothing(corpus, tmp_path, capsys,
+                                                       monkeypatch, report):
+    # The second temporary file once replaced the first one's entry, which
+    # was then neither moved into place nor removed.
+    treebank, sidecar = corpus
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "o").write_text("earlier output\n", encoding="utf-8")
+    assert main(["annotate", str(treebank), str(sidecar), "--output", "o",
+                 "--diagnostics", report]) == 2
+    twice = "o.manifest.json" if report.endswith(".json") else "o"
+    assert capsys.readouterr().err == f"error: output path {twice} is named twice\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.conllu", "dev.morph",
+                                                         "o"]
+    assert (tmp_path / "o").read_text(encoding="utf-8") == "earlier output\n"
+
+
+@pytest.mark.parametrize("directory", ["o", "o.manifest.json", "d.json"])
+def test_a_target_that_is_a_directory_exits_2_and_writes_nothing(
+        corpus, tmp_path, capsys, monkeypatch, directory):
+    treebank, sidecar = corpus
+    monkeypatch.chdir(tmp_path)
+    files = {"o": "earlier output\n", "d.json": "earlier report\n"}
+    files.pop(directory, None)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / directory).mkdir()
+    assert main(["annotate", str(treebank), str(sidecar), "--output", "o",
+                 "--diagnostics", "d.json"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: output path {directory} is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["dev.conllu", "dev.morph", directory, *files])
+    for name, text in files.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
+    assert not list((tmp_path / directory).iterdir())
 
 
 def test_annotate_writes_report_and_output_with_the_usual_mode(corpus, tmp_path):

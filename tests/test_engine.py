@@ -531,7 +531,7 @@ def test_a_second_member_is_deferred_at_most_once(lexicon, monkeypatch):
     rng = random.Random(4242)
     for _ in range(300):
         sentence, analyses = random_sentence(rng)
-        view = SentenceView(sentence, analyses)
+        view = SentenceView(sentence, analyses, lexicon)
         for config in ablation_steps():
             run(sentence, view, lexicon, config)
     assert deferred[RuleCode.AC] and deferred[RuleCode.AJC]
@@ -548,14 +548,15 @@ def traced_run(sentence, analyses, lexicon, config):
 
 def view_snapshot(view):
     return [getattr(view, name) for name in
-            ("pos", "forms", "genitive", "accusative", "possessive", "bare")]
+            ("pos", "forms", "genitive", "accusative", "possessive", "bare",
+             "bits", "once", "repeated")]
 
 
 def test_shared_view_matches_fresh_runs_on_every_ablation_step(lexicon):
     rng = random.Random(2718)
     for _ in range(150):
         sentence, analyses = random_sentence(rng)
-        view = SentenceView(sentence, analyses)
+        view = SentenceView(sentence, analyses, lexicon)
         for config in ablation_steps():
             assert traced_run(sentence, view, lexicon, config) \
                 == traced_run(sentence, dict(analyses), lexicon, config)
@@ -565,21 +566,28 @@ def test_running_a_view_twice_leaves_it_unchanged(lexicon):
     rng = random.Random(3141)
     for _ in range(150):
         sentence, analyses = random_sentence(rng)
-        view = SentenceView(sentence, analyses)
+        view = SentenceView(sentence, analyses, lexicon)
         before = view_snapshot(view)
         first = traced_run(sentence, view, lexicon, EVERYTHING)
         assert traced_run(sentence, view, lexicon, EVERYTHING) == first
         assert view_snapshot(view) == before
-        assert dict(view) == analyses
 
 
-def test_view_of_another_sentence_is_rebuilt(lexicon):
+def test_view_of_another_sentence_or_lexicon_raises(lexicon):
     short = sent(tok(1, "kabul", "NOUN", "kabul"))
     longer = sent(tok(1, "kabul", "NOUN", "kabul"), tok(2, "etti", "VERB", "et"))
     analyses = {1: ma("kabul", "Noun", "A3sg", "Nom"),
                 2: ma("et", "Verb", "Past", "A3sg")}
-    view = SentenceView(short, analyses)
+    view = SentenceView(longer, analyses, lexicon)
     assert results(run(longer, view, lexicon)) == [(2, 1, RuleCode.CPI)]
+    message = "the sentence view was built for another sentence or lexicon"
+    with pytest.raises(ValueError, match=message):
+        run(longer, SentenceView(short, analyses, lexicon), lexicon)
+    with pytest.raises(ValueError, match=message):
+        run(short, view, lexicon)
+    # An equal lexicon loaded again is another lexicon.
+    with pytest.raises(ValueError, match=message):
+        run(longer, view, load_lexicon(default_lexicon_dir()))
 
 
 def test_missing_analysis_message_is_unchanged(lexicon):
@@ -590,12 +598,8 @@ def test_missing_analysis_message_is_unchanged(lexicon):
         run(sentence, partial, lexicon)
     assert str(direct.value) == message
     with pytest.raises(ValueError) as building:
-        SentenceView(sentence, partial)
+        SentenceView(sentence, partial, lexicon)
     assert str(building.value) == message
-    short_view = SentenceView(sent(tok(1, "ev", "NOUN")), partial)
-    with pytest.raises(ValueError) as reused:
-        run(sentence, short_view, lexicon)
-    assert str(reused.value) == message
 
 
 # Reference definitions of the per-token facts, evaluated on demand the
@@ -626,7 +630,7 @@ def reference_facts(token, analysis):
     }
 
 
-def test_view_facts_match_reference_definitions():
+def test_view_facts_match_reference_definitions(lexicon):
     rng = random.Random(1618)
     pos_tags = sorted(ROOT_POS_TO_UPOS) + ["Zz"]
     for _ in range(400):
@@ -636,7 +640,7 @@ def test_view_facts_match_reference_definitions():
                      rng.choice(pos_tags),
                      *rng.sample(_TAG_POOL, rng.randint(0, 3)))
             for t in sentence.tokens}
-        view = SentenceView(sentence, analyses)
+        view = SentenceView(sentence, analyses, lexicon)
         for token in sentence.tokens:
             got = {name: getattr(view, name)[token.id] for name in
                    ("pos", "genitive", "accusative", "possessive", "bare")}
@@ -677,11 +681,16 @@ def reference_scan(state, try_pair, bits, first):
             i += 1
 
 
-def reference_first_members(view, lexicon):
-    """Every rule scheduled, whatever the sentence holds."""
-    return (None,
-            tuple((code, test, bit) for code, test, bit, _ in engine._ONCE),
-            tuple((code, test, bit) for code, test, bit, _ in engine._REPEATED))
+class ReferenceView(SentenceView):
+    """A view that schedules every rule, whatever the sentence holds."""
+
+    __slots__ = ()
+
+    def __init__(self, sentence, analyses, lexicon):
+        super().__init__(sentence, analyses, lexicon)
+        self.once = tuple((code, test, bit) for code, test, bit, _ in engine._ONCE)
+        self.repeated = tuple((code, test, bit)
+                              for code, test, bit, _ in engine._REPEATED)
 
 
 REFERENCE_CONFIGS = ablation_steps() + [RuleConfig(), EVERYTHING]
@@ -691,7 +700,7 @@ def reference_runs(sentence, analyses, lexicon, keys):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_scan", reference_scan)
         patch.setattr(EngineState, "pair_in", reference_pair_in(keys))
-        patch.setattr(SentenceView, "first_members", reference_first_members)
+        patch.setattr(engine, "SentenceView", ReferenceView)
         return [traced_run(sentence, dict(analyses), lexicon, config)
                 for config in REFERENCE_CONFIGS]
 
@@ -700,7 +709,7 @@ def assert_runs_match_reference(cases, lexicon, keys):
     """Equal assignment lists and diagnostics under every ablation step,
     the default rules and all rules, on one view shared by the runs."""
     for sentence, analyses in cases:
-        view = SentenceView(sentence, analyses)
+        view = SentenceView(sentence, analyses, lexicon)
         got = [traced_run(sentence, view, lexicon, config)
                for config in REFERENCE_CONFIGS]
         assert got == reference_runs(sentence, analyses, lexicon, keys), \
@@ -814,12 +823,13 @@ def test_pair_in_matches_bigram_strings_on_odd_forms(tmp_path):
     keys = reference_pair_keys(tmp_path)
     reference = reference_pair_in(keys)
     words = [fold(w) for w in ODD_WORDS] + ["", " ", "\xa0", "kuru "]
-    state = EngineState(SentenceView(sent(), {}), lexicon, Diagnostics())
+    state = EngineState(SentenceView(sent(), {}, lexicon), Diagnostics())
     matched = 0
     for cls in keys:
         for first in words:
             for second in words:
-                state.view = SimpleNamespace(forms=((), (first,), (second,)))
+                state.view = SimpleNamespace(lexicon=lexicon,
+                                             forms=((), (first,), (second,)))
                 want = reference(state, cls, 1, 2)
                 assert state.pair_in(cls, 1, 2) == want, (cls, first, second)
                 matched += want

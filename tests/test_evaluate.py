@@ -8,11 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
-from ruleparse import (AlignmentError, AnalysisError, RuleCode, ablate,
+from ruleparse import (AlignmentError, RuleCode, ablate,
                        ablation_steps, randomization_test, score, write_conllu)
 import ruleparse.evaluate as evaluate
 import ruleparse.lexicon as lexicon_module
-from ruleparse.conllu import read_columns, read_morph_sidecar
+from ruleparse.conllu import group_by_sentence, read_columns, read_morph_sidecar
 from ruleparse.engine import Diagnostics, SentenceView
 from ruleparse.engine import run as engine_run
 from ruleparse.evaluate import AblationStep
@@ -347,7 +347,7 @@ def test_ablation_coverage_is_monotone(lexicon):
     rng = random.Random(31)
     gold, _, analyses = random_treebank(rng, 120)
     sidecar = read_morph_sidecar(sidecar_text(analyses))
-    results = ablate(gold, sidecar, lexicon)
+    results = ablate(gold, group_by_sentence(sidecar, gold), lexicon)
     assert [r.step for r in results] == list(range(1, 9))
     assert results[0].assigned == 0
     assert results[0].precision is None
@@ -358,29 +358,19 @@ def test_ablation_coverage_is_monotone(lexicon):
         assert 0 <= r.matching <= r.assigned <= r.total
 
 
-def test_ablation_sidecar_missing_a_sentence(lexicon):
+def test_ablation_rejects_analyses_for_another_sentence_count(lexicon):
     gold, _, analyses = random_treebank(random.Random(32), 5)
-    without_third = {key: a for key, a in analyses.items() if key[0] != 3}
-    with pytest.raises(AnalysisError, match=r"^sentence 3: token 1 \('.+'\) "
-                                            "has no morphological analysis$"):
-        ablate(gold, without_third, lexicon)
-
-
-@pytest.mark.parametrize("position", [(6, 1), (2, 99)])
-def test_ablation_rejects_a_sidecar_entry_that_names_no_token(lexicon, position):
-    gold, _, analyses = random_treebank(random.Random(34), 5, max_len=12)
-    extra = dict(analyses)
-    extra[position] = ma("ev", "Noun")
-    with pytest.raises(AlignmentError) as excinfo:
-        ablate(gold, extra, lexicon)
-    assert str(excinfo.value) == (f"sidecar entry for sentence {position[0]} "
-                                  f"token {position[1]} names no token of the treebank")
+    grouped = group_by_sentence(analyses, gold)
+    with pytest.raises(ValueError, match="zip"):
+        ablate(gold, grouped[:-1], lexicon)
+    with pytest.raises(ValueError, match="zip"):
+        ablate(gold[:-1], grouped, lexicon)
 
 
 def test_ablation_step_to_dict(lexicon):
     gold = [headed(["Kuru", "yemiş"], [2, 0])]
-    analyses = {(1, 1): ma("kuru", "Noun", "A3sg", "Nom"),
-                (1, 2): ma("yemiş", "Noun", "A3sg", "Nom")}
+    analyses = [{1: ma("kuru", "Noun", "A3sg", "Nom"),
+                 2: ma("yemiş", "Noun", "A3sg", "Nom")}]
     steps = ablation_steps()[:3]  # up to and including the compound rule
     results = ablate(gold, analyses, lexicon, steps)
     last = results[-1].to_dict()
@@ -393,6 +383,7 @@ def test_ablation_step_to_dict(lexicon):
 
 def test_ablation_folds_each_word_once_whatever_the_step_count(lexicon, monkeypatch):
     gold, _, analyses = random_treebank(random.Random(33), 40)
+    grouped = group_by_sentence(analyses, gold)
     calls = []
     original = lexicon_module.fold
 
@@ -401,10 +392,10 @@ def test_ablation_folds_each_word_once_whatever_the_step_count(lexicon, monkeypa
         return original(text)
 
     monkeypatch.setattr(lexicon_module, "fold", counting_fold)
-    ablate(gold, analyses, lexicon, ablation_steps()[:1])
+    ablate(gold, grouped, lexicon, ablation_steps()[:1])
     one_step = len(calls)
     calls.clear()
-    ablate(gold, analyses, lexicon)
+    ablate(gold, grouped, lexicon)
     assert len(calls) == one_step > 0
 
 
@@ -415,7 +406,7 @@ def reference_ablate(gold, analyses, lexicon, steps=None, diagnostics=None):
     by_sentence = [{} for _ in gold]
     for (ordinal, token_id), analysis in analyses.items():
         by_sentence[ordinal - 1][token_id] = analysis
-    views = [SentenceView(sentence, sentence_analyses)
+    views = [SentenceView(sentence, sentence_analyses, lexicon)
              for sentence, sentence_analyses in zip(gold, by_sentence)]
     gold_heads = [{t.id: t.head for t in sentence.tokens} for sentence in gold]
     total = sum(len(sentence.tokens) for sentence in gold)
@@ -461,7 +452,8 @@ def test_ablate_matches_the_steps_outer_reference(lexicon, monkeypatch, schedule
         want = reference_ablate(gold, analyses, lexicon, steps, want_diagnostics)
         views.clear()
         calls.clear()
-        got = ablate(gold, analyses, lexicon, steps, got_diagnostics)
+        got = ablate(gold, group_by_sentence(analyses, gold), lexicon, steps,
+                     got_diagnostics)
         assert got == want
         assert got_diagnostics == want_diagnostics
         # Sentences are the outer loop, and one view is alive at a time.

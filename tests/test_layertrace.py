@@ -50,6 +50,33 @@ def test_span_mode_traces_the_reads_of_each_command(tmp_path, command):
     assert trace["exit"] == 0
     assert trace["missing"] == []
     layers = {layer for layer, *_ in trace["spans"]}
-    assert {"conllu.parse", "conllu.sidecar_read"} <= layers
-    if command != "ablate":
-        assert "conllu.group" in layers
+    assert {"conllu.parse", "conllu.sidecar_read", "conllu.group"} <= layers
+
+
+@pytest.mark.parametrize("command", ["annotate", "ablate"])
+def test_count_mode_counts_every_engine_run(tmp_path, command):
+    # The benchmark's counted mode wraps ``run`` in ``cli`` and
+    # ``evaluate`` and forwards its five positional arguments.
+    treebank = tmp_path / "dev.conllu"
+    treebank.write_text(TREEBANK, encoding="utf-8")
+    sidecar = tmp_path / "dev.morph"
+    sidecar.write_text(SIDECAR, encoding="utf-8")
+    out, report = tmp_path / "counts.json", tmp_path / "out"
+    proc = run_child(str(LAYERTRACE), str(out), "--count", "--", command,
+                     str(treebank), str(sidecar), "--output", str(report),
+                     *(["--diagnostics", str(tmp_path / "d.json")]
+                       if command == "annotate" else []))
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(out.read_text(encoding="utf-8"))
+    assert trace["exit"] == 0
+    # ``Lexicon.match_pair`` is gone; the benchmark still lists it.
+    assert trace["missing"] == ["Lexicon.match_pair"]
+    counts = trace["counts"]
+    if command == "annotate":
+        diagnostics = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
+        assert counts["engine.runs"] == diagnostics["sentences"] == 3
+        assert counts["engine.assigned"] == diagnostics["assigned"]
+    else:
+        steps = json.loads(report.read_text(encoding="utf-8"))["steps"]
+        assert counts["engine.runs"] == 3 * len(steps) == 24
+        assert counts["engine.assigned"] == sum(step["assigned"] for step in steps)

@@ -111,20 +111,18 @@ def test_jsonl_export_streams_to_its_output_file(tmp_path):
 
 def test_ablate_holds_one_sentence_view_at_a_time(lexicon):
     # About 3,700 tokens.  Every view at once, with its first-member bits,
-    # takes about 1.1 MB.  Ablate's peak above its inputs, the sidecar
-    # grouped by sentence and one view, is about 0.2 MB; a loop that
-    # builds every view before the first step runs peaks near 1.6 MB.
+    # takes about 1.1 MB.  Ablate's peak above its inputs (the treebank
+    # and the sidecar grouped by sentence) is one view, about 0.02 MB; a
+    # loop that builds every view before the first step runs peaks near
+    # 1.2 MB.
     gold, _, analyses = random_treebank(random.Random(47), 500)
     grouped = group_by_sentence(analyses, gold)
 
     def every_view():
-        views = [SentenceView(sentence, sentence_analyses)
-                 for sentence, sentence_analyses in zip(gold, grouped)]
-        for view in views:
-            view.first_members(lexicon)
-        return views
+        return [SentenceView(sentence, sentence_analyses, lexicon)
+                for sentence, sentence_analyses in zip(gold, grouped)]
 
     _, views = traced_size(every_view)
-    peak = traced_peak(lambda: ablate(gold, analyses, lexicon))
+    peak = traced_peak(lambda: ablate(gold, grouped, lexicon))
     print(f"ablate: every view {views}, peak {peak}")
     assert peak < views / 2
