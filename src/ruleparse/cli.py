@@ -10,9 +10,10 @@ is written beside it recording the command, configuration, tool version,
 and a SHA-256 hash of every input file.
 
 Every input file is read line by line through :func:`_read` (``matrix``
-streams its corpus through :func:`_open_text`).  Outputs go to temporary
-files beside their paths, moved into place once every file of the
-command is written, so a command that fails changes no file.
+streams its corpus through :func:`_open_text`).  The output paths are
+checked before any input is read.  Outputs go to temporary files beside
+their paths, moved into place once every file of the command is
+written, so a command that fails changes no file.
 """
 
 from __future__ import annotations
@@ -134,6 +135,23 @@ def _staged(path: str, temps: dict[str, str]) -> IO[str]:
         return open(fd, "w", encoding="utf-8")
 
 
+def _check_targets(args) -> None:
+    """Reject a command's output paths, before it reads any input, if
+    one is named twice or names a directory: the diagnostics report, the
+    output and the output's manifest."""
+    report = getattr(args, "diagnostics", None)
+    targets = [report] if report else []
+    if args.output is not None:
+        targets += [args.output, args.output + ".manifest.json"]
+    named = set()
+    for path in targets:
+        if os.path.abspath(path) in named:
+            raise InputFormatError(f"output path {path} is named twice")
+        if os.path.isdir(path):
+            raise InputFormatError(f"output path {path} is a directory")
+        named.add(os.path.abspath(path))
+
+
 @contextmanager
 def _output(output: str | None, command: str, inputs: list[str],
             config: dict, report: tuple[str, str] | None = None
@@ -142,18 +160,7 @@ def _output(output: str | None, command: str, inputs: list[str],
     temporary file beside the output.  ``report`` is a ``(path, text)``
     to write too.  Every file, the manifest included, is moved into place
     only once the ``with`` body has written the output; on an error none
-    is.  A path named twice or naming a directory fails before any file
-    is created."""
-    targets = [report[0]] if report is not None else []
-    if output is not None:
-        targets += [output, output + ".manifest.json"]
-    named = set()
-    for path in targets:
-        if os.path.abspath(path) in named:
-            raise InputFormatError(f"output path {path} is named twice")
-        if os.path.isdir(path):
-            raise InputFormatError(f"output path {path} is a directory")
-        named.add(os.path.abspath(path))
+    is.  :func:`main` has checked the paths (:func:`_check_targets`)."""
     temps: dict[str, str] = {}
     try:
         if report is not None:
@@ -325,8 +332,8 @@ def cmd_features(args) -> int:
 
 def cmd_matrix(args) -> int:
     inventory = _read(args.inventory, load_inventory) if args.inventory else None
-    # Read as the build consumes it: the build counts each distinct
-    # analysis, and the reader keeps only the positions for the
+    # Read as the build consumes it: the build counts each analysis as
+    # it reads it, and the reader keeps only the positions for the
     # duplicate check, not a map from each position to its analysis.
     with _open_text(args.corpus) as handle:
         analyses = (analysis for _, analysis in iter_morph_sidecar(handle))
@@ -402,6 +409,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_targets(args)
         return _COMMANDS[args.command](args)
     except (InputFormatError, AlignmentError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, UnicodeDecodeError,

@@ -11,24 +11,26 @@ against the observed one.  With add-one smoothing the reported p-value
 is never zero.  Model comparisons are run file-wise: five outputs per
 side yield twenty-five p-values, summarized by their harmonic mean.
 
-The shuffles of one file pair come from one PCG64 generator, in blocks
-of 4,096.  ``Generator.integers(0, 2, dtype=np.int8)`` turns each byte of
-the generator's 32-bit word stream into one sign, ``byte >> 7``, low byte
-first, and drops the unused bytes of a call's last word.  A PCG64 hands
-out each 64-bit output as two 32-bit words, its low half and then its
-high half, so the kernel draws the 64-bit outputs themselves
-(``bit_generator.random_raw``) and reads their bytes, low byte first.
-It starts with the half-word the state holds back, if any, and leaves
-the state as 32-bit draws would.  It draws sub-chunks of a multiple of 4
-shuffles, so every sub-chunk starts on a word boundary and each block
-ends where a single ``int8`` draw would have: the signs, and so the
-p-values, are the ones that draw gives.  It sums each sub-chunk's
-shuffles with one matrix-vector product of the 0/1 signs and the diffs,
-in float32 when the absolute diffs sum below 2**24, so every partial sum
-is an integer float32 holds exactly, and in float64 otherwise.  Its
-memory is O(sentences) plus a fixed chunk.  ``tests/test_evaluate.py``
-checks it against the direct ``int8`` kernel, and ``tests/test_golden.py``
-pins its p-values.
+The signs of each file pair are those that its own PCG64 generator
+gives when drawn in blocks of 4,096 shuffles with
+``Generator.integers(0, 2, dtype=np.int8)``, which turns each byte of
+the generator's 32-bit word stream into one sign, ``byte >> 7``, low
+byte first, and drops the unused bytes of a call's last word.  A PCG64
+hands out each 64-bit output as two 32-bit words, its low half and then
+its high half, so that word stream is the bytes of its 64-bit outputs
+(``bit_generator.random_raw``), low byte first.  A full block takes
+1,024 words per sentence, an even count, so no block leaves a half-word
+behind: the blocks' signs are one contiguous byte stream, only the last
+block drops bytes, and nothing is drawn after it.  The kernel seeds the
+generator itself and reads that stream in sub-chunks of a multiple of 8
+shuffles, each a whole number of 64-bit outputs, dropping only the rest
+of the last one.  It sums each sub-chunk's shuffles with one
+matrix-vector product of the 0/1 signs and the diffs, in float32 when
+the absolute diffs sum below 2**24, so every partial sum is an integer
+float32 holds exactly, and in float64 otherwise.  Its memory is
+O(sentences) plus a fixed chunk.  ``tests/test_evaluate.py`` checks it
+against the direct ``int8`` kernel, and ``tests/test_golden.py`` pins
+its p-values.
 
 Scoring reads only the HEAD and DEPREL columns of each sentence
 (:func:`columns`), so ``score`` and ``randomization_test`` take either
@@ -60,10 +62,6 @@ from .morpho import MorphAnalysis
 if TYPE_CHECKING:
     import numpy as np
 
-# Shuffles per block.  A block's signs end where one ``int8`` draw of the
-# block would end, dropping the rest of its last 32-bit word, so another
-# block size gives other p-values.
-_BLOCK_SHUFFLES = 4096
 # Signs per kernel sub-chunk: the random bytes a sub-chunk draws.  Below
 # glibc's 128 KiB mmap threshold each draw comes from the heap instead of
 # fresh pages faulted in on every sub-chunk; the float signs it becomes
@@ -191,13 +189,14 @@ def _sum_dtype(diffs: np.ndarray) -> type:
     return np.float32 if int(np.abs(diffs).sum()) < 1 << 24 else np.float64
 
 
-def _pair_p_value(diffs: np.ndarray, shuffles: int, rng: np.random.Generator) -> float:
-    """Add-one p-value of ``|sum(diffs)|`` among ``shuffles`` sign flips.
+def _pair_p_value(diffs: np.ndarray, shuffles: int,
+                  seed: int | np.random.SeedSequence) -> float:
+    """Add-one p-value of ``|sum(diffs)|`` among ``shuffles`` sign flips,
+    drawn from a new ``PCG64(seed)``.
 
     A shuffle's sum is ``2 * s - sum(diffs)``, where ``s`` sums the diffs
     whose sign is +1: the product of the shuffle's 0/1 signs and the
-    diffs.  ``rng`` must be backed by PCG64, whose 32-bit words are each
-    64-bit output's low half, then its high half.
+    diffs.
     """
     import numpy as np
 
@@ -210,40 +209,21 @@ def _pair_p_value(diffs: np.ndarray, shuffles: int, rng: np.random.Generator) ->
     high, low = max(total, 0), min(total, 0)
     dtype = _sum_dtype(diffs)
     weights = diffs.astype(dtype)
-    # A multiple of 4 shuffles holds a whole number of 32-bit words.
-    rows = max(4, min(_BLOCK_SHUFFLES, _CHUNK_BYTES // n) // 4 * 4)
+    # A multiple of 8 shuffles holds a whole number of 64-bit outputs.
+    rows = max(8, _CHUNK_BYTES // n // 8 * 8)
     signs = np.empty((rows, n), dtype=dtype)
-    bits = rng.bit_generator
-    state = bits.state
-    # The high half-word of the last 64-bit output drawn (as 32-bit draws
-    # would keep it) and whether it is still to be used.
-    last_high, buffered = state["uinteger"], state["has_uint32"]
+    bits = np.random.PCG64(seed)
     at_least = 0
-    for block_start in range(0, shuffles, _BLOCK_SHUFFLES):
-        block = min(_BLOCK_SHUFFLES, shuffles - block_start)
-        for start in range(0, block, rows):
-            take = min(rows, block - start)
-            # The sub-chunk's 32-bit words: the buffered half-word, if
-            # any, then whole 64-bit outputs; an odd count leaves the
-            # last output's high half buffered.
-            words = -(-take * n // 4) - buffered
-            raw = bits.random_raw(-(-words // 2)).astype("<u8", copy=False)
-            data = raw.view(np.uint8)
-            if buffered:
-                data = np.concatenate(
-                    (np.array([last_high], dtype="<u4").view(np.uint8), data))
-            if raw.size:
-                last_high = int(raw[-1]) >> 32
-            buffered = words % 2
-            chunk = signs[:take]
-            # Low byte first, as the generator hands out a word's bytes;
-            # a byte's sign is its top bit.
-            np.greater_equal(data[:take * n].reshape(take, n), 128, out=chunk)
-            sums = chunk @ weights
-            at_least += int(np.count_nonzero((sums >= high) | (sums <= low)))
-    state = bits.state
-    state["uinteger"], state["has_uint32"] = last_high, buffered
-    bits.state = state
+    for start in range(0, shuffles, rows):
+        take = min(rows, shuffles - start)
+        raw = bits.random_raw(-(-take * n // 8)).astype("<u8", copy=False)
+        chunk = signs[:take]
+        # Low byte first, as the generator hands out a word's bytes; a
+        # byte's sign is its top bit.
+        np.greater_equal(raw.view(np.uint8)[:take * n].reshape(take, n), 128,
+                         out=chunk)
+        sums = chunk @ weights
+        at_least += int(np.count_nonzero((sums >= high) | (sums <= low)))
     return (1 + at_least) / (1 + shuffles)
 
 
@@ -292,9 +272,8 @@ def randomization_test(gold: Iterable[Sentence | Columns],
     for ca in correct_a:
         row = []
         for cb in correct_b:
-            rng = np.random.Generator(np.random.PCG64(children[k]))
+            row.append(_pair_p_value(ca - cb, shuffles, children[k]))
             k += 1
-            row.append(_pair_p_value(ca - cb, shuffles, rng))
         rows.append(tuple(row))
     return SigResult(metric=metric, shuffles=shuffles, seed=seed,
                      p_values=tuple(rows))
@@ -357,7 +336,7 @@ def ablation_steps(include_av_nv: bool = True) -> list[RuleConfig]:
 
 
 def ablate(gold: Sequence[Sentence],
-           analyses: Iterable[Mapping[int, MorphAnalysis]],
+           analyses: Sequence[Mapping[int, MorphAnalysis]],
            lexicon: Lexicon,
            steps: Iterable[RuleConfig] | None = None,
            diagnostics: Diagnostics | None = None) -> list[AblationStep]:
@@ -369,18 +348,22 @@ def ablate(gold: Sequence[Sentence],
     head (None when nothing was assigned).  ``analyses`` holds one
     ``{token_id: analysis}`` mapping per gold sentence, in order, as
     :func:`~ruleparse.conllu.group_by_sentence` returns them; a count
-    that differs from the sentences' raises ValueError.
+    that differs from the sentences' raises ValueError before the engine
+    runs.
 
     Sentences are the outer loop and steps the inner one: each sentence's
     :class:`SentenceView` is built once, run under every step and dropped
     before the next sentence, so one view is alive at a time and each
     step keeps only its two counters.
     """
+    if len(analyses) != len(gold):
+        raise ValueError(f"sentence counts differ: gold has {len(gold)}, "
+                         f"analyses have {len(analyses)}")
     steps = list(steps) if steps is not None else ablation_steps()
     assigned = [0] * len(steps)
     matching = [0] * len(steps)
     total = 0
-    for sent, sent_analyses in zip(gold, analyses, strict=True):
+    for sent, sent_analyses in zip(gold, analyses):
         view = SentenceView(sent, sent_analyses, lexicon)
         tokens = sent.tokens
         total += len(tokens)

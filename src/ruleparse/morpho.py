@@ -222,10 +222,13 @@ def build_matrix(corpus: Iterable[MorphAnalysis],
 
     Keeps the ``cap`` most frequent lemmas (ties broken lexicographically).
     Tags absent from the inventory are skipped; pass a Counter as
-    ``unknown_tags`` to collect them for diagnostics.  Each distinct
-    analysis is counted once with its number of occurrences, so the
-    memory held is O(distinct analyses), whatever the corpus length.
+    ``unknown_tags`` to collect them for diagnostics.  Each analysis is
+    counted as ``corpus`` yields it, so the build holds one count per
+    lemma and per (lemma, tag), whatever the corpus length.  ``cap`` is
+    checked before ``corpus`` is read.
     """
+    if cap < 1:
+        raise ValueError("cap must be a positive integer")
     if inventory is None:
         inventory = default_inventory()
     index = inventory.index
@@ -233,17 +236,15 @@ def build_matrix(corpus: Iterable[MorphAnalysis],
     counts: dict[str, dict[str, int]] = {}
     freq: dict[str, int] = {}
     unknown = Counter() if unknown_tags is None else unknown_tags
-    for analysis, count in Counter(corpus).items():
+    for analysis in corpus:
         lemma = analysis.lemma
-        freq[lemma] = freq.get(lemma, 0) + count
+        freq[lemma] = freq.get(lemma, 0) + 1
         row = counts.setdefault(lemma, {})
         for tag in analysis.tags:
             if tag in index:
-                row[tag] = row.get(tag, 0) + count
+                row[tag] = row.get(tag, 0) + 1
             elif tag not in ROOT_POS_TAGS:
-                unknown[tag] += count
-    if cap < 1:
-        raise ValueError("cap must be a positive integer")
+                unknown[tag] += 1
     # Most frequent lemmas first; lexicographic order breaks ties so the
     # kept set is deterministic.
     ranked = sorted(freq, key=lambda lemma: (-freq[lemma], lemma))

@@ -654,6 +654,21 @@ def test_a_target_that_is_a_directory_exits_2_and_writes_nothing(
     assert not list((tmp_path / directory).iterdir())
 
 
+@pytest.mark.parametrize("directory, message", [
+    (None, "output path x is named twice"),
+    ("x", "output path x is a directory"),
+])
+def test_output_paths_are_checked_before_any_input_is_read(
+        tmp_path, capsys, monkeypatch, directory, message):
+    monkeypatch.chdir(tmp_path)
+    if directory:
+        (tmp_path / directory).mkdir()
+    # Neither input exists: the target check must come first.
+    assert main(["annotate", "missing.conllu", "missing.tsv", "--output", "x",
+                 "--diagnostics", "x"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_annotate_writes_report_and_output_with_the_usual_mode(corpus, tmp_path):
     treebank, sidecar = corpus
     output, report = tmp_path / "o.conllu", tmp_path / "d.json"

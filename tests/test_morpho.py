@@ -185,8 +185,8 @@ def test_counted_updates_equal_single_updates_exactly():
         cap = rng.randint(1, 10)
         single = build_matrix(analyses, cap=cap, unknown_tags=unknown_single)
         # Each distinct analysis fed as a few runs of equal (not identical)
-        # copies, the runs in any order, so build_matrix counts them once
-        # each with a multiplicity.
+        # copies, the runs in any order: the build counts analyses by
+        # value, not by identity or position.
         parts = []
         for a, count in Counter(analyses).items():
             while count:
@@ -226,8 +226,17 @@ def test_matrix_cap_keeps_most_frequent_with_lexicographic_ties():
 
 
 def test_matrix_cap_must_be_positive():
-    with pytest.raises(ValueError):
-        build_matrix([ma("ev", "Noun")], cap=0)
+    # Checked before the corpus is read: nothing is drawn from it.
+    yielded = []
+
+    def corpus():
+        for analysis in (ma("ev", "Noun"), ma("kitap", "Noun", "Acc")):
+            yielded.append(analysis)
+            yield analysis
+
+    with pytest.raises(ValueError, match="cap"):
+        build_matrix(corpus(), cap=0)
+    assert yielded == []
 
 
 def test_matrix_input_order_is_irrelevant():
