@@ -2,18 +2,19 @@
 
 Subcommands: annotate, features, matrix, score, sigtest, ablate.
 Configuration precedence is flags > RULEPARSE_* environment variables >
-built-in defaults.  Exit codes: 0 success, 2 malformed or mismatched
-input, 3 broken internal invariant.
+built-in defaults.  Exit codes: 0 success, 2 a bad argument, malformed or
+mismatched input or an OSError on a path, 3 broken internal invariant.
 
 Whenever a command writes to an output file, a ``<output>.manifest.json``
 is written beside it recording the command, configuration, tool version,
 and a SHA-256 hash of every input file.
 
-Every input file is read line by line through :func:`_read` (``matrix``
-streams its corpus through :func:`_open_text`).  The output paths are
-checked before any input is read.  Outputs go to temporary files beside
-their paths, moved into place once every file of the command is
-written, so a command that fails changes no file.
+:func:`_check_args` settles every argument before any input is read;
+the commands then only read, compute and write.  Every input file is
+read line by line through :func:`_read` (``matrix`` streams its corpus
+through :func:`_open_text`).  Outputs go to temporary files beside their
+paths, moved into place once every file of the command is written, so
+a command that fails changes no file.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from .conllu import (iter_morph_sidecar, parse_conllu, read_columns,
 # ``cli._group_analyses`` to time the grouping step.
 from .conllu import group_by_sentence as _group_analyses
 from .engine import ALL_RULES, Diagnostics, RuleConfig, run
-from .errors import AlignmentError, EngineError, InputFormatError
-from .evaluate import ablate, ablation_steps, randomization_test, score
-from .features import (HybridConfig, MODE_RULE, MODE_SUFVEC, encode, export,
-                       export_jsonl)
+from .errors import EngineError, InputFormatError
+from .evaluate import (ablate, ablation_steps, check_test_args,
+                       randomization_test, score)
+from .features import (FLAG_MODES, HybridConfig, MODE_RULE, MODE_SUFVEC,
+                       encode, export, export_jsonl)
 from .lexicon import default_lexicon_dir, load_lexicon
-from .morpho import build_matrix, load_inventory, read_matrix, write_matrix
+from .morpho import (build_matrix, check_cap, load_inventory, read_matrix,
+                     write_matrix)
 
 DEFAULT_RULE_FLAG = "cpi,nc,pc,ac,aaj,ajc,ajn"
 ENV_PREFIX = "RULEPARSE_"
@@ -135,10 +138,12 @@ def _staged(path: str, temps: dict[str, str]) -> IO[str]:
         return open(fd, "w", encoding="utf-8")
 
 
-def _check_targets(args) -> None:
-    """Reject a command's output paths, before it reads any input, if
-    one is named twice or names a directory: the diagnostics report, the
-    output and the output's manifest."""
+def _check_args(args) -> None:
+    """Reject, before any input is read, an output path (the report, the
+    output and its manifest) named twice or naming a directory, an unknown
+    rule, ``--matrix`` without the sufvec mode or the mode without it, and
+    ``--cap``, ``--shuffles`` or ``--seed`` out of range.  ``args.rules``
+    becomes its :class:`RuleConfig`."""
     report = getattr(args, "diagnostics", None)
     targets = [report] if report else []
     if args.output is not None:
@@ -150,6 +155,17 @@ def _check_targets(args) -> None:
         if os.path.isdir(path):
             raise InputFormatError(f"output path {path} is a directory")
         named.add(os.path.abspath(path))
+    if "rules" in args:
+        args.rules = _parse_rules(args.rules)
+    if "hybrid" in args:
+        sufvec = MODE_SUFVEC in FLAG_MODES[args.hybrid]
+        if sufvec != bool(args.matrix):
+            raise InputFormatError("--matrix is required for the sufvec mode" if sufvec
+                                   else "--matrix is only valid with the sufvec mode")
+    if "cap" in args:
+        check_cap(args.cap)
+    if "shuffles" in args:
+        check_test_args(args.shuffles, args.metric, args.seed)
 
 
 @contextmanager
@@ -160,7 +176,7 @@ def _output(output: str | None, command: str, inputs: list[str],
     temporary file beside the output.  ``report`` is a ``(path, text)``
     to write too.  Every file, the manifest included, is moved into place
     only once the ``with`` body has written the output; on an error none
-    is.  :func:`main` has checked the paths (:func:`_check_targets`)."""
+    is.  :func:`main` has checked the paths (:func:`_check_args`)."""
     temps: dict[str, str] = {}
     try:
         if report is not None:
@@ -221,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, rules=True, lexicons=True)
     _add_choice(p, "--format", ("conllu", "jsonl"), "FORMAT", "conllu",
                 "output format")
-    _add_choice(p, "--hybrid", ("rule", "infl", "last", "sufvec", "rule+last"),
-                "HYBRID", "rule", "feature configuration")
+    _add_choice(p, "--hybrid", tuple(FLAG_MODES), "HYBRID", "rule",
+                "feature configuration")
     p.add_argument("--matrix", default=None,
                    help="lemma-suffix matrix file (required for sufvec)")
     p.add_argument("--inventory", default=None,
@@ -270,26 +286,24 @@ def _read_joined(treebank: str, sidecar: str) -> tuple[list, list[dict]]:
 
 
 def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
-    """Treebank and sidecar through the engine (in the rule mode only)
-    and the encoder: the body of ``annotate`` and ``features``.  Returns
-    the sentences, their feature bundles, the rule config and the
-    engine's diagnostics."""
+    """Treebank and sidecar through the engine (in the rule mode only,
+    with the rules of ``args.rules``) and the encoder: the body of
+    ``annotate`` and ``features``.  Returns the sentences, their feature
+    bundles and the engine's diagnostics."""
     sentences, grouped = _read_joined(args.treebank, args.sidecar)
-    config = _parse_rules(args.rules)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
     bundles = []
     for sentence, analyses in zip(sentences, grouped):
         assignments = None if lexicon is None else run(
-            sentence, analyses, lexicon, config, diagnostics)
+            sentence, analyses, lexicon, args.rules, diagnostics)
         bundles.append(encode(sentence, assignments, analyses, matrix,
                               hybrid, inventory))
-    return sentences, bundles, config, diagnostics
+    return sentences, bundles, diagnostics
 
 
 def cmd_annotate(args) -> int:
-    sentences, bundles, config, diagnostics = _encode_treebank(
-        args, HybridConfig(frozenset({MODE_RULE})))
+    sentences, bundles, diagnostics = _encode_treebank(args, HybridConfig())
     report = dict(diagnostics.to_dict(),
                   sentences=len(sentences),
                   tokens=sum(len(s.tokens) for s in sentences),
@@ -300,7 +314,7 @@ def cmd_annotate(args) -> int:
     # "jobs" is kept at 1 so the manifest stays byte-identical with the
     # one the benchmark's expected digests were recorded from.
     with _output(args.output, "annotate", [args.treebank, args.sidecar],
-                 {"rules": sorted(c.value for c in config.enabled),
+                 {"rules": sorted(c.value for c in args.rules.enabled),
                   "lexicons": str(args.lexicons), "jobs": 1},
                  (args.diagnostics, diag_text) if args.diagnostics else None
                  ) as out:
@@ -309,23 +323,16 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    hybrid = HybridConfig.from_flag(args.hybrid)
+    hybrid = HybridConfig(FLAG_MODES[args.hybrid])
     inventory = _read(args.inventory, load_inventory) if args.inventory else None
-    matrix = None
-    if MODE_SUFVEC in hybrid.modes:
-        if not args.matrix:
-            raise InputFormatError("--matrix is required for the sufvec mode")
-        matrix = _read(args.matrix, read_matrix, inventory)
-    elif args.matrix:
-        raise InputFormatError("--matrix is only valid with the sufvec mode")
-    sentences, bundles, config, _ = _encode_treebank(args, hybrid, matrix,
-                                                     inventory)
+    matrix = _read(args.matrix, read_matrix, inventory) if args.matrix else None
+    sentences, bundles, _ = _encode_treebank(args, hybrid, matrix, inventory)
     inputs = [args.treebank, args.sidecar]
     inputs += [path for path in (args.matrix, args.inventory) if path]
     write = export_jsonl if args.format == "jsonl" else export
     with _output(args.output, "features", inputs,
                  {"hybrid": args.hybrid, "format": args.format,
-                  "rules": sorted(c.value for c in config.enabled)}) as out:
+                  "rules": sorted(c.value for c in args.rules.enabled)}) as out:
         write(sentences, bundles, out)
     return 0
 
@@ -406,14 +413,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _check_targets(args)
+        _check_args(args)
         return _COMMANDS[args.command](args)
-    except (InputFormatError, AlignmentError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, UnicodeDecodeError,
-            ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:

@@ -239,6 +239,16 @@ def _side_correct(gold: Sequence[Columns],
     return correct
 
 
+def check_test_args(shuffles: int, metric: str, seed: int) -> None:
+    """Raise ValueError unless :func:`randomization_test` takes these."""
+    if shuffles < 1:
+        raise ValueError("shuffles must be >= 1")
+    if metric not in ("uas", "las"):
+        raise ValueError(f"unknown metric {metric!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
+
+
 def randomization_test(gold: Iterable[Sentence | Columns],
                        outputs_a: Iterable[Iterable[Sentence | Columns]],
                        outputs_b: Iterable[Iterable[Sentence | Columns]],
@@ -255,14 +265,12 @@ def randomization_test(gold: Iterable[Sentence | Columns],
     Each output is reduced to its per-sentence correct counts as it is
     drawn, side A first, so an iterable that parses its files on demand
     keeps only ``gold`` and one output in memory.  An empty side is
-    reported when it is reached.
+    reported when it is reached, bad arguments (:func:`check_test_args`)
+    before anything is read.
     """
     import numpy as np
 
-    if shuffles < 1:
-        raise ValueError("shuffles must be >= 1")
-    if metric not in ("uas", "las"):
-        raise ValueError(f"unknown metric {metric!r}")
+    check_test_args(shuffles, metric, seed)
     gold = columns(gold)
     correct_a = _side_correct(gold, outputs_a, metric)
     correct_b = _side_correct(gold, outputs_b, metric)

@@ -39,7 +39,8 @@ _NONE = RuleCode.NONE.value
 RULE_CODE_HEADER = "# rule-codes = " + " ".join(
     [c.value for c in RuleCode if c is not RuleCode.NONE] + [_NONE])
 
-_FLAG_MODES = {
+# The values of the ``--hybrid`` flag, and the modes each one selects.
+FLAG_MODES = {
     "rule": frozenset({MODE_RULE}),
     "infl": frozenset({MODE_INFL}),
     "last": frozenset({MODE_LAST}),
@@ -64,15 +65,6 @@ class HybridConfig:
             raise ValueError(f"unknown feature modes: {sorted(unknown)}")
         if len(self.modes & _SUFFIX_MODES) > 1:
             raise ValueError("suffix-based feature modes are mutually exclusive")
-
-    @classmethod
-    def from_flag(cls, flag: str) -> "HybridConfig":
-        try:
-            return cls(_FLAG_MODES[flag])
-        except KeyError:
-            raise ValueError(
-                f"unknown hybrid mode {flag!r}; choose from "
-                f"{', '.join(sorted(_FLAG_MODES))}") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from itertools import repeat
 from typing import IO, Iterable, Iterator
@@ -27,16 +27,10 @@ from .textio import join_or_write, lines_of
 INFLECTIONAL = "inflectional"
 DERIVATIONAL = "derivational"
 
-# Root part-of-speech categories that may open (or, after a derivation
-# boundary, appear inside) a morpheme tag sequence.  They are not suffixes
-# and never occupy matrix columns.
-ROOT_POS_TAGS = frozenset({
-    "Noun", "Verb", "Adj", "Adv", "Pron", "Det", "Conj", "Postp",
-    "Num", "Interj", "Ques", "Dup", "Punc",
-})
-
 # Root POS tag -> Universal Dependencies POS, used when a token carries no
-# UPOS of its own.
+# UPOS of its own.  The root POS tags may open (or, after a derivation
+# boundary, appear inside) a morpheme tag sequence; they are not suffixes
+# and never occupy matrix columns.
 ROOT_POS_TO_UPOS = {
     "Noun": "NOUN",
     "Verb": "VERB",
@@ -52,6 +46,7 @@ ROOT_POS_TO_UPOS = {
     "Dup": "X",
     "Punc": "PUNCT",
 }
+ROOT_POS_TAGS = frozenset(ROOT_POS_TO_UPOS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,15 +135,10 @@ def load_inventory(source: str | IO[str] | None = None) -> SuffixInventory:
         raise InputFormatError(f"invalid suffix inventory: {exc}") from exc
 
 
-_DEFAULT_INVENTORY: SuffixInventory | None = None
-
-
+@cache
 def default_inventory() -> SuffixInventory:
     """The packaged 81-tag inventory, loaded once and cached."""
-    global _DEFAULT_INVENTORY
-    if _DEFAULT_INVENTORY is None:
-        _DEFAULT_INVENTORY = load_inventory()
-    return _DEFAULT_INVENTORY
+    return load_inventory()
 
 
 # Markers that are neither a root POS nor a suffix: ``Prop`` marks a
@@ -214,6 +204,12 @@ def suffix_vector(matrix: LemmaSuffixMatrix, lemma: str) -> tuple[float, ...]:
     return row
 
 
+def check_cap(cap: int) -> None:
+    """Raise ValueError unless ``cap`` is a :func:`build_matrix` cap."""
+    if cap < 1:
+        raise ValueError("cap must be a positive integer")
+
+
 def build_matrix(corpus: Iterable[MorphAnalysis],
                  cap: int = 40000,
                  inventory: SuffixInventory | None = None,
@@ -225,10 +221,9 @@ def build_matrix(corpus: Iterable[MorphAnalysis],
     ``unknown_tags`` to collect them for diagnostics.  Each analysis is
     counted as ``corpus`` yields it, so the build holds one count per
     lemma and per (lemma, tag), whatever the corpus length.  ``cap`` is
-    checked before ``corpus`` is read.
+    checked (:func:`check_cap`) before ``corpus`` is read.
     """
-    if cap < 1:
-        raise ValueError("cap must be a positive integer")
+    check_cap(cap)
     if inventory is None:
         inventory = default_inventory()
     index = inventory.index

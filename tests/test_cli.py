@@ -669,6 +669,27 @@ def test_output_paths_are_checked_before_any_input_is_read(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("position", ["treebank", "output", "lexicons",
+                                      "output_staged"])
+def test_a_file_name_too_long_exits_2_and_writes_nothing(corpus, tmp_path,
+                                                         capsys, position):
+    # Each once died with an uncaught OSError (errno 36), exit 1.  A
+    # 250-character output fits, but its temporary name does not: the
+    # report is staged by then and must be removed.
+    treebank, sidecar = corpus
+    paths = {"treebank": str(treebank), "output": str(tmp_path / "o.conllu"),
+             "lexicons": str(ruleparse.default_lexicon_dir())}
+    paths[position.split("_")[0]] = str(
+        tmp_path / ("a" * (250 if position == "output_staged" else 300)))
+    assert main(["annotate", paths["treebank"], str(sidecar),
+                 "--output", paths["output"], "--lexicons", paths["lexicons"],
+                 "--diagnostics", str(tmp_path / "d.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.conllu",
+                                                         "dev.morph"]
+
+
 def test_annotate_writes_report_and_output_with_the_usual_mode(corpus, tmp_path):
     treebank, sidecar = corpus
     output, report = tmp_path / "o.conllu", tmp_path / "d.json"

@@ -13,6 +13,10 @@ the copied directory.  Or a flag is set out of its range: ``--cap`` or
 or 2, never 3 or with an uncaught exception; unmutated inputs must exit
 0, a sidecar line that names no token must exit 2 wherever a treebank
 is read beside it, and so must a flag out of range.
+
+The tests after it put faults of two stages into one call and check
+that the earlier stage's error is the one reported, and that no file is
+left behind.
 """
 
 import io
@@ -22,11 +26,12 @@ import tempfile
 from contextlib import redirect_stderr
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ruleparse import (build_matrix, default_lexicon_dir, write_conllu,
-                       write_matrix)
+from ruleparse import (EngineError, build_matrix, default_lexicon_dir,
+                       write_conllu, write_matrix)
 from ruleparse.cli import main
 from ruleparse.morpho import default_inventory
 
@@ -228,3 +233,110 @@ def test_every_input_exits_0_or_2(base, size, command, mutation, target, seed):
         assert code in (0, 2), err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# The first error of a call is that of its earliest stage, in the README's
+# order: the arguments and output targets, then each input file in turn
+# (UTF-8, then format), then the treebank-sidecar alignment, then the
+# engine.  Every test below puts faults of two stages into one call.
+TREEBANK = ("1\tKuru\tkuru\tNOUN\t_\t_\t2\tnmod\t_\t_\n"
+            "2\tyemiş\tyemiş\tNOUN\t_\t_\t0\troot\t_\t_\n\n")
+SIDECAR = "1\t1\tkuru\tNoun+A3sg+Nom\n1\t2\tyemiş\tNoun+A3sg+Nom\n"
+BAD = {
+    "non_utf8": b"1\t\xff\n",
+    "bad_treebank": b"1\tKuru\tkuru\n\n",
+    # The first line names no token; the last one is malformed.
+    "misaligned_then_malformed": (SIDECAR + "2\t1\tev\tNoun\n1\t3\n").encode(),
+    "misaligned": (SIDECAR + "2\t1\tev\tNoun\n").encode(),
+}
+
+
+def run_in(directory: Path, argv: list, files: dict) -> tuple[int, str]:
+    """``main(argv)`` run in ``directory`` over the given input files,
+    with its exit code and stderr; the directory must hold only those
+    files afterwards: no output, manifest, report or ``*.tmp``."""
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv)
+    assert sorted(p.name for p in directory.iterdir()) == sorted(files)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv, env, error", [
+    (["annotate", "t", "s", "--rules", "cpi,bogus", "--diagnostics", "d"], {},
+     "unknown rule 'bogus'"),
+    (["annotate", "t", "s"], {"RULEPARSE_RULES": "bogus"}, "unknown rule 'bogus'"),
+    (["features", "t", "s", "--rules", "bogus"], {}, "unknown rule 'bogus'"),
+    (["features", "t", "s", "--hybrid", "sufvec", "--inventory", "i"], {},
+     "--matrix is required for the sufvec mode"),
+    (["features", "t", "s", "--inventory", "i"], {"RULEPARSE_HYBRID": "sufvec"},
+     "--matrix is required for the sufvec mode"),
+    (["features", "t", "s", "--hybrid", "last", "--matrix", "m",
+      "--inventory", "i"], {}, "--matrix is only valid with the sufvec mode"),
+    (["matrix", "s", "--cap", "0", "--inventory", "i"], {},
+     "cap must be a positive integer"),
+    (["sigtest", "t", "a", "b", "--shuffles", "0"], {}, "shuffles must be >= 1"),
+    (["sigtest", "t", "a", "b", "--seed", "-1"], {}, "seed must be >= 0, not -1"),
+    (["sigtest", "t", "a", "b"], {"RULEPARSE_SEED": "-1"},
+     "seed must be >= 0, not -1"),
+], ids=["rules", "rules_env", "features_rules", "sufvec_without_matrix",
+        "sufvec_env_without_matrix", "matrix_without_sufvec", "cap",
+        "shuffles", "seed", "seed_env"])
+def test_a_bad_argument_wins_over_every_missing_input(tmp_path, monkeypatch,
+                                                      argv, env, error):
+    # No input exists, a given --inventory included: the message names
+    # the argument, not a file.
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, err = run_in(tmp_path, argv + ["--output", "o"], {})
+    assert (code, err) == (2, f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, files, error", [
+    # A bad flag, and a treebank that is not UTF-8.
+    (["annotate", "t", "s", "--rules", "bogus", "--output", "o"],
+     {"t": BAD["non_utf8"], "s": SIDECAR.encode()}, "unknown rule 'bogus'"),
+    # A path named twice, and a treebank that is not UTF-8.
+    (["annotate", "t", "s", "--output", "o", "--diagnostics", "o"],
+     {"t": BAD["non_utf8"], "s": SIDECAR.encode()},
+     "output path o is named twice"),
+    # A treebank format error, and a sidecar that is not UTF-8: file by file.
+    (["annotate", "t", "s", "--output", "o"],
+     {"t": BAD["bad_treebank"], "s": BAD["non_utf8"]},
+     "sentence 1, line 1: expected 10 tab-separated columns, got 3"),
+    # A treebank format error, and a sidecar line that names no token.
+    (["features", "t", "s", "--hybrid", "last", "--output", "o"],
+     {"t": BAD["bad_treebank"], "s": BAD["misaligned"]},
+     "sentence 1, line 1: expected 10 tab-separated columns, got 3"),
+    # A sidecar line that names no token, and a later malformed one: the
+    # whole file is read before the join.
+    (["ablate", "t", "s", "--output", "o"],
+     {"t": TREEBANK.encode(), "s": BAD["misaligned_then_malformed"]},
+     "line 4: expected 4 tab-separated columns, got 2"),
+], ids=["flag_before_utf8", "target_before_utf8", "treebank_before_sidecar",
+        "format_before_alignment", "whole_sidecar_before_alignment"])
+def test_the_earlier_stage_reports_its_error(tmp_path, monkeypatch, argv,
+                                             files, error):
+    monkeypatch.chdir(tmp_path)
+    code, err = run_in(tmp_path, argv, files)
+    assert (code, err) == (2, f"error: {error}\n")
+
+
+@pytest.mark.parametrize("command", ["annotate", "features", "ablate"])
+def test_alignment_wins_over_the_engine(tmp_path, monkeypatch, command):
+    import ruleparse.cli
+    import ruleparse.evaluate
+
+    def broken(*args, **kwargs):
+        raise EngineError("the engine ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ruleparse.cli, "run", broken)
+    monkeypatch.setattr(ruleparse.evaluate, "run", broken)
+    code, err = run_in(tmp_path, [command, "t", "s", "--output", "o"],
+                       {"t": TREEBANK.encode(), "s": BAD["misaligned"]})
+    assert (code, err) == (2, "error: sidecar entry for sentence 2 token 1 "
+                              "names no token of the treebank\n")

@@ -195,6 +195,30 @@ def test_randomization_validation():
         randomization_test(GOLD3, [], [GOLD3])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"shuffles": 0}, "shuffles must be >= 1"),
+    ({"metric": "f1"}, "unknown metric 'f1'"),
+    # numpy's SeedSequence once rejected it, after every output was read,
+    # naming neither the seed nor its value.
+    ({"seed": -1}, "seed must be >= 0, not -1"),
+])
+def test_arguments_are_checked_before_anything_is_read(kwargs, message):
+    drawn = []
+
+    def outputs():
+        drawn.append(GOLD3)
+        yield GOLD3
+
+    def gold():
+        drawn.append(GOLD3)
+        yield from GOLD3
+
+    with pytest.raises(ValueError) as excinfo:
+        randomization_test(gold(), outputs(), outputs(), **kwargs)
+    assert str(excinfo.value) == message
+    assert drawn == []
+
+
 def test_sig_result_to_dict():
     d = randomization_test(GOLD3, [GOLD3], [GOLD3], shuffles=10).to_dict()
     assert d["metric"] == "uas"

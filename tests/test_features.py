@@ -10,9 +10,9 @@ from ruleparse import (FeatureBundle, HybridConfig, RuleAssignment, RuleCode,
                        Sentence, Token, bundle_from_token, build_matrix, encode,
                        export, export_jsonl, parse_conllu, write_conllu)
 from ruleparse.errors import InputFormatError
-from ruleparse.features import (MODE_INFL, MODE_LAST, MODE_RULE, MODE_SUFVEC,
-                                RESERVED_MISC_KEYS, RULE_CODE_HEADER,
-                                _bundle_misc)
+from ruleparse.features import (FLAG_MODES, MODE_INFL, MODE_LAST, MODE_RULE,
+                                MODE_SUFVEC, RESERVED_MISC_KEYS,
+                                RULE_CODE_HEADER, _bundle_misc)
 
 from conftest import Written, ma, random_conllu_sentence, sent, tok
 
@@ -43,12 +43,14 @@ def test_hybrid_config_validation():
         HybridConfig(frozenset({MODE_LAST, MODE_SUFVEC}))
 
 
-def test_hybrid_config_from_flag():
-    assert HybridConfig.from_flag("rule").modes == {MODE_RULE}
-    assert HybridConfig.from_flag("rule+last").modes == {MODE_RULE, MODE_LAST}
-    assert HybridConfig.from_flag("sufvec").modes == {MODE_SUFVEC}
-    with pytest.raises(ValueError, match="unknown hybrid mode"):
-        HybridConfig.from_flag("rule+sufvec")
+def test_hybrid_flag_modes():
+    # The table is the --hybrid flag's choices, in the order --help lists.
+    assert list(FLAG_MODES) == ["rule", "infl", "last", "sufvec", "rule+last"]
+    assert FLAG_MODES["rule"] == {MODE_RULE}
+    assert FLAG_MODES["rule+last"] == {MODE_RULE, MODE_LAST}
+    assert FLAG_MODES["sufvec"] == {MODE_SUFVEC}
+    for modes in FLAG_MODES.values():
+        assert HybridConfig(modes).modes == modes
 
 
 def test_rule_mode_marks_unassigned_tokens_none(example):

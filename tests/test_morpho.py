@@ -71,7 +71,6 @@ def test_root_pos_upos_mapping():
     assert ROOT_POS_TO_UPOS["Ques"] == "PART"
     assert ROOT_POS_TO_UPOS["Dup"] == "X"
     assert ROOT_POS_TO_UPOS["Punc"] == "PUNCT"
-    assert set(ROOT_POS_TO_UPOS) == set(ROOT_POS_TAGS)
 
 
 def test_analysis_validation():
