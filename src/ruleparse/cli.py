@@ -11,8 +11,9 @@ and a SHA-256 hash of every input file.
 
 :func:`_check_args` settles every argument before any input is read;
 the commands then only read, compute and write.  Every input file is
-read line by line through :func:`_read` (``matrix`` streams its corpus
-through :func:`_open_text`).  Outputs go to temporary files beside their
+read line by line through :func:`_read`; the functions a reader calls
+are looked up as module globals when it runs, so a wrapper installed on
+this module sees each call.  Outputs go to temporary files beside their
 paths, moved into place once every file of the command is written, so
 a command that fails changes no file.
 """
@@ -84,8 +85,9 @@ def _parse_rules(flag: str) -> RuleConfig:
     return RuleConfig(enabled=frozenset(enabled))
 
 
-def _open_text(path: str | Path) -> IO[str]:
-    """``path`` opened as UTF-8 text, once all of it is known to decode.
+def _read(path: str | Path, reader: Callable, *args):
+    """``reader(handle, *args)`` on the file at ``path``, opened as UTF-8
+    text once all of it is known to decode.
 
     The readers take a file line by line, so a decode error would
     otherwise surface mid-parse, after the errors of the lines before it,
@@ -101,14 +103,7 @@ def _open_text(path: str | Path) -> IO[str]:
         except UnicodeDecodeError:
             Path(path).read_text(encoding="utf-8")
             raise
-    return open(path, encoding="utf-8")
-
-
-def _read(path: str | Path, reader: Callable, *args):
-    """``reader(handle, *args)`` on the file at ``path``, opened by
-    :func:`_open_text`.  Callers name the reader as a module global, so a
-    wrapper installed on this module sees the call."""
-    with _open_text(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         return reader(handle, *args)
 
 
@@ -124,12 +119,16 @@ def _json_text(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _temp_name(path: str) -> str:
+    return f"{path}.{secrets.token_hex(4)}.tmp"
+
+
 def _staged(path: str, temps: dict[str, str]) -> IO[str]:
     """A text handle on a new file ``<path>.<random>.tmp``, in the
     directory of ``path`` and with the mode a new ``path`` would get,
     recorded in ``temps`` under ``path``."""
     while True:
-        temp = f"{path}.{secrets.token_hex(4)}.tmp"
+        temp = _temp_name(path)
         try:
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except FileExistsError:
@@ -140,7 +139,8 @@ def _staged(path: str, temps: dict[str, str]) -> IO[str]:
 
 def _check_args(args) -> None:
     """Reject, before any input is read, an output path (the report, the
-    output and its manifest) named twice or naming a directory, an unknown
+    output and its manifest) named twice, naming a directory, in no
+    directory, or whose temporary file's name is too long; an unknown
     rule, ``--matrix`` without the sufvec mode or the mode without it, and
     ``--cap``, ``--shuffles`` or ``--seed`` out of range.  ``args.rules``
     becomes its :class:`RuleConfig`."""
@@ -150,11 +150,17 @@ def _check_args(args) -> None:
         targets += [args.output, args.output + ".manifest.json"]
     named = set()
     for path in targets:
-        if os.path.abspath(path) in named:
+        absolute = os.path.abspath(path)
+        directory, name = os.path.split(absolute)
+        if absolute in named:
             raise InputFormatError(f"output path {path} is named twice")
         if os.path.isdir(path):
             raise InputFormatError(f"output path {path} is a directory")
-        named.add(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise InputFormatError(f"output path {path}: no such directory")
+        if len(os.fsencode(_temp_name(name))) > os.pathconf(directory, "PC_NAME_MAX"):
+            raise InputFormatError(f"output path {path}: temporary name too long")
+        named.add(absolute)
     if "rules" in args:
         args.rules = _parse_rules(args.rules)
     if "hybrid" in args:
@@ -342,9 +348,9 @@ def cmd_matrix(args) -> int:
     # Read as the build consumes it: the build counts each analysis as
     # it reads it, and the reader keeps only the positions for the
     # duplicate check, not a map from each position to its analysis.
-    with _open_text(args.corpus) as handle:
-        analyses = (analysis for _, analysis in iter_morph_sidecar(handle))
-        matrix = build_matrix(analyses, cap=args.cap, inventory=inventory)
+    matrix = _read(args.corpus, lambda handle: build_matrix(
+        (analysis for _, analysis in iter_morph_sidecar(handle)),
+        cap=args.cap, inventory=inventory))
     inputs = [args.corpus] + ([args.inventory] if args.inventory else [])
     with _output(args.output, "matrix", inputs,
                  {"cap": args.cap, "lemmas": len(matrix)}) as out:
@@ -382,9 +388,7 @@ def cmd_sigtest(args) -> int:
     report = dict(result.to_dict(),
                   files_a=[f.name for f in files_a],
                   files_b=[f.name for f in files_b])
-    inputs = [args.gold] + [str(Path(args.dir_a) / f.name) for f in files_a] \
-        + [str(Path(args.dir_b) / f.name) for f in files_b]
-    with _output(args.output, "sigtest", inputs,
+    with _output(args.output, "sigtest", [args.gold, *map(str, files_a + files_b)],
                  {"shuffles": args.shuffles, "metric": args.metric,
                   "seed": args.seed}) as out:
         out.write(_json_text(report))
@@ -397,7 +401,7 @@ def cmd_ablate(args) -> int:
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
     results = ablate(gold, grouped, lexicon, steps)
     with _output(args.output, "ablate", [args.gold, args.sidecar],
-                 {"schedule": "6-step" if args.no_av_nv else "8-step"}) as out:
+                 {"schedule": f"{len(steps)}-step"}) as out:
         out.write(_json_text({"steps": [r.to_dict() for r in results]}))
     return 0
 

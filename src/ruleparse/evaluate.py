@@ -49,7 +49,8 @@ test pays for loading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import accumulate
 from operator import and_, eq
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -88,13 +89,7 @@ class AttachmentScores:
         return self.correct_labeled / self.total if self.total else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "uas": self.uas,
-            "las": self.las,
-            "total": self.total,
-            "correct_heads": self.correct_heads,
-            "correct_labeled": self.correct_labeled,
-        }
+        return dict(asdict(self), uas=self.uas, las=self.las)
 
 
 def columns(treebank: Iterable[Sentence | Columns]) -> list[Columns]:
@@ -162,13 +157,8 @@ class SigResult:
         return len(flat) / sum(1.0 / p for p in flat)
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "shuffles": self.shuffles,
-            "seed": self.seed,
-            "p_values": [list(row) for row in self.p_values],
-            "harmonic_mean_p": self.harmonic_mean_p,
-        }
+        return dict(asdict(self), harmonic_mean_p=self.harmonic_mean_p,
+                    p_values=[list(row) for row in self.p_values])
 
 
 def _per_sentence_correct(gold: Sequence[Columns],
@@ -316,6 +306,12 @@ class AblationStep:
         }
 
 
+# The rules each step of the full schedule adds to the step before it.
+_ABLATION_INCREMENTS = ((), (RuleCode.CPI,), (RuleCode.NC,), (RuleCode.PC,),
+                        (RuleCode.AC, RuleCode.AAJ), (RuleCode.AV,),
+                        (RuleCode.AJC, RuleCode.AJN), (RuleCode.NV,))
+
+
 def ablation_steps(include_av_nv: bool = True) -> list[RuleConfig]:
     """Cumulative rule schedules for the ablation harness.
 
@@ -323,24 +319,9 @@ def ablation_steps(include_av_nv: bool = True) -> list[RuleConfig]:
     CPI, NC, PC, AC+AAJ, AV, AJC+AJN, and NV in that order.  Without the
     two free-word-order-sensitive rules (AV, NV) it has six steps.
     """
-    increments: list[tuple[RuleCode, ...]] = [
-        (),
-        (RuleCode.CPI,),
-        (RuleCode.NC,),
-        (RuleCode.PC,),
-        (RuleCode.AC, RuleCode.AAJ),
-    ]
-    if include_av_nv:
-        increments.append((RuleCode.AV,))
-    increments.append((RuleCode.AJC, RuleCode.AJN))
-    if include_av_nv:
-        increments.append((RuleCode.NV,))
-    configs = []
-    enabled: frozenset[RuleCode] = frozenset()
-    for extra in increments:
-        enabled = enabled | set(extra)
-        configs.append(RuleConfig(enabled=enabled))
-    return configs
+    kept = [extra for extra in _ABLATION_INCREMENTS
+            if include_av_nv or {RuleCode.AV, RuleCode.NV}.isdisjoint(extra)]
+    return [RuleConfig(enabled=frozenset(rules)) for rules in accumulate(kept)]
 
 
 def ablate(gold: Sequence[Sentence],

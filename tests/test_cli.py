@@ -331,6 +331,28 @@ def test_sigtest_over_directories(corpus, tmp_path, capsys):
     assert report["harmonic_mean_p"] == 1.0
 
 
+@pytest.mark.parametrize("form", ["{}", "{}/", "{}//", "./{}", "{tmp}/{}"],
+                         ids=["bare", "slash", "two_slashes", "dot", "absolute"])
+def test_sigtest_manifest_lists_the_gold_and_each_system_file(
+        corpus, tmp_path, monkeypatch, form):
+    treebank, _ = corpus
+    monkeypatch.chdir(tmp_path)
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        for name in ("run1.conllu", "run2.conllu"):
+            (tmp_path / side / name).write_text(TREEBANK, encoding="utf-8")
+    assert main(["sigtest", str(treebank), form.format("a", tmp=tmp_path),
+                 form.format("b", tmp=tmp_path), "--shuffles", "10",
+                 "--output", "o.json"]) == 0
+    manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+    prefix = f"{tmp_path}/" if form.startswith("{tmp}") else ""
+    digest = hashlib.sha256(TREEBANK.encode()).hexdigest()
+    assert manifest["inputs"] == {
+        str(treebank): digest, f"{prefix}a/run1.conllu": digest,
+        f"{prefix}a/run2.conllu": digest, f"{prefix}b/run1.conllu": digest,
+        f"{prefix}b/run2.conllu": digest}
+
+
 def test_sigtest_empty_directory_exits_2(corpus, tmp_path, capsys):
     treebank, _ = corpus
     (tmp_path / "a").mkdir()
@@ -352,6 +374,17 @@ def test_ablate_emits_cumulative_steps(corpus, capsys):
     assert main(["ablate", str(treebank), str(sidecar), "--no-av-nv"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["steps"]) == 6
+
+
+@pytest.mark.parametrize("flags, schedule", [([], "8-step"),
+                                           (["--no-av-nv"], "6-step")])
+def test_ablate_manifest_names_the_schedule(corpus, tmp_path, flags, schedule):
+    treebank, sidecar = corpus
+    output = tmp_path / "o.json"
+    assert main(["ablate", str(treebank), str(sidecar),
+                 "--output", str(output)] + flags) == 0
+    manifest = json.loads((tmp_path / "o.json.manifest.json").read_text())
+    assert manifest["config"] == {"schedule": schedule}
 
 
 def test_ablate_sidecar_missing_a_sentence_exits_2(corpus, tmp_path, capsys):
@@ -674,8 +707,8 @@ def test_output_paths_are_checked_before_any_input_is_read(
 def test_a_file_name_too_long_exits_2_and_writes_nothing(corpus, tmp_path,
                                                          capsys, position):
     # Each once died with an uncaught OSError (errno 36), exit 1.  A
-    # 250-character output fits, but its temporary name does not: the
-    # report is staged by then and must be removed.
+    # 250-character output fits, but its temporary name does not: it is
+    # rejected before the report is staged or any input is read.
     treebank, sidecar = corpus
     paths = {"treebank": str(treebank), "output": str(tmp_path / "o.conllu"),
              "lexicons": str(ruleparse.default_lexicon_dir())}

@@ -295,6 +295,32 @@ def test_a_bad_argument_wins_over_every_missing_input(tmp_path, monkeypatch,
     assert (code, err) == (2, f"error: {error}\n")
 
 
+LONG = "a" * 250
+
+
+@pytest.mark.parametrize("argv, files, error", [
+    (["annotate", "t", "s", "--output", "nodir/o"], {},
+     "output path nodir/o: no such directory"),
+    (["annotate", "t", "s", "--output", "o", "--diagnostics", "nodir/d"], {},
+     "output path nodir/d: no such directory"),
+    (["matrix", "s", "--output", "f/o"], {"f": b""},
+     "output path f/o: no such directory"),
+    (["ablate", "t", "s", "--output", LONG], {},
+     f"output path {LONG}: temporary name too long"),
+    # The output's temporary name fits; its manifest's does not.
+    (["score", "t", "u", "--output", LONG[:240]], {},
+     f"output path {LONG[:240]}.manifest.json: temporary name too long"),
+], ids=["output_directory", "report_directory", "file_as_directory",
+        "output_name", "manifest_name"])
+def test_an_unwritable_target_wins_over_every_missing_input(
+        tmp_path, monkeypatch, argv, files, error):
+    # A name may be 255 bytes long on the usual file systems, and the
+    # temporary name ``<name>.<8 hex>.tmp`` adds 13.
+    monkeypatch.chdir(tmp_path)
+    code, err = run_in(tmp_path, argv, files)
+    assert (code, err) == (2, f"error: {error}\n")
+
+
 @pytest.mark.parametrize("argv, files, error", [
     # A bad flag, and a treebank that is not UTF-8.
     (["annotate", "t", "s", "--rules", "bogus", "--output", "o"],
