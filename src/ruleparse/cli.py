@@ -11,11 +11,11 @@ and a SHA-256 hash of every input file.
 
 :func:`_check_args` settles every argument before any input is read;
 the commands then only read, compute and write.  Every input file is
-read line by line through :func:`_read`; the functions a reader calls
-are looked up as module globals when it runs, so a wrapper installed on
-this module sees each call.  Outputs go to temporary files beside their
-paths, moved into place once every file of the command is written, so
-a command that fails changes no file.
+read line by line through :func:`_read`, whose errors name the file;
+the functions a reader calls are looked up as module globals when it
+runs, so a wrapper installed on this module sees each call.  Outputs go
+to temporary files beside their paths, moved into place once every file
+of the command is written, so a command that fails changes no file.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .conllu import (iter_morph_sidecar, parse_conllu, read_columns,
 from .conllu import group_by_sentence as _group_analyses
 from .engine import ALL_RULES, Diagnostics, RuleConfig, run
 from .errors import EngineError, InputFormatError
-from .evaluate import (ablate, ablation_steps, check_test_args,
+from .evaluate import (METRICS, ablate, ablation_steps, check_test_args,
                        randomization_test, score)
 from .features import (FLAG_MODES, HybridConfig, MODE_RULE, MODE_SUFVEC,
                        encode, export, export_jsonl)
@@ -87,24 +87,29 @@ def _parse_rules(flag: str) -> RuleConfig:
 
 def _read(path: str | Path, reader: Callable, *args):
     """``reader(handle, *args)`` on the file at ``path``, opened as UTF-8
-    text once all of it is known to decode.
+    text, with universal newlines, once all of it is known to decode.
 
     The readers take a file line by line, so a decode error would
     otherwise surface mid-parse, after the errors of the lines before it,
     with a position counted from the chunk it fell in.  A file that does
-    not decode fails here, with the error a whole-file read gives.
+    not decode fails here, with the error a whole-file read gives.  A
+    decode or format error is raised again as an :class:`InputFormatError`
+    that names ``path`` first.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
-    with open(path, "rb") as raw:
-        try:
-            while chunk := raw.read(1 << 16):
-                decoder.decode(chunk)
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError:
-            Path(path).read_text(encoding="utf-8")
-            raise
-    with open(path, encoding="utf-8") as handle:
-        return reader(handle, *args)
+    try:
+        with open(path, "rb") as raw:
+            try:
+                while chunk := raw.read(1 << 16):
+                    decoder.decode(chunk)
+                decoder.decode(b"", final=True)
+            except UnicodeDecodeError:
+                Path(path).read_text(encoding="utf-8")
+                raise
+        with open(path, encoding="utf-8") as handle:
+            return reader(handle, *args)
+    except (InputFormatError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def _sha256(path: str) -> str:
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir_a")
     p.add_argument("dir_b")
     p.add_argument("--shuffles", type=int, default=10000)
-    _add_choice(p, "--metric", ("uas", "las"), "METRIC", "uas")
+    _add_choice(p, "--metric", METRICS, "METRIC", METRICS[0])
     # A string default is converted by ``type`` only when ``sigtest``
     # runs, so a bad value exits 2 there and nowhere else.
     p.add_argument("--seed", type=int, default=_env("SEED", "0"),
@@ -320,7 +325,7 @@ def cmd_annotate(args) -> int:
     # "jobs" is kept at 1 so the manifest stays byte-identical with the
     # one the benchmark's expected digests were recorded from.
     with _output(args.output, "annotate", [args.treebank, args.sidecar],
-                 {"rules": sorted(c.value for c in args.rules.enabled),
+                 {"rules": args.rules.names,
                   "lexicons": str(args.lexicons), "jobs": 1},
                  (args.diagnostics, diag_text) if args.diagnostics else None
                  ) as out:
@@ -338,7 +343,7 @@ def cmd_features(args) -> int:
     write = export_jsonl if args.format == "jsonl" else export
     with _output(args.output, "features", inputs,
                  {"hybrid": args.hybrid, "format": args.format,
-                  "rules": sorted(c.value for c in args.rules.enabled)}) as out:
+                  "rules": args.rules.names}) as out:
         write(sentences, bundles, out)
     return 0
 

@@ -5,6 +5,10 @@ HEAD/DEPREL columns are never overwritten.  Multiword-token range lines
 are preserved verbatim for round-tripping but excluded from the token
 list; empty-node lines are rejected.
 
+The readers take their lines from :func:`~ruleparse.textio.lines_of`:
+a line ends at LF, CRLF or CR only, so a field may hold U+2028 and the
+like, and :func:`parse_conllu` reads back what :func:`write_conllu` wrote.
+
 :func:`group_by_sentence` is the one place a sidecar meets its treebank.
 """
 

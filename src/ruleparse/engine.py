@@ -123,6 +123,11 @@ class RuleConfig:
         if RuleCode.NONE in self.enabled:
             raise ValueError("NONE is not a rule")
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The enabled rules' codes, sorted: how reports name the set."""
+        return tuple(sorted(code.value for code in self.enabled))
+
 
 @dataclass(frozen=True, slots=True)
 class RuleAssignment:

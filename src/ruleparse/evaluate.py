@@ -71,6 +71,9 @@ if TYPE_CHECKING:
 # 0.22 at 128 and 0.54 at 512 (medians of 7, 2-CPU x86-64, OpenBLAS).
 _CHUNK_BYTES = 96 << 10
 
+# The sigtest metrics, in the order of :func:`_correct_counts`' counts.
+METRICS = ("uas", "las")
+
 
 @dataclass(frozen=True)
 class AttachmentScores:
@@ -166,7 +169,7 @@ def _per_sentence_correct(gold: Sequence[Columns],
                           metric: str) -> np.ndarray:
     import numpy as np
 
-    pick = 0 if metric == "uas" else 1
+    pick = METRICS.index(metric)
     return np.asarray([counts[pick] for counts in
                        _correct_counts(gold, columns(system))], dtype=np.int64)
 
@@ -233,7 +236,7 @@ def check_test_args(shuffles: int, metric: str, seed: int) -> None:
     """Raise ValueError unless :func:`randomization_test` takes these."""
     if shuffles < 1:
         raise ValueError("shuffles must be >= 1")
-    if metric not in ("uas", "las"):
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, not {seed}")
@@ -362,6 +365,6 @@ def ablate(gold: Sequence[Sentence],
             matching[k] += sum(1 for a in assignments
                                if tokens[a.dependent - 1].head == a.head)
     return [AblationStep(step=k + 1,
-                         rules=tuple(sorted(code.value for code in config.enabled)),
+                         rules=config.names,
                          total=total, assigned=assigned[k], matching=matching[k])
             for k, config in enumerate(steps)]

@@ -9,8 +9,10 @@ Six plain-text files with fixed names make up a lexicon directory:
     adv_degree.txt  adverbs of quantity or degree
     adv_emph.txt    adverbs that emphasize the preceding word
 
-One entry per line, components separated by spaces, ``#`` comments
-allowed.  Compound files require at least two components per entry.
+One entry per line (a line ends at LF, CRLF or CR), components
+separated by whitespace, ``#`` comments allowed.  Compound files require
+at least two components per entry.  A file that is missing, is not UTF-8
+or holds a malformed entry raises :class:`LexiconError` naming it.
 Matching is insensitive to Turkish case variants (I/ı and İ/i fold to
 their lowercase dotted/dotless counterparts).
 """
@@ -22,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import LexiconError
+from .textio import lines_of
 
 COMPOUND_CLASSES = ("cpi", "nc", "pc", "redup")
 
@@ -64,8 +67,12 @@ class Lexicon:
 def _read_entries(path: Path, require_compound: bool) -> list[tuple[str, ...]]:
     if not path.is_file():
         raise LexiconError(f"missing lexicon file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{path}: {exc}") from exc
     entries = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(lines_of(text), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

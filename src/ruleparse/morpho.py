@@ -321,7 +321,7 @@ def read_matrix(source: str | IO[str],
     """
     if inventory is None:
         inventory = default_inventory()
-    lines = iter(lines_of(source))
+    lines = lines_of(source)
     header = next(lines, None)
     if header is None:
         raise InputFormatError("matrix stream is empty")

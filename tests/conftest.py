@@ -10,6 +10,10 @@ from ruleparse import MorphAnalysis, Sentence, Token, default_lexicon_dir, load_
 from ruleparse.lexicon import _FILENAMES, COMPOUND_CLASSES, _read_entries
 
 DEPRELS = ("nsubj", "obj", "nmod", "amod", "advmod", "det", "punct", "conj")
+# The characters other than LF and CR at which ``str.splitlines`` breaks
+# a line.  No reader ends a line at them: to a reader they are text.
+OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029")
 
 
 def tok(i, form, upos=None, lemma=None, feats=(), head=None, deprel=None,
@@ -27,17 +31,32 @@ def ma(lemma, pos, *tags):
     return MorphAnalysis(lemma=lemma, pos=pos, tags=tuple(tags))
 
 
-class ShortReads:
-    """A text handle over ``text`` (line breaks kept as they are) whose
-    reads return at most ``limit`` characters, so that a streamed reader
-    meets a chunk boundary wherever the test wants one."""
+class _Trickle(io.RawIOBase):
+    """A raw stream over ``data`` whose reads return at most ``limit``
+    bytes each."""
 
-    def __init__(self, text: str, limit: int):
-        self._buffer = io.StringIO(text, newline="")
+    def __init__(self, data: bytes, limit: int):
+        self._buffer = io.BytesIO(data)
         self._limit = limit
 
-    def read(self, size: int = -1) -> str:
-        return self._buffer.read(self._limit if size < 0 else min(size, self._limit))
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self._buffer.read(min(len(buffer), self._limit))
+        buffer[:len(chunk)] = chunk
+        return len(chunk)
+
+
+class ShortReads(io.TextIOWrapper):
+    """A UTF-8 text handle over ``text`` (line breaks kept as they are)
+    whose text layer gets at most ``limit`` bytes per read, so that a
+    streamed reader meets a read boundary wherever the test wants one:
+    inside a "\r\n" or a multi-byte character too."""
+
+    def __init__(self, text: str, limit: int):
+        super().__init__(_Trickle(text.encode("utf-8"), limit),
+                         encoding="utf-8", newline="")
 
 
 class Written:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -250,8 +251,8 @@ def test_features_rejects_matrix_value_that_is_not_finite_and_non_negative(
                  "--matrix", str(matrix_path), "--format", "jsonl"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (f"error: matrix line 2: value {value!r} is not a finite "
-                   "number >= 0\n")
+    assert err == (f"error: {matrix_path}: matrix line 2: value {value!r} is "
+                   "not a finite number >= 0\n")
 
 
 def test_matrix_duplicate_position_exits_2(corpus, tmp_path, capsys):
@@ -262,7 +263,7 @@ def test_matrix_duplicate_position_exits_2(corpus, tmp_path, capsys):
                    encoding="utf-8")
     assert main(["matrix", str(bad), "--output", str(tmp_path / "m.tsv")]) == 2
     assert capsys.readouterr().err == (
-        "error: line 10: duplicate entry for sentence 2 token 2\n")
+        f"error: {bad}: line 10: duplicate entry for sentence 2 token 2\n")
     assert not (tmp_path / "m.tsv").exists()
 
 
@@ -274,7 +275,7 @@ def test_matrix_rejects_a_token_id_of_2_to_the_32(corpus, tmp_path, capsys):
                    + f"3\t{2**32}\tev\tNoun+A3sg+Nom\n", encoding="utf-8")
     assert main(["matrix", str(bad), "--output", str(tmp_path / "m.tsv")]) == 2
     assert capsys.readouterr().err == (
-        "error: line 11: token id 4294967296 is not below 2**32\n")
+        f"error: {bad}: line 11: token id 4294967296 is not below 2**32\n")
     assert not (tmp_path / "m.tsv").exists()
 
 
@@ -453,7 +454,8 @@ def test_inventory_with_no_entries_exits_2(corpus, tmp_path, capsys, command,
             ["features", str(treebank), str(sidecar), "--hybrid", "infl"])
     assert main(argv + ["--inventory", str(inventory),
                         "--output", str(output)]) == 2
-    assert capsys.readouterr().err == "error: invalid suffix inventory: no entries\n"
+    assert capsys.readouterr().err == (f"error: {inventory}: invalid suffix "
+                                       "inventory: no entries\n")
     assert not output.exists()
 
 
@@ -768,6 +770,21 @@ def test_outputs_are_written_as_the_text_forms_give_them(corpus, tmp_path, capsy
         assert write_matrix(read_matrix(handle)) == to_stdout
 
 
+def test_annotate_and_matrix_read_a_form_and_lemma_holding_u2028(corpus, capsys):
+    # U+2028 ends a line for ``str.splitlines``, but not in CoNLL-U or the
+    # sidecar: each reader takes it as text.
+    treebank, sidecar = corpus
+    treebank.write_text(TREEBANK.replace("Kuru\tkuru", "Ku\u2028ru\tku\u2028ru"),
+                        encoding="utf-8")
+    sidecar.write_text(SIDECAR.replace("\tkuru\t", "\tku\u2028ru\t"),
+                       encoding="utf-8")
+    assert main(["annotate", str(treebank), str(sidecar)]) == 0
+    first = parse_conllu(capsys.readouterr().out)[0].tokens[0]
+    assert (first.form, first.lemma) == ("Ku\u2028ru", "ku\u2028ru")
+    assert main(["matrix", str(sidecar)]) == 0
+    assert "ku\u2028ru" in read_matrix(capsys.readouterr().out).rows
+
+
 BAD_COLUMNS = "1\tKuru\tkuru\tNOUN\t_\t_\t2\tnmod\t_\n"
 BAD_HEAD = "1\tKuru\tkuru\tNOUN\t_\t_\tx\tnmod\t_\t_\n"
 TWO_SENTENCES = TREEBANK.split("\n\n", 2)[0] + "\n\n" + \
@@ -800,6 +817,14 @@ def test_sigtest_reports_the_first_bad_file(corpus, tmp_path, capsys,
         (tmp_path / side).mkdir()
         for name, text in files.items():
             (tmp_path / side / name).write_text(text, encoding="utf-8")
+    if error.startswith("error: sentence 1, line 1: "):
+        # A format error names its file: the first malformed one, side A
+        # first, each side in listing order.
+        first_bad = next(tmp_path / side / name for side, files
+                         in (("a", files_a), ("b", files_b))
+                         for name, text in sorted(files.items())
+                         if text in (BAD_COLUMNS, BAD_HEAD))
+        error = error.replace("error: ", f"error: {first_bad}: ", 1)
     output = tmp_path / "sig.json"
     assert main(["sigtest", str(treebank), str(tmp_path / "a"),
                  str(tmp_path / "b"), "--shuffles", "20",
@@ -812,20 +837,33 @@ def test_undecodable_input_fails_as_a_whole_file_read_does(corpus, tmp_path, cap
     treebank, sidecar = corpus
     # A malformed first line, and a byte that is not UTF-8 far beyond the
     # first chunk a streamed read takes.
+    data = (b"x\n" + "1\t1\tçiçek\tNoun\n".encode("utf-8") * 20000
+            + b"\xff\n")
     bad = tmp_path / "bad.tsv"
-    bad.write_bytes(b"x\n" + "1\t1\tçiçek\tNoun\n".encode("utf-8") * 20000
-                    + b"\xff\n")
+    bad.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as excinfo:
         bad.read_text(encoding="utf-8")
-    expected = f"error: {excinfo.value}\n"
-    assert "position 340002" in expected
-    matrix = tmp_path / "m.tsv"
-    assert main(["matrix", str(sidecar), "--output", str(matrix)]) == 0
-    for argv in (["matrix", str(bad)],
-                 ["features", str(treebank), str(bad)],
-                 ["features", str(treebank), str(sidecar), "--hybrid", "sufvec",
-                  "--matrix", str(bad)],
-                 ["score", str(treebank), str(bad)]):
+    assert "position 340002" in str(excinfo.value)
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "a" / "1.conllu").write_text(TREEBANK, encoding="utf-8")
+    (tmp_path / "b" / "1.conllu").write_bytes(data)
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(ruleparse.default_lexicon_dir(), lexicons)
+    (lexicons / "nc.txt").write_bytes(data)
+    # Each reader's error names the file it read.
+    for argv, path in (
+            (["annotate", str(bad), str(sidecar)], bad),
+            (["features", str(treebank), str(bad)], bad),
+            (["matrix", str(bad)], bad),
+            (["features", str(treebank), str(sidecar), "--hybrid", "sufvec",
+              "--matrix", str(bad)], bad),
+            (["matrix", str(sidecar), "--inventory", str(bad)], bad),
+            (["score", str(treebank), str(bad)], bad),
+            (["sigtest", str(treebank), str(tmp_path / "a"), str(tmp_path / "b"),
+              "--shuffles", "20"], tmp_path / "b" / "1.conllu"),
+            (["annotate", str(treebank), str(sidecar), "--lexicons",
+              str(lexicons)], lexicons / "nc.txt")):
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err == expected
+        assert capsys.readouterr().err == f"error: {path}: {excinfo.value}\n"

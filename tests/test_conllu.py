@@ -15,8 +15,8 @@ from ruleparse import (AlignmentError, AnalysisError, ConlluError,
                        write_conllu)
 from ruleparse.conllu import iter_morph_sidecar, read_columns
 
-from conftest import (ShortReads, random_conllu_sentence, random_treebank,
-                      sent, tok)
+from conftest import (OTHER_BREAKS, ShortReads, random_conllu_sentence,
+                      random_treebank, sent, tok)
 
 BASIC = """\
 # sent_id = 1
@@ -157,6 +157,18 @@ def test_write_empty_list():
 def test_round_trip_on_fixture():
     sentences = parse_conllu(BASIC)
     assert parse_conllu(write_conllu(sentences)) == sentences
+
+
+@pytest.mark.parametrize("char", OTHER_BREAKS, ids=ascii)
+def test_round_trip_of_fields_holding_a_character_that_ends_no_line(char):
+    # ``str.splitlines`` breaks at each of these; CoNLL-U does not.
+    sentence = sent(
+        tok(1, f"a{char}b", "NOUN", f"{char}a", feats=[("Case", f"N{char}om")],
+            head=0, deprel="root", misc=[("Note", f"x{char}"), (char, None)]),
+        tok(2, char, "PUNCT", char, head=1, deprel="punct"))
+    text = write_conllu([sentence])
+    assert parse_conllu(text) == [sentence]
+    assert parse_conllu(ShortReads(text, 3)) == [sentence]
 
 
 def test_round_trip_randomized():

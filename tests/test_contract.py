@@ -228,7 +228,8 @@ def test_every_input_exits_0_or_2(base, size, command, mutation, target, seed):
         assert code == 2, err.getvalue()
     elif mutation in ("empty", "comment_only") and target == "inventory":
         assert code == 2
-        assert err.getvalue() == "error: invalid suffix inventory: no entries\n"
+        assert err.getvalue() == (f"error: {path}: invalid suffix inventory: "
+                                  "no entries\n")
     else:
         assert code in (0, 2), err.getvalue()
     if code == 2:
@@ -332,16 +333,16 @@ def test_an_unwritable_target_wins_over_every_missing_input(
     # A treebank format error, and a sidecar that is not UTF-8: file by file.
     (["annotate", "t", "s", "--output", "o"],
      {"t": BAD["bad_treebank"], "s": BAD["non_utf8"]},
-     "sentence 1, line 1: expected 10 tab-separated columns, got 3"),
+     "t: sentence 1, line 1: expected 10 tab-separated columns, got 3"),
     # A treebank format error, and a sidecar line that names no token.
     (["features", "t", "s", "--hybrid", "last", "--output", "o"],
      {"t": BAD["bad_treebank"], "s": BAD["misaligned"]},
-     "sentence 1, line 1: expected 10 tab-separated columns, got 3"),
+     "t: sentence 1, line 1: expected 10 tab-separated columns, got 3"),
     # A sidecar line that names no token, and a later malformed one: the
     # whole file is read before the join.
     (["ablate", "t", "s", "--output", "o"],
      {"t": TREEBANK.encode(), "s": BAD["misaligned_then_malformed"]},
-     "line 4: expected 4 tab-separated columns, got 2"),
+     "s: line 4: expected 4 tab-separated columns, got 2"),
 ], ids=["flag_before_utf8", "target_before_utf8", "treebank_before_sidecar",
         "format_before_alignment", "whole_sidecar_before_alignment"])
 def test_the_earlier_stage_reports_its_error(tmp_path, monkeypatch, argv,

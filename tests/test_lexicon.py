@@ -85,6 +85,17 @@ def test_single_word_compound_entry_is_an_error(tmp_path):
         load_lexicon(tmp_path)
 
 
+def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path):
+    # The whole file is decoded before its entries are read, so the
+    # decode error comes ahead of the single-word entry on line 1.
+    _write_minimal(tmp_path)
+    (tmp_path / "nc.txt").write_bytes(b"tek\nkuru yemi\xff\n")
+    with pytest.raises(LexiconError) as excinfo:
+        load_lexicon(tmp_path)
+    assert str(excinfo.value).startswith(
+        f"{tmp_path / 'nc.txt'}: 'utf-8' codec can't decode byte 0xff in position 13")
+
+
 def test_comments_blanks_and_case_are_normalized(tmp_path):
     _write_minimal(tmp_path, {"nc.txt": "# compounds\n\n  KURU   YEMİŞ  \n"})
     lex = load_lexicon(tmp_path)
