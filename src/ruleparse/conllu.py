@@ -66,7 +66,12 @@ def _tree_problem(heads: Sequence[int]) -> str | None:
 
 @dataclass(frozen=True, slots=True)
 class Token:
-    """One syntactic word.  Absent CoNLL-U fields are None."""
+    """One syntactic word.  Absent CoNLL-U fields are None.
+
+    A token is built only if the line :func:`write_conllu` writes for it
+    reads back as it, except that ``_``, the mark of an absent value,
+    reads back as absent in any column but FORM.
+    """
 
     id: int
     form: str
@@ -80,12 +85,10 @@ class Token:
     misc: tuple[tuple[str, str | None], ...] = ()
 
     def __post_init__(self):
-        problem = _token_problem(self.id, self.form, self.head)
+        problem = _token_problem(self.id, self.form, self.head) \
+            or _written_problem(self)
         if problem is not None:
             raise ValueError(problem)
-        keys = [k for k, _ in self.feats]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"token {self.id} has duplicate feature keys")
 
     def feats_dict(self) -> dict[str, str]:
         return dict(self.feats)
@@ -221,10 +224,13 @@ def _checked_heads(rows: list[tuple[int, list[str]]], ordinal: int,
                 head = int(head_raw)
             except ValueError:
                 raise ConlluError(ordinal, line_no, f"bad head {head_raw!r}") from None
-        if cols[FEATS] not in feats_of:
-            feats_of[cols[FEATS]] = _feats_items(cols[FEATS], ordinal, line_no)
-        if cols[MISC] not in misc_of:
-            misc_of[cols[MISC]] = _misc_items(cols[MISC], ordinal, line_no)
+        try:
+            if cols[FEATS] not in feats_of:
+                feats_of[cols[FEATS]] = _feats_items(cols[FEATS])
+            if cols[MISC] not in misc_of:
+                misc_of[cols[MISC]] = _misc_items(cols[MISC])
+        except ValueError as exc:
+            raise ConlluError(ordinal, line_no, str(exc)) from None
         problem = _token_problem(token_id, cols[FORM], head)
         if problem is not None:
             raise ConlluError(ordinal, line_no, problem)
@@ -243,28 +249,52 @@ def _checked_heads(rows: list[tuple[int, list[str]]], ordinal: int,
     return heads
 
 
-def _feats_items(column: str, ordinal: int, line_no: int) -> tuple:
+def _feats_items(column: str) -> tuple:
+    """The items of a FEATS column other than ``_``; ValueError names the
+    first bad item."""
     items = []
     seen = set()
     for item in column.split("|"):
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise ConlluError(ordinal, line_no, f"bad feature item {item!r}")
+            raise ValueError(f"bad feature item {item!r}")
         if key in seen:
-            raise ConlluError(ordinal, line_no, f"duplicate feature key {key!r}")
+            raise ValueError(f"duplicate feature key {key!r}")
         seen.add(key)
         items.append((key, value))
     return tuple(items)
 
 
-def _misc_items(column: str, ordinal: int, line_no: int) -> tuple:
+def _misc_items(column: str) -> tuple:
+    """The items of a MISC column other than ``_``; ValueError on an
+    empty item."""
     items = []
     for item in column.split("|"):
         if not item:
-            raise ConlluError(ordinal, line_no, "empty item in MISC column")
+            raise ValueError("empty item in MISC column")
         key, sep, value = item.partition("=")
         items.append((key, value if sep else None))
     return tuple(items)
+
+
+def _written_problem(token: Token) -> str | None:
+    """What keeps the line written for ``token`` from reading back as
+    ``token``, if anything: the reader's checks of a line's columns, run
+    on that line."""
+    line = _token_line(token)
+    cols = line.split("\t")
+    if len(cols) != 10 or "\n" in line or "\r" in line:
+        return f"token {token.id} has a tab or line break in a field"
+    if "" in cols:
+        return f"token {token.id} has an empty field"
+    try:
+        if token.feats and _feats_items(cols[FEATS]) != token.feats:
+            return f"token {token.id}: FEATS {cols[FEATS]!r} reads back as other items"
+        if token.misc and _misc_items(cols[MISC]) != token.misc:
+            return f"token {token.id}: MISC {cols[MISC]!r} reads back as other items"
+    except ValueError as exc:
+        return f"token {token.id}: {exc}"
+    return None
 
 
 def parse_conllu(source: str | IO[str]) -> list[Sentence]:

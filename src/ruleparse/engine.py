@@ -3,9 +3,10 @@
 Nine rules assign heads to tokens before a statistical parser ever sees
 the sentence.  A sentence is processed over a *remaining* list that
 initially holds every token; whenever a token receives a head (or is
-deferred by a consecutive-adverb/adjective rule) it is removed, so rule
-adjacency is adjacency in the shrinking remaining list, not surface
-adjacency.
+deferred by a consecutive-adverb/adjective rule) it leaves the list, so
+rule adjacency is adjacency in the shrinking remaining list, not surface
+adjacency.  The list is kept as links between neighbouring token ids, so
+a token leaves it in O(1) and a scan walks it by following the links.
 
 The schedule is one ordered table (``_ONCE``, then ``_REPEATED``):
 
@@ -261,13 +262,16 @@ class SentenceView:
 class EngineState:
     """Mutable per-sentence working state of a rule run over a view."""
 
-    __slots__ = ("view", "remaining", "heads", "assignments", "waiting",
+    __slots__ = ("view", "after", "before", "heads", "assignments", "waiting",
                  "cp_marked", "diagnostics")
 
     def __init__(self, view: SentenceView, diagnostics: Diagnostics):
         self.view = view
-        # token ids are 1..n (a Sentence checks it), the view tuples' indices
-        self.remaining: list[int] = list(range(1, len(view.pos)))
+        # token ids are 1..n (a Sentence checks it), the view tuples' indices.
+        # The remaining list is a ring through 0: after[t] and before[t] are
+        # remaining token t's neighbours, after[0] the first (0 when none).
+        n = len(view.pos) - 1
+        self.after, self.before = [*range(1, n + 1), 0], [n, *range(n)]
         self.heads: dict[int, int] = {}
         self.assignments: list[RuleAssignment] = []
         # second member of a deferred pair -> (first member, its code)
@@ -282,10 +286,16 @@ class EngineState:
         forms = self.view.forms
         seconds = forms[second_id]
         for first in forms[first_id]:
-            after = follows.get(first)
-            if after is not None and not after.isdisjoint(seconds):
+            followers = follows.get(first)
+            if followers is not None and not followers.isdisjoint(seconds):
                 return True
         return False
+
+    def _drop(self, token: int) -> None:
+        """Take remaining ``token`` out of the remaining list."""
+        prev, nxt = self.before[token], self.after[token]
+        self.after[prev] = nxt
+        self.before[nxt] = prev
 
     # -- assignment ----------------------------------------------------
 
@@ -301,13 +311,15 @@ class EngineState:
         """Record ``dependent -> head`` unless it would break an invariant.
 
         Returns False (and counts a diagnostic) when the edge would close
-        a cycle.  On success the dependent leaves the remaining list, and
-        a first member waiting on it attaches to the same head, then one
-        waiting on that member, and so on down the chain; the chain stops
-        at the first member that cannot attach.
+        a cycle.  On success the dependent, a remaining token, leaves the
+        remaining list, and a first member waiting on it (already out of
+        the list) attaches to the same head, then one waiting on that
+        member, and so on down the chain; the chain stops at the first
+        member that cannot attach.
         """
         if not self._attach(dependent, head, code):
             return False
+        self._drop(dependent)
         waiting = self.waiting.pop(dependent, None)
         while waiting is not None:
             first, first_code = waiting
@@ -330,64 +342,49 @@ class EngineState:
         _set_code(assignment, code)
         self.assignments.append(assignment)
         self.diagnostics.fire_counts[_VALUE[code]] += 1
-        if dependent in self.remaining:
-            self.remaining.remove(dependent)
         return True
 
     def defer(self, first: int, second: int, code: RuleCode) -> None:
         """Take ``first`` out of the remaining list until ``second`` has a
         head; it then attaches to that head with ``code``."""
         self.waiting[second] = (first, code)
-        self.remaining.remove(first)
+        self._drop(first)
 
 
-# ``try_pair(state, x, y) -> bool`` tests the adjacent remaining pair
-# ``x, y`` and reports whether it consumed it (see :func:`_scan`).
-TryPair = Callable[[EngineState, int, int], bool]
-
-
-def _scan(state: EngineState, try_pair: TryPair, bits: tuple[int, ...],
-          first: int) -> None:
+def _scan(state: EngineState, try_pair: Callable[[EngineState, int, int], bool],
+          bits: tuple[int, ...], first: int) -> None:
     """One left-to-right pass over adjacent remaining pairs.
 
-    ``try_pair`` reports whether it consumed the pair; a consumed pair
-    always shrinks the remaining list, so the scan stays at the same
-    index to examine the freshly adjacent pair next.  A pair whose first
-    member ``x`` lacks the rule's bit (``bits[x] & first`` is 0) is
-    stepped past without calling ``try_pair``, which would return False
-    on it.
+    ``try_pair`` reports whether it consumed the pair ``x, y``, taking
+    ``x`` or ``y`` out of the list; no pair test takes out a token before
+    ``x``, so the scan stays after ``prev`` to examine the freshly
+    adjacent pair (a pair reported consumed but left in place raises
+    :class:`EngineError`).  A pair whose first member lacks the rule's
+    bit (``bits[x] & first`` is 0) is stepped past without calling
+    ``try_pair``, which would return False on it.
     """
-    remaining = state.remaining  # shrinks in place, never rebound
-    i = 0
-    last = len(remaining) - 1  # index of the last pair's first member
-    while i < last:
-        x = remaining[i]
-        if bits[x] & first:
-            fired = try_pair(state, x, remaining[i + 1])
-            before, last = last, len(remaining) - 1
-            if fired and last < before:
-                continue
-        i += 1
+    after = state.after
+    prev = 0
+    while (x := after[prev]) and (y := after[x]):
+        if bits[x] & first and try_pair(state, x, y):
+            if after[prev] == x and after[x] == y:
+                raise EngineError(f"{try_pair.__name__} reported the pair "
+                                  f"({x}, {y}) consumed but left it in place")
+            continue
+        prev = x
 
 
 def _chain_forward(state: EngineState, cls: str, code: RuleCode,
                    anchor: int, dependent: int) -> None:
     """Greedy continuation for lexicon entries longer than two words.
 
-    After ``dependent`` attaches to ``anchor``, the word now adjacent to
-    ``anchor`` may continue the same entry as a pair with ``dependent``
-    (e.g. a three-word idiom chains head-to-head).
+    After ``dependent`` attaches to ``anchor``, the word now after
+    ``anchor`` in the remaining list may continue the same entry as a
+    pair with ``dependent`` (e.g. a three-word idiom chains head-to-head).
     """
     cursor = dependent
-    while True:
-        idx = state.remaining.index(anchor)
-        if idx + 1 >= len(state.remaining):
-            return
-        nxt = state.remaining[idx + 1]
-        if not state.pair_in(cls, cursor, nxt):
-            return
-        if not state.assign(nxt, cursor, code):
-            return
+    while ((nxt := state.after[anchor]) and state.pair_in(cls, cursor, nxt)
+           and state.assign(nxt, cursor, code)):
         cursor = nxt
 
 
@@ -579,7 +576,7 @@ def run(sentence: Sentence,
     # run makes at most n passes.
     n = len(sentence.tokens)
     passes = 0
-    while state.remaining:
+    while state.after[0]:
         passes += 1
         if passes > n:
             raise EngineError(

@@ -314,10 +314,11 @@ def read_matrix(source: str | IO[str],
                 inventory: SuffixInventory | None = None) -> LemmaSuffixMatrix:
     """Parse a matrix file written by :func:`write_matrix`.
 
-    The header must list the inventory tags in order; rows reload to the
-    exact floats that reserialize to the same bytes.  A handle is read
-    line by line, and each distinct value text is parsed and checked
-    once per read: the rows share one float per text.
+    The header must list the inventory tags in order, and each lemma has
+    one row; rows reload to the exact floats that reserialize to the same
+    bytes.  A handle is read line by line, and each distinct value text
+    is parsed and checked once per read: the rows share one float per
+    text.
     """
     if inventory is None:
         inventory = default_inventory()
@@ -341,6 +342,9 @@ def read_matrix(source: str | IO[str],
         if len(cols) != width + 1:
             raise InputFormatError(
                 f"matrix line {line_no}: expected {width + 1} columns, got {len(cols)}")
+        if cols[0] in rows:
+            raise InputFormatError(
+                f"matrix line {line_no}: duplicate lemma {cols[0]!r}")
         texts = cols[1:]
         try:
             row = tuple(map(parsed, texts))

@@ -255,6 +255,24 @@ def test_features_rejects_matrix_value_that_is_not_finite_and_non_negative(
                    "not a finite number >= 0\n")
 
 
+def test_features_rejects_a_matrix_lemma_listed_twice(corpus, tmp_path, capsys):
+    treebank, sidecar = corpus
+    matrix_path = tmp_path / "matrix.tsv"
+    assert main(["matrix", str(sidecar), "--output", str(matrix_path)]) == 0
+    lines = matrix_path.read_text(encoding="utf-8").splitlines()
+    lemma = lines[1].split("\t")[0]
+    matrix_path.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    output = tmp_path / "features.jsonl"
+    assert main(["features", str(treebank), str(sidecar), "--hybrid", "sufvec",
+                 "--matrix", str(matrix_path), "--format", "jsonl",
+                 "--output", str(output)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {matrix_path}: matrix line {len(lines) + 1}: "
+        f"duplicate lemma {lemma!r}\n")
+    assert not output.exists()
+
+
 def test_matrix_duplicate_position_exits_2(corpus, tmp_path, capsys):
     _, sidecar = corpus
     lines = sidecar.read_text(encoding="utf-8").splitlines()

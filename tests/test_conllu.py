@@ -171,6 +171,37 @@ def test_round_trip_of_fields_holding_a_character_that_ends_no_line(char):
     assert parse_conllu(ShortReads(text, 3)) == [sentence]
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"form": "a\tb"}, "token 1 has a tab or line break in a field"),
+    ({"form": "a\nb"}, "token 1 has a tab or line break in a field"),
+    ({"form": "a\rb"}, "token 1 has a tab or line break in a field"),
+    ({"upos": "NO\tUN"}, "token 1 has a tab or line break in a field"),
+    ({"upos": "NOUN\n"}, "token 1 has a tab or line break in a field"),
+    ({"lemma": ""}, "token 1 has an empty field"),
+    ({"deprel": ""}, "token 1 has an empty field"),
+    ({"feats": (("Case", "Gen|x"),)}, "token 1: bad feature item 'x'"),
+    ({"feats": (("", "Gen"),)}, "token 1: bad feature item '=Gen'"),
+    ({"feats": (("Case", "Gen"), ("Case", "Nom"))},
+     "token 1: duplicate feature key 'Case'"),
+    ({"feats": (("Case", "Gen|Number=Sing"),)},
+     "token 1: FEATS 'Case=Gen|Number=Sing' reads back as other items"),
+    ({"misc": (("a|b", None),)}, "token 1: MISC 'a|b' reads back as other items"),
+    ({"misc": (("", None),)}, "token 1 has an empty field"),
+])
+def test_a_token_that_would_not_read_back_is_rejected(fields, message):
+    # Each of these was once built, and write_conllu wrote a line that
+    # parse_conllu rejected or read back as another token.
+    with pytest.raises(ValueError) as excinfo:
+        Token(**{"id": 1, "form": "ev", **fields})
+    assert str(excinfo.value) == message
+
+
+def test_underscore_is_the_one_value_that_reads_back_as_absent():
+    token = Token(1, "_", lemma="_", upos="_", xpos="_", deprel="_", deps="_",
+                  misc=(("_", None),))
+    assert parse_conllu(write_conllu([sent(token)])) == [sent(Token(1, "_"))]
+
+
 def test_round_trip_randomized():
     rng = random.Random(20240817)
     sentences = [random_conllu_sentence(rng) for _ in range(300)]

@@ -5,6 +5,7 @@ sets is a behavioral regression, not a test to update.
 """
 
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -420,6 +421,29 @@ def test_pass_bound_takes_one_pass_per_leftward_step(lexicon):
     assert diagnostics.fire_counts == {"PC": n - 1}
 
 
+def assert_a_broken_rule_exits_3(pair_test, message, lexicon, monkeypatch,
+                                 tmp_path, capsys):
+    """With ``pair_test`` as the one repeated rule, ``run`` raises
+    EngineError with ``message`` and ``annotate`` exits 3 reporting it."""
+    monkeypatch.setattr(engine, "_REPEATED",
+                        ((RuleCode.PC, pair_test, engine._PC_FIRST, 0),))
+    rows = [
+        (1, "ev", "NOUN", ma("ev", "Noun", "A3sg", "Nom")),
+        (2, "kapı", "NOUN", ma("kapı", "Noun", "A3sg", "Nom")),
+        (3, "geldi", "VERB", ma("gel", "Verb", "Past", "A3sg")),
+    ]
+    sentence, analyses = build(rows)
+    with pytest.raises(EngineError, match=re.escape(message)):
+        run(sentence, analyses, lexicon)
+    treebank = tmp_path / "t.conllu"
+    treebank.write_text(write_conllu([sentence]), encoding="utf-8")
+    sidecar = tmp_path / "t.morph"
+    sidecar.write_text(sidecar_text({(1, i): a for i, a in analyses.items()}),
+                       encoding="utf-8")
+    assert main(["annotate", str(treebank), str(sidecar)]) == 3
+    assert f"internal error: {message}" in capsys.readouterr().err
+
+
 def test_a_pass_that_assigns_without_consuming_raises(
         lexicon, monkeypatch, tmp_path, capsys):
     # A repeated rule that records an assignment but leaves every token in
@@ -428,24 +452,21 @@ def test_a_pass_that_assigns_without_consuming_raises(
         state.assignments.append(engine.RuleAssignment(x, y, RuleCode.PC))
         return False
 
-    monkeypatch.setattr(engine, "_REPEATED",
-                        ((RuleCode.PC, stuck, engine._PC_FIRST, 0),))
-    rows = [
-        (1, "ev", "NOUN", ma("ev", "Noun", "A3sg", "Nom")),
-        (2, "kapı", "NOUN", ma("kapı", "Noun", "A3sg", "Nom")),
-        (3, "geldi", "VERB", ma("gel", "Verb", "Past", "A3sg")),
-    ]
-    sentence, analyses = build(rows)
-    with pytest.raises(EngineError, match="more than 3 passes"):
-        run(sentence, analyses, lexicon)
-    treebank = tmp_path / "t.conllu"
-    treebank.write_text(write_conllu([sentence]), encoding="utf-8")
-    sidecar = tmp_path / "t.morph"
-    sidecar.write_text(sidecar_text({(1, i): a for i, a in analyses.items()}),
-                       encoding="utf-8")
-    assert main(["annotate", str(treebank), str(sidecar)]) == 3
-    assert "internal error: rule loop made more than 3 passes" in \
-        capsys.readouterr().err
+    assert_a_broken_rule_exits_3(stuck, "rule loop made more than 3 passes",
+                                 lexicon, monkeypatch, tmp_path, capsys)
+
+
+def test_a_pair_reported_consumed_but_left_in_place_raises(
+        lexicon, monkeypatch, tmp_path, capsys):
+    # The scan stays on a consumed pair's place, so a pair test that
+    # reports True and leaves both tokens where they were would be tried
+    # again forever.
+    def liar(state, x, y):
+        return True
+
+    assert_a_broken_rule_exits_3(
+        liar, "liar reported the pair (1, 2) consumed but left it in place",
+        lexicon, monkeypatch, tmp_path, capsys)
 
 
 def test_empty_sentence(lexicon):
@@ -535,6 +556,51 @@ def test_a_second_member_is_deferred_at_most_once(lexicon, monkeypatch):
         for config in ablation_steps():
             run(sentence, view, lexicon, config)
     assert deferred[RuleCode.AC] and deferred[RuleCode.AJC]
+
+
+class RecordingState(EngineState):
+    """An engine state that keeps itself in ``states`` and records every
+    first member it defers."""
+
+    __slots__ = ("deferred",)
+    states: list = []
+
+    def __init__(self, view, diagnostics):
+        super().__init__(view, diagnostics)
+        self.deferred = set()
+        RecordingState.states.append(self)
+
+    def defer(self, first, second, code):
+        self.deferred.add(first)
+        super().defer(first, second, code)
+
+
+def ring(links):
+    """The token ids met by following ``links`` from 0 back to 0, for at
+    most one lap, so a broken ring cannot loop."""
+    walked = []
+    cur = links[0]
+    while cur and len(walked) < len(links):
+        walked.append(cur)
+        cur = links[cur]
+    return walked
+
+
+def test_the_remaining_ring_holds_the_unattached_tokens(lexicon, monkeypatch):
+    monkeypatch.setattr(engine, "EngineState", RecordingState)
+    monkeypatch.setattr(RecordingState, "states", [])
+    rng = random.Random(6061)
+    for _ in range(200):
+        sentence, analyses = random_sentence(rng)
+        view = SentenceView(sentence, analyses, lexicon)
+        for config in ablation_steps() + [EVERYTHING]:
+            run(sentence, view, lexicon, config)
+    assert len(RecordingState.states) == 200 * (len(ablation_steps()) + 1)
+    for state in RecordingState.states:
+        left = [t for t in range(1, len(state.view.pos))
+                if t not in state.heads and t not in state.deferred]
+        assert ring(state.after) == left
+        assert ring(state.before) == left[::-1]
 
 
 # -- shared sentence views ---------------------------------------------------
@@ -671,14 +737,13 @@ def reference_pair_in(keys):
 
 
 def reference_scan(state, try_pair, bits, first):
-    """``_scan`` without the first-member filter."""
-    remaining = state.remaining
-    i = 0
-    while i + 1 < len(remaining):
-        before = len(remaining)
-        fired = try_pair(state, remaining[i], remaining[i + 1])
-        if not fired or len(remaining) == before:
-            i += 1
+    """``_scan`` without the first-member filter: every adjacent pair of
+    the remaining list, in list order, goes to ``try_pair``."""
+    after = state.after
+    prev = 0
+    while (x := after[prev]) and (y := after[x]):
+        if not try_pair(state, x, y):
+            prev = x
 
 
 class ReferenceView(SentenceView):
@@ -761,12 +826,20 @@ def test_filtered_runs_match_reference_on_random_sentences(lexicon):
         [random_sentence(rng) for _ in range(300)], lexicon, keys)
 
 
+def alternating_adjective_noun(n):
+    """``n`` tokens, adjectives and nouns in turn."""
+    rows = [(i, "eski", "ADJ", ma("eski", "Adj")) if i % 2 else
+            (i, "ev", "NOUN", ma("ev", "Noun", "A3sg", "Nom"))
+            for i in range(1, n + 1)]
+    return build(rows)
+
+
 def test_filtered_runs_match_reference_on_long_sentences(lexicon):
     rng = random.Random(5151)
     keys = reference_pair_keys(default_lexicon_dir())
-    assert_runs_match_reference(
-        [random_sentence(rng, length=rng.randint(200, 500)) for _ in range(6)],
-        lexicon, keys)
+    cases = [random_sentence(rng, length=rng.randint(200, 500)) for _ in range(6)]
+    cases += [alternating_adjective_noun(2000), random_sentence(rng, length=2000)]
+    assert_runs_match_reference(cases, lexicon, keys)
 
 
 def test_filtered_runs_match_reference_on_pos_sparse_sentences(lexicon):
@@ -808,8 +881,9 @@ def test_filtered_runs_match_reference_on_odd_forms(tmp_path):
         kept = []
         for i in range(1, rng.randint(2, 12) + 1):
             tag = rng.choice(upos)
-            # empty and absent treebank lemmas, and lemmas unlike the form
-            lemma = rng.choice(("", None, rng.choice(ODD_WORDS)))
+            # absent treebank lemmas, and lemmas unlike the form (a Token
+            # rejects an empty one)
+            lemma = rng.choice((None, rng.choice(ODD_WORDS)))
             kept.append((tok(i, rng.choice(ODD_WORDS), tag, lemma),
                          ma(rng.choice(ODD_WORDS), root[tag])))
         cases.append(renumbered(kept))

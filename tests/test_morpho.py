@@ -319,6 +319,15 @@ def test_read_matrix_rejects_ragged_rows():
         read_matrix("lemma\tGen\tAcc\nev\t1.0\n", inv)
 
 
+def test_read_matrix_rejects_a_lemma_listed_twice():
+    # A second row once replaced the first without a word.
+    inv = load_inventory("Gen\tinflectional\nAcc\tinflectional\n")
+    with pytest.raises(InputFormatError) as excinfo:
+        read_matrix("lemma\tGen\tAcc\nev\t1.0\t0.0\ngöz\t0\t1\n"
+                    "ev\t0.0\t1.0\n", inv)
+    assert str(excinfo.value) == "matrix line 4: duplicate lemma 'ev'"
+
+
 def test_write_matrix_to_a_handle_writes_a_line_at_a_time():
     matrix = build_matrix(random_analyses(random.Random(31), 200))
     out = Written()
