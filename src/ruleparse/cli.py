@@ -7,15 +7,17 @@ mismatched input or an OSError on a path, 3 broken internal invariant.
 
 Whenever a command writes to an output file, a ``<output>.manifest.json``
 is written beside it recording the command, configuration, tool version,
-and a SHA-256 hash of every input file.
+and the SHA-256 of every input file's bytes, as read through the handle
+that was parsed, in the same pass as the UTF-8 check.
 
 :func:`_check_args` settles every argument before any input is read;
 the commands then only read, compute and write.  Every input file is
-read line by line through :func:`_read`, whose errors name the file;
-the functions a reader calls are looked up as module globals when it
-runs, so a wrapper installed on this module sees each call.  Outputs go
-to temporary files beside their paths, moved into place once every file
-of the command is written, so a command that fails changes no file.
+opened once, by :func:`_read`, which records its hash and names the file
+in its errors; the functions a reader calls are looked up as module
+globals when it runs, so a wrapper installed on this module sees each
+call.  Outputs go to temporary files beside their paths, moved into
+place once every file of the command is written, so a command that
+fails changes no file.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import hashlib
+import io
 import json
 import os
 import secrets
@@ -85,39 +88,38 @@ def _parse_rules(flag: str) -> RuleConfig:
     return RuleConfig(enabled=frozenset(enabled))
 
 
-def _read(path: str | Path, reader: Callable, *args):
-    """``reader(handle, *args)`` on the file at ``path``, opened as UTF-8
-    text, with universal newlines, once all of it is known to decode.
+def _read(args, path: str | Path, reader: Callable, *extra):
+    """``reader(handle, *extra)`` on the file at ``path``, opened once.
 
-    The readers take a file line by line, so a decode error would
-    otherwise surface mid-parse, after the errors of the lines before it,
-    with a position counted from the chunk it fell in.  A file that does
-    not decode fails here, with the error a whole-file read gives.  A
-    decode or format error is raised again as an :class:`InputFormatError`
-    that names ``path`` first.
+    One binary pass checks that all of the file decodes as UTF-8 and
+    records its SHA-256 in ``args.inputs[str(path)]``; the reader then
+    gets the same handle, from its start, as UTF-8 text with universal
+    newlines.  The readers take a file line by line, so a decode error
+    would otherwise surface mid-parse, after the errors of the lines
+    before it, with a position counted from the chunk it fell in.  A file
+    that does not decode fails here, with the error a whole-file read
+    gives.  A decode or format error is raised again as an
+    :class:`InputFormatError` that names ``path`` first.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
+    digest = hashlib.sha256()
     try:
         with open(path, "rb") as raw:
             try:
                 while chunk := raw.read(1 << 16):
                     decoder.decode(chunk)
+                    digest.update(chunk)
                 decoder.decode(b"", final=True)
             except UnicodeDecodeError:
-                Path(path).read_text(encoding="utf-8")
+                raw.seek(0)
+                raw.read().decode("utf-8")
                 raise
-        with open(path, encoding="utf-8") as handle:
-            return reader(handle, *args)
+            args.inputs[str(path)] = digest.hexdigest()
+            raw.seek(0)
+            with io.TextIOWrapper(raw, encoding="utf-8") as handle:
+                return reader(handle, *extra)
     except (InputFormatError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _json_text(data: dict) -> str:
@@ -142,19 +144,24 @@ def _staged(path: str, temps: dict[str, str]) -> IO[str]:
         return open(fd, "w", encoding="utf-8")
 
 
-def _check_args(args) -> None:
-    """Reject, before any input is read, an output path (the report, the
-    output and its manifest) named twice, naming a directory, in no
-    directory, or whose temporary file's name is too long; an unknown
-    rule, ``--matrix`` without the sufvec mode or the mode without it, and
-    ``--cap``, ``--shuffles`` or ``--seed`` out of range.  ``args.rules``
-    becomes its :class:`RuleConfig`."""
+def _targets(args) -> list[str]:
+    """The files a call writes, in the order :func:`_output` stages them:
+    the ``--diagnostics`` report, then the output and its manifest."""
     report = getattr(args, "diagnostics", None)
     targets = [report] if report else []
     if args.output is not None:
         targets += [args.output, args.output + ".manifest.json"]
+    return targets
+
+
+def _check_args(args) -> None:
+    """Reject, before any input is read, an output path (:func:`_targets`)
+    named twice, naming a directory, in no directory, or whose temporary
+    file's name is too long; an unknown rule, ``--matrix`` without the
+    sufvec mode or the mode without it, and ``--cap``, ``--shuffles`` or
+    ``--seed`` out of range.  ``args.rules`` becomes its :class:`RuleConfig`."""
     named = set()
-    for path in targets:
+    for path in _targets(args):
         absolute = os.path.abspath(path)
         directory, name = os.path.split(absolute)
         if absolute in named:
@@ -180,30 +187,30 @@ def _check_args(args) -> None:
 
 
 @contextmanager
-def _output(output: str | None, command: str, inputs: list[str],
-            config: dict, report: tuple[str, str] | None = None
-            ) -> Iterator[IO[str]]:
+def _output(args, config: dict, report: str | None = None) -> Iterator[IO[str]]:
     """The text handle a command writes its output to: stdout, or a
-    temporary file beside the output.  ``report`` is a ``(path, text)``
-    to write too.  Every file, the manifest included, is moved into place
-    only once the ``with`` body has written the output; on an error none
-    is.  :func:`main` has checked the paths (:func:`_check_args`)."""
+    temporary file beside the output.  ``report`` is the ``--diagnostics``
+    text, if the call names that file.  Every file of :func:`_targets` is
+    moved into place only once the ``with`` body has written the output;
+    on an error none is.  :func:`main` has checked the paths."""
     temps: dict[str, str] = {}
+    targets = _targets(args)
     try:
         if report is not None:
-            with _staged(report[0], temps) as handle:
-                handle.write(report[1])
-        if output is None:
+            with _staged(targets.pop(0), temps) as handle:
+                handle.write(report)
+        if not targets:
             yield sys.stdout
         else:
+            output, manifest = targets
             with _staged(output, temps) as handle:
                 yield handle
-            manifest = {"command": command, "version": __version__,
-                        "created": datetime.now(timezone.utc).isoformat(),
-                        "inputs": {path: _sha256(path) for path in inputs},
-                        "config": config, "output": output}
-            with _staged(output + ".manifest.json", temps) as handle:
-                handle.write(_json_text(manifest))
+            with _staged(manifest, temps) as handle:
+                handle.write(_json_text({
+                    "command": args.command, "version": __version__,
+                    "created": datetime.now(timezone.utc).isoformat(),
+                    "inputs": args.inputs, "config": config,
+                    "output": output}))
         for path, temp in temps.items():
             os.replace(temp, path)
     except BaseException:
@@ -260,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inventory", default=None)
     p.add_argument("--cap", type=int, default=40000,
                    help="keep this many most frequent lemmas")
-    p.add_argument("--output", default=None)
+    _add_common(p)
 
     p = sub.add_parser("score", help="attachment scores of system vs. gold")
     p.add_argument("gold")
     p.add_argument("system")
-    p.add_argument("--output", default=None)
+    _add_common(p)
 
     p = sub.add_parser("sigtest", help="paired randomization test over output dirs")
     p.add_argument("gold")
@@ -288,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_joined(treebank: str, sidecar: str) -> tuple[list, list[dict]]:
+def _read_joined(args, treebank: str, sidecar: str) -> tuple[list, list[dict]]:
     """The sentences of ``treebank`` and one ``{token_id: analysis}``
     dict per sentence from ``sidecar``, every alignment error raised."""
-    sentences = _read(treebank, parse_conllu)
-    return sentences, _group_analyses(_read(sidecar, read_morph_sidecar),
+    sentences = _read(args, treebank, parse_conllu)
+    return sentences, _group_analyses(_read(args, sidecar, read_morph_sidecar),
                                       sentences)
 
 
@@ -301,7 +308,7 @@ def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
     with the rules of ``args.rules``) and the encoder: the body of
     ``annotate`` and ``features``.  Returns the sentences, their feature
     bundles and the engine's diagnostics."""
-    sentences, grouped = _read_joined(args.treebank, args.sidecar)
+    sentences, grouped = _read_joined(args, args.treebank, args.sidecar)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
     bundles = []
@@ -324,49 +331,42 @@ def cmd_annotate(args) -> int:
         sys.stderr.write(diag_text)
     # "jobs" is kept at 1 so the manifest stays byte-identical with the
     # one the benchmark's expected digests were recorded from.
-    with _output(args.output, "annotate", [args.treebank, args.sidecar],
-                 {"rules": args.rules.names,
-                  "lexicons": str(args.lexicons), "jobs": 1},
-                 (args.diagnostics, diag_text) if args.diagnostics else None
-                 ) as out:
+    with _output(args, {"rules": args.rules.names,
+                        "lexicons": str(args.lexicons), "jobs": 1},
+                 diag_text if args.diagnostics else None) as out:
         export(sentences, bundles, out)
     return 0
 
 
 def cmd_features(args) -> int:
     hybrid = HybridConfig(FLAG_MODES[args.hybrid])
-    inventory = _read(args.inventory, load_inventory) if args.inventory else None
-    matrix = _read(args.matrix, read_matrix, inventory) if args.matrix else None
+    inventory = _read(args, args.inventory, load_inventory) if args.inventory else None
+    matrix = _read(args, args.matrix, read_matrix, inventory) if args.matrix else None
     sentences, bundles, _ = _encode_treebank(args, hybrid, matrix, inventory)
-    inputs = [args.treebank, args.sidecar]
-    inputs += [path for path in (args.matrix, args.inventory) if path]
     write = export_jsonl if args.format == "jsonl" else export
-    with _output(args.output, "features", inputs,
-                 {"hybrid": args.hybrid, "format": args.format,
-                  "rules": args.rules.names}) as out:
+    with _output(args, {"hybrid": args.hybrid, "format": args.format,
+                        "rules": args.rules.names}) as out:
         write(sentences, bundles, out)
     return 0
 
 
 def cmd_matrix(args) -> int:
-    inventory = _read(args.inventory, load_inventory) if args.inventory else None
+    inventory = _read(args, args.inventory, load_inventory) if args.inventory else None
     # Read as the build consumes it: the build counts each analysis as
     # it reads it, and the reader keeps only the positions for the
     # duplicate check, not a map from each position to its analysis.
-    matrix = _read(args.corpus, lambda handle: build_matrix(
+    matrix = _read(args, args.corpus, lambda handle: build_matrix(
         (analysis for _, analysis in iter_morph_sidecar(handle)),
         cap=args.cap, inventory=inventory))
-    inputs = [args.corpus] + ([args.inventory] if args.inventory else [])
-    with _output(args.output, "matrix", inputs,
-                 {"cap": args.cap, "lemmas": len(matrix)}) as out:
+    with _output(args, {"cap": args.cap, "lemmas": len(matrix)}) as out:
         write_matrix(matrix, out)
     return 0
 
 
 def cmd_score(args) -> int:
-    result = score(_read(args.gold, read_columns),
-                   _read(args.system, read_columns))
-    with _output(args.output, "score", [args.gold, args.system], {}) as out:
+    result = score(_read(args, args.gold, read_columns),
+                   _read(args, args.system, read_columns))
+    with _output(args, {}) as out:
         out.write(_json_text(result.to_dict()))
     return 0
 
@@ -379,34 +379,32 @@ def _conllu_files(path: str) -> list[Path]:
 
 
 def cmd_sigtest(args) -> int:
-    gold = _read(args.gold, read_columns)
+    gold = _read(args, args.gold, read_columns)
     files_a = _conllu_files(args.dir_a)
     files_b = _conllu_files(args.dir_b)
     # Each file is read when the test reaches it and dropped once it is
     # reduced to its per-sentence counts: side A, then side B, in order.
     result = randomization_test(gold,
-                                (_read(f, read_columns) for f in files_a),
-                                (_read(f, read_columns) for f in files_b),
+                                (_read(args, f, read_columns) for f in files_a),
+                                (_read(args, f, read_columns) for f in files_b),
                                 shuffles=args.shuffles,
                                 metric=args.metric,
                                 seed=args.seed)
     report = dict(result.to_dict(),
                   files_a=[f.name for f in files_a],
                   files_b=[f.name for f in files_b])
-    with _output(args.output, "sigtest", [args.gold, *map(str, files_a + files_b)],
-                 {"shuffles": args.shuffles, "metric": args.metric,
-                  "seed": args.seed}) as out:
+    with _output(args, {"shuffles": args.shuffles, "metric": args.metric,
+                        "seed": args.seed}) as out:
         out.write(_json_text(report))
     return 0
 
 
 def cmd_ablate(args) -> int:
-    gold, grouped = _read_joined(args.gold, args.sidecar)
+    gold, grouped = _read_joined(args, args.gold, args.sidecar)
     lexicon = load_lexicon(args.lexicons)
     steps = ablation_steps(include_av_nv=not args.no_av_nv)
     results = ablate(gold, grouped, lexicon, steps)
-    with _output(args.output, "ablate", [args.gold, args.sidecar],
-                 {"schedule": f"{len(steps)}-step"}) as out:
+    with _output(args, {"schedule": f"{len(steps)}-step"}) as out:
         out.write(_json_text({"steps": [r.to_dict() for r in results]}))
     return 0
 
@@ -423,6 +421,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.inputs = {}  # the SHA-256 of each file read, by path (_read)
     try:
         _check_args(args)
         return _COMMANDS[args.command](args)

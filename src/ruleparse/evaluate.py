@@ -346,12 +346,15 @@ def ablate(gold: Sequence[Sentence],
     Sentences are the outer loop and steps the inner one: each sentence's
     :class:`SentenceView` is built once, run under every step and dropped
     before the next sentence, so one view is alive at a time and each
-    step keeps only its two counters.
+    step keeps only its two counters.  Every run adds to ``diagnostics``,
+    or to one :class:`Diagnostics` of this call when none is given.
     """
     if len(analyses) != len(gold):
         raise ValueError(f"sentence counts differ: gold has {len(gold)}, "
                          f"analyses have {len(analyses)}")
     steps = list(steps) if steps is not None else ablation_steps()
+    if diagnostics is None:
+        diagnostics = Diagnostics()
     assigned = [0] * len(steps)
     matching = [0] * len(steps)
     total = 0

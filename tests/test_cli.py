@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,49 @@ def test_sigtest_manifest_lists_the_gold_and_each_system_file(
         str(treebank): digest, f"{prefix}a/run1.conllu": digest,
         f"{prefix}a/run2.conllu": digest, f"{prefix}b/run1.conllu": digest,
         f"{prefix}b/run2.conllu": digest}
+
+
+@pytest.mark.parametrize("command", ["annotate", "features", "matrix", "score",
+                                     "sigtest", "ablate"])
+def test_each_input_is_opened_once_and_its_read_bytes_hashed(
+        corpus, tmp_path, monkeypatch, command):
+    treebank, sidecar = corpus
+    inventory = tmp_path / "inventory.txt"
+    shutil.copy(Path(ruleparse.__file__).parent / "data" / "suffix_inventory.txt",
+                inventory)
+    matrix = tmp_path / "matrix.tsv"
+    assert main(["matrix", str(sidecar), "--output", str(matrix)]) == 0
+    runs = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        for k in (1, 2):
+            runs.append(tmp_path / side / f"run{k}.conllu")
+            runs[-1].write_text(f"# run = {side}{k}\n" + TREEBANK, encoding="utf-8")
+    argv, files = {
+        "annotate": ([treebank, sidecar], [treebank, sidecar]),
+        "features": ([treebank, sidecar, "--hybrid", "sufvec", "--matrix", matrix,
+                      "--inventory", inventory],
+                     [treebank, sidecar, matrix, inventory]),
+        "matrix": ([sidecar, "--inventory", inventory], [sidecar, inventory]),
+        "score": ([treebank, runs[0]], [treebank, runs[0]]),
+        "sigtest": ([treebank, tmp_path / "a", tmp_path / "b", "--shuffles", "10"],
+                    [treebank, *runs]),
+        "ablate": ([treebank, sidecar], [treebank, sidecar]),
+    }[command]
+    opens = Counter()
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):  # not a staged output's descriptor
+            opens[os.fspath(file)] += 1
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr("ruleparse.cli.open", counting_open, raising=False)
+    output = tmp_path / "out"
+    assert main([command, *map(str, argv), "--output", str(output)]) == 0
+    assert opens == {str(f): 1 for f in files}
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["inputs"] == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
+                                  for f in files}
 
 
 def test_sigtest_empty_directory_exits_2(corpus, tmp_path, capsys):

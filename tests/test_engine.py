@@ -328,6 +328,25 @@ def test_emphasizing_adverb_attaches_backwards(lexicon):
     ]
 
 
+def test_first_member_deferred_on_its_own_dependent_stays_headless(lexicon):
+    # Today's decision, pinned: AC defers ``dün`` on ``bile``; AV's
+    # emphasizing branch then attaches ``bile`` to the surface word before
+    # it, ``dün`` itself, so the waiting attachment ``dün -> dün`` is
+    # refused and ``dün`` is left out of the list, uncounted.
+    rows = [
+        (1, "dün", "ADV", ma("dün", "Adv")),
+        (2, "bile", "ADV", ma("bile", "Adv")),
+        (3, "geldi", "VERB", ma("gel", "Verb", "Past", "A3sg")),
+    ]
+    diagnostics = Diagnostics()
+    assert run_on(rows, lexicon, EVERYTHING, diagnostics) == [(2, 1, RuleCode.AV)]
+    assert diagnostics.fire_counts == {"AV": 1}
+    assert diagnostics.skipped_cycles == 0
+    diagnostics = Diagnostics()
+    assert run_on(rows, lexicon, None, diagnostics) == []
+    assert diagnostics.to_dict() == {"fire_counts": {}, "skipped_cycles": 0}
+
+
 def test_emphasizing_adverb_with_no_previous_word_stays_headless(lexicon):
     rows = [
         (1, "bile", "ADV", ma("bile", "Adv")),

@@ -8,6 +8,7 @@ would hold on the same input.
 
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy  # noqa: F401  (imported before tracing: sigtest loads it)
 
@@ -73,8 +74,9 @@ def test_sigtest_memory_is_near_one_parsed_file(tmp_path):
         (tmp_path / side).mkdir()
         for k in (1, 2):
             (tmp_path / side / f"run{k}.conllu").write_text(text, encoding="utf-8")
-    _, resident = traced_size(lambda: cli._read(gold_path, cli.parse_conllu))
-    parse_peak = traced_peak(lambda: cli._read(gold_path, cli.parse_conllu))
+    args = SimpleNamespace(inputs={})
+    _, resident = traced_size(lambda: cli._read(args, gold_path, cli.parse_conllu))
+    parse_peak = traced_peak(lambda: cli._read(args, gold_path, cli.parse_conllu))
     peak = traced_peak(lambda: cli.main(
         ["sigtest", str(gold_path), str(tmp_path / "a"), str(tmp_path / "b"),
          "--shuffles", "10", "--output", str(tmp_path / "sig.json")]))
@@ -97,9 +99,10 @@ def test_jsonl_export_streams_to_its_output_file(tmp_path):
                                       suffix_vector=rng.choice(rows))
                         for _ in range(length)])
     output = tmp_path / "features.jsonl"
+    args = SimpleNamespace(command="features", output=str(output), inputs={})
 
     def write():
-        with cli._output(str(output), "features", [], {}) as out:
+        with cli._output(args, {}) as out:
             export_jsonl(sentences, bundles, out)
 
     peak = traced_peak(write)
