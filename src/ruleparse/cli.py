@@ -41,7 +41,7 @@ from .conllu import (iter_morph_sidecar, parse_conllu, read_columns,
 # Bound under this name because the benchmark's layer trace wraps
 # ``cli._group_analyses`` to time the grouping step.
 from .conllu import group_by_sentence as _group_analyses
-from .engine import ALL_RULES, Diagnostics, RuleConfig, run
+from .engine import ALL_RULES, Diagnostics, RuleConfig, SentenceView, run
 from .errors import EngineError, InputFormatError
 from .evaluate import (METRICS, ablate, ablation_steps, check_test_args,
                        randomization_test, score)
@@ -306,15 +306,18 @@ def _read_joined(args, treebank: str, sidecar: str) -> tuple[list, list[dict]]:
 def _encode_treebank(args, hybrid: HybridConfig, matrix=None, inventory=None):
     """Treebank and sidecar through the engine (in the rule mode only,
     with the rules of ``args.rules``) and the encoder: the body of
-    ``annotate`` and ``features``.  Returns the sentences, their feature
-    bundles and the engine's diagnostics."""
+    ``annotate`` and ``features``.  The sentence views share the rows of
+    this call.  Returns the sentences, their feature bundles and the
+    engine's diagnostics."""
     sentences, grouped = _read_joined(args, args.treebank, args.sidecar)
     lexicon = load_lexicon(args.lexicons) if MODE_RULE in hybrid.modes else None
     diagnostics = Diagnostics()
+    memo: dict = {}
     bundles = []
     for sentence, analyses in zip(sentences, grouped):
         assignments = None if lexicon is None else run(
-            sentence, analyses, lexicon, args.rules, diagnostics)
+            sentence, SentenceView(sentence, analyses, lexicon, _memo=memo),
+            lexicon, args.rules, diagnostics)
         bundles.append(encode(sentence, assignments, analyses, matrix,
                               hybrid, inventory))
     return sentences, bundles, diagnostics

@@ -372,7 +372,17 @@ def _token_line(token: Token, misc: str | None = None) -> str:
 def _conllu_chunks(sentences: Iterable[Sentence],
                    misc: Iterable[Sequence[str]] | None) -> Iterator[str]:
     """The text of :func:`write_conllu`, one sentence (and the blank line
-    after it) per chunk."""
+    after it) per chunk.
+
+    Each token line is the one :func:`_token_line` gives.  The UPOS to
+    FEATS text and the DEPREL and DEPS text are cut from the first such
+    line of each distinct value and reused for the rest of the write:
+    a treebank has few distinct values there, but its FORM and LEMMA
+    values may all differ, so those are copied per token, as are ID, HEAD
+    and MISC.
+    """
+    tag_texts: dict[tuple, str] = {}
+    relation_texts: dict[tuple, str] = {}
     for sentence, sentence_misc in zip(sentences,
                                        repeat(None) if misc is None else misc):
         lines = list(sentence.comments)
@@ -381,8 +391,20 @@ def _conllu_chunks(sentences: Iterable[Sentence],
             range_at.setdefault(idx, []).append(raw)
         for i, token in enumerate(sentence.tokens):
             lines.extend(range_at.get(i, ()))
-            lines.append(_token_line(
-                token, sentence_misc[i] if sentence_misc is not None else None))
+            text = (format_misc(token.misc) if sentence_misc is None
+                    else sentence_misc[i])
+            tag_key = (token.upos, token.xpos, token.feats)
+            relation_key = (token.deprel, token.deps)
+            tags = tag_texts.get(tag_key)
+            relation = relation_texts.get(relation_key)
+            if tags is None or relation is None:
+                cols = _token_line(token, text).split("\t", MISC)
+                tags = tag_texts[tag_key] = "\t".join(cols[UPOS:HEAD])
+                relation = relation_texts[relation_key] = "\t".join(cols[DEPREL:MISC])
+            lemma = "_" if token.lemma is None else token.lemma
+            head = "_" if token.head is None else token.head
+            lines.append(f"{token.id}\t{token.form}\t{lemma}\t{tags}\t{head}"
+                         f"\t{relation}\t{text}")
         lines.extend(range_at.get(len(sentence.tokens), ()))
         yield "\n".join(lines) + "\n\n"
 
@@ -403,27 +425,29 @@ def write_conllu(sentences: Iterable[Sentence],
 def _iter_sidecar(source: str | IO[str]
                   ) -> Iterator[tuple[int, tuple[int, int], MorphAnalysis]]:
     """``(line number, position, analysis)`` per entry line, checked.  Each
-    distinct (lemma, morpheme string) pair of the read is one analysis,
-    and equal lemmas and tags are one string."""
-    shared: dict[tuple[str, str], MorphAnalysis] = {}
+    distinct entry text (the lemma and morpheme string columns) of the
+    read is one analysis, checked on its first line, and equal lemmas and
+    tags are one string."""
+    shared: dict[str, MorphAnalysis] = {}
     text = {}.setdefault
     for line_no, line in enumerate(lines_of(source), start=1):
         if not line or line.isspace() or line.startswith("#"):
             continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise SidecarError(line_no, f"expected 4 tab-separated columns, got {len(cols)}")
+        tabs = line.count("\t")
+        if tabs != 3:
+            raise SidecarError(line_no, f"expected 4 tab-separated columns, got {tabs + 1}")
+        sent_col, token_col, entry = line.split("\t", 2)
         try:
-            sent_ord, token_id = int(cols[0]), int(cols[1])
+            sent_ord, token_id = int(sent_col), int(token_col)
         except ValueError:
             raise SidecarError(line_no, "sentence ordinal and token id must be integers") from None
         if sent_ord < 1 or token_id < 1:
             raise SidecarError(line_no, "sentence ordinal and token id must be >= 1")
-        lemma, morphemes = cols[2], cols[3]
-        if not lemma:
-            raise SidecarError(line_no, "empty lemma")
-        analysis = shared.get((lemma, morphemes))
+        analysis = shared.get(entry)
         if analysis is None:
+            lemma, morphemes = entry.split("\t")
+            if not lemma:
+                raise SidecarError(line_no, "empty lemma")
             parts = morphemes.split("+")
             if "" in parts:
                 raise SidecarError(line_no, f"unparseable morpheme sequence {morphemes!r}")
@@ -433,7 +457,7 @@ def _iter_sidecar(source: str | IO[str]
             _set_analysis_lemma(analysis, lemma)
             _set_analysis_pos(analysis, parts[0])
             _set_analysis_tags(analysis, parts[1:])
-            shared[lemma, morphemes] = analysis
+            shared[entry] = analysis
         yield line_no, (sent_ord, token_id), analysis
 
 

@@ -50,14 +50,19 @@ recorded on the dependent token.
 The facts the rules test never change during a run: a token's POS, its
 folded and de-duplicated word forms (surface form, analysis lemma,
 treebank lemma), its genitive, accusative, possessive and bare flags,
-and its first-member bits.  A :class:`SentenceView` computes them for
-one sentence and one lexicon in one pass over the tokens, indexed by
-token id, so lexicon tests are plain lookups in the lexicon's
-already-folded first-word map: one ``dict.get`` and one ``isdisjoint``
-per form of a pair's first token.  ``run`` uses a view passed as
-``analyses`` when it was built for the same sentence and lexicon, and
-builds one from a plain mapping, so a caller that runs the same sentence
-under several rule sets (the ablation harness) builds each view once.
+and its first-member bits.  A :class:`SentenceView` holds them for
+one sentence and one lexicon, indexed by token id, so lexicon tests are
+plain lookups in the lexicon's already-folded first-word map: one
+``dict.get`` and one ``isdisjoint`` per form of a pair's first token.
+They depend only on the token's type (its FORM, LEMMA, UPOS, FEATS and
+analysis) and the lexicon, so a view takes each type's row of facts from
+a memo and computes a row only for a type the memo lacks.  The memo
+lives for one call of ``annotate``, ``features`` or ``ablate``, and the
+views of that call share its rows; a view built alone has a memo of its
+own.  ``run`` uses a view passed as ``analyses`` when it was built for
+the same sentence and lexicon, and builds one from a plain mapping, so a
+caller that runs the same sentence under several rule sets (the
+ablation harness) builds each view once.
 """
 
 from __future__ import annotations
@@ -174,6 +179,13 @@ class SentenceView:
     """The static per-token facts of one sentence under one lexicon, built
     in one pass over its tokens.
 
+    A token's facts are its type's row, taken from ``_memo`` when it
+    holds one and computed into it otherwise; so are the rules scheduled
+    for the sentence's set of first- and second-member bits.  ``_memo`` is
+    a dict that the caller makes for one call and one lexicon and passes
+    to every view it builds, so that the views share their rows and
+    schedules; without it a view shares them among its own tokens only.
+
     The per-token tuples are indexed by token id (slot 0 is unused):
 
     ``pos``         UPOS, falling back to the analysis root POS
@@ -187,19 +199,20 @@ class SentenceView:
     ``once`` and ``repeated`` hold the rules of ``_ONCE`` and
     ``_REPEATED`` that can fire on the sentence, each as its code, pair
     test and first-member bit (see the module docstring).  Nothing in a
-    view changes after construction, so one view may be shared by any
-    number of runs of its sentence and lexicon.
+    view or a row changes after construction, so one view may be shared
+    by any number of runs of its sentence and lexicon.
     """
 
     __slots__ = ("sentence", "lexicon", "pos", "forms", "genitive",
                  "accusative", "possessive", "bare", "bits", "once", "repeated")
 
     def __init__(self, sentence: Sentence, analyses: Mapping[int, MorphAnalysis],
-                 lexicon: Lexicon):
+                 lexicon: Lexicon, *, _memo: dict | None = None):
         fold = _lexicon.fold
         pairs = lexicon.pairs
         cpi, nc, redup, pc = pairs["cpi"], pairs["nc"], pairs["redup"], pairs["pc"]
         degree = lexicon.degree_adverbs
+        memo = {} if _memo is None else _memo
         rows = []
         seen = 0
         for token in sentence.tokens:
@@ -207,56 +220,70 @@ class SentenceView:
             if analysis is None:
                 raise AnalysisError(
                     f"token {token.id} ({token.form!r}) has no morphological analysis")
-            tags = analysis.tags
-            case = None
-            psor_feature = False
-            for key, value in token.feats:
-                if key == "Case":
-                    case = value
-                elif key.endswith("[psor]"):
-                    psor_feature = True
-            possessive = psor_feature or not _POSSESSIVE_TAGS.isdisjoint(tags)
-            # Each distinct raw word is folded once; the folded words keep
-            # the order of their first occurrence.
             form, lemma, token_lemma = token.form, analysis.lemma, token.lemma
-            forms = (fold(form),)
-            if lemma != form:
-                folded = fold(lemma)
-                if folded != forms[0]:
-                    forms = (forms[0], folded)
-            if token_lemma and token_lemma != form and token_lemma != lemma:
-                folded = fold(token_lemma)
-                if folded not in forms:
-                    forms += (folded,)
-            upos = token.upos
-            pos = upos if upos is not None else ROOT_POS_TO_UPOS.get(analysis.pos)
-            bit = _POS_BITS.get(pos, 0)
-            for word in forms:
-                if word in cpi:
-                    bit |= _CPI_START
-                if word in nc or word in redup or word in pc:
-                    bit |= _NC_START
-            if bit & _ADV_FIRST and not degree.isdisjoint(forms):
-                bit |= _DEGREE_FIRST
-            seen |= bit
-            rows.append((
-                pos,
-                forms,
-                "Gen" in tags or case == "Gen",
-                "Acc" in tags or case == "Acc",
-                possessive,
-                not possessive and case in (None, "Nom")
-                and _OVERT_CASE_TAGS.isdisjoint(tags),
-                bit,
-            ))
+            tags = analysis.tags
+            # The analysis by value: an id would be reused once its object
+            # is freed, while the memo outlives the sentence.
+            key = (form, token_lemma, token.upos, token.feats, lemma,
+                   analysis.pos, tags)
+            row = memo.get(key)
+            if row is None:
+                case = None
+                psor_feature = False
+                for feat, value in token.feats:
+                    if feat == "Case":
+                        case = value
+                    elif feat.endswith("[psor]"):
+                        psor_feature = True
+                possessive = psor_feature or not _POSSESSIVE_TAGS.isdisjoint(tags)
+                # Each distinct raw word is folded once; the folded words
+                # keep the order of their first occurrence.  A word that
+                # folding leaves as it is stays the object the treebank or
+                # sidecar holds, so the memo keeps no copy of it.
+                folded = fold(form)
+                forms = (form if folded == form else folded,)
+                if lemma != form:
+                    folded = fold(lemma)
+                    if folded != forms[0]:
+                        forms = (forms[0], lemma if folded == lemma else folded)
+                if token_lemma and token_lemma != form and token_lemma != lemma:
+                    folded = fold(token_lemma)
+                    if folded not in forms:
+                        forms += (token_lemma if folded == token_lemma else folded,)
+                upos = token.upos
+                pos = upos if upos is not None else ROOT_POS_TO_UPOS.get(analysis.pos)
+                bit = _POS_BITS.get(pos, 0)
+                for word in forms:
+                    if word in cpi:
+                        bit |= _CPI_START
+                    if word in nc or word in redup or word in pc:
+                        bit |= _NC_START
+                if bit & _ADV_FIRST and not degree.isdisjoint(forms):
+                    bit |= _DEGREE_FIRST
+                row = memo[key] = (
+                    pos,
+                    forms,
+                    "Gen" in tags or case == "Gen",
+                    "Acc" in tags or case == "Acc",
+                    possessive,
+                    not possessive and case in (None, "Nom")
+                    and _OVERT_CASE_TAGS.isdisjoint(tags),
+                    bit,
+                )
+            seen |= row[-1]
+            rows.append(row)
         self.sentence = sentence
         self.lexicon = lexicon
         (self.pos, self.forms, self.genitive, self.accusative, self.possessive,
          self.bare, self.bits) = zip((None, (), False, False, False, False, 0), *rows)
-        self.once, self.repeated = (
-            tuple([(code, test, first) for code, test, first, second in schedule
-                   if seen & first and seen & second == second])
-            for schedule in (_ONCE, _REPEATED))
+        # Keyed by the int ``seen``, which no type key (a tuple) equals.
+        schedules = memo.get(seen)
+        if schedules is None:
+            schedules = memo[seen] = tuple(
+                tuple([(code, test, first) for code, test, first, second in schedule
+                       if seen & first and seen & second == second])
+                for schedule in (_ONCE, _REPEATED))
+        self.once, self.repeated = schedules
 
 
 class EngineState:

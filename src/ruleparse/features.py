@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import IO, Iterator, Mapping, Sequence
 
 from .conllu import Sentence, Token, format_misc, write_conllu
@@ -77,6 +77,12 @@ class FeatureBundle:
     suffix_vector: tuple[float, ...] | None = None
 
 
+# A bundle is frozen, so the tokens of one rule code (or of none, with
+# the rule mode off) share one when no suffix mode is selected.
+_CODE_BUNDLES = {code: FeatureBundle(rule_code=code)
+                 for code in [None, *(c.value for c in RuleCode)]}
+
+
 def encode(sentence: Sentence,
            assignments: Sequence[RuleAssignment] | None,
            analyses: Mapping[int, MorphAnalysis] | None,
@@ -91,20 +97,20 @@ def encode(sentence: Sentence,
     if (MODE_SUFVEC in config.modes) != (matrix is not None):
         raise ValueError("a lemma-suffix matrix is required exactly when "
                          "the suffix_vector mode is selected")
-    want_suffix = config.modes & _SUFFIX_MODES
     code_of = {a.dependent: a.code.value for a in assignments or ()}
+    rule = MODE_RULE in config.modes
+    if not config.modes & _SUFFIX_MODES:
+        return [_CODE_BUNDLES[code_of.get(token.id, _NONE) if rule else None]
+                for token in sentence.tokens]
     bundles = []
     for token in sentence.tokens:
         analysis = analyses.get(token.id) if analyses else None
-        if want_suffix and analysis is None:
+        if analysis is None:
             raise AnalysisError(
                 f"token {token.id} ({token.form!r}) has no morphological "
                 f"analysis but a suffix feature mode is selected")
-        rule_code = None
-        if MODE_RULE in config.modes:
-            rule_code = code_of.get(token.id, _NONE)
         bundles.append(FeatureBundle(
-            rule_code=rule_code,
+            rule_code=code_of.get(token.id, _NONE) if rule else None,
             last_suffix=last_suffix(analysis) if MODE_LAST in config.modes else None,
             inflectional_suffixes=(
                 inflectional_suffixes(analysis, inventory)
@@ -165,14 +171,26 @@ def _check_aligned(sentences: Sequence[Sentence],
                 f"not align with tokens ({len(sentence.tokens)})")
 
 
-def _misc_columns(sentence: Sentence,
-                  bundles: Sequence[FeatureBundle]) -> list[str]:
-    """MISC text per token: the non-reserved items, then the bundle's."""
+def _misc_columns(sentence: Sentence, bundles: Sequence[FeatureBundle],
+                  texts: dict[tuple, str]) -> list[str]:
+    """MISC text per token: the non-reserved items, then the bundle's.
+
+    ``texts`` holds the text of each (MISC items, bundle fields) value
+    formatted so far in one export.  A vector is keyed by its float64
+    bytes: the tuple would merge 0.0 with -0.0, which prints differently.
+    """
     columns = []
     for token, bundle in zip(sentence.tokens, bundles):
-        items = [item for item in token.misc if item[0] not in RESERVED_MISC_KEYS]
-        items += _bundle_misc(bundle)
-        columns.append(format_misc(items))
+        vector = bundle.suffix_vector
+        key = (token.misc, bundle.rule_code, bundle.last_suffix,
+               bundle.inflectional_suffixes,
+               None if vector is None else array("d", vector).tobytes())
+        text = texts.get(key)
+        if text is None:
+            items = [item for item in token.misc
+                     if item[0] not in RESERVED_MISC_KEYS]
+            text = texts[key] = format_misc(items + _bundle_misc(bundle))
+        columns.append(text)
     return columns
 
 
@@ -188,7 +206,7 @@ def export(sentences: Sequence[Sentence],
     there a sentence at a time; the bundles are checked first.
     """
     _check_aligned(sentences, bundles)
-    misc = map(_misc_columns, sentences, bundles)
+    misc = map(_misc_columns, sentences, bundles, repeat({}))
     if sentences and RULE_CODE_HEADER not in sentences[0].comments:
         first = sentences[0]
         first = Sentence(first.tokens, (RULE_CODE_HEADER,) + first.comments,

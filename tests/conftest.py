@@ -2,6 +2,7 @@
 
 import io
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,25 @@ def random_treebank(rng: random.Random, n_sentences: int, max_len: int = 30):
         for token_id, analysis in sent_analyses.items():
             analyses[(ordinal, token_id)] = analysis
     return gold, bare, analyses
+
+
+def distinct_treebank(rng: random.Random, n_sentences: int, max_len: int = 30):
+    """``random_treebank`` with no token type and no sidecar entry
+    repeated: every form and lemma ends in its position, so ``ev`` at
+    token 2 of sentence 3 becomes ``ev3.2``.  The worst case for sharing
+    anything computed per token type."""
+    gold, bare, analyses = random_treebank(rng, n_sentences, max_len)
+
+    def renamed(ordinal, sentence):
+        return sent(*[replace(t, form=f"{t.form}{ordinal}.{t.id}",
+                              lemma=f"{t.lemma}{ordinal}.{t.id}")
+                      for t in sentence.tokens],
+                    comments=sentence.comments, ranges=sentence.ranges)
+
+    return ([renamed(k, s) for k, s in enumerate(gold, start=1)],
+            [renamed(k, s) for k, s in enumerate(bare, start=1)],
+            {(k, i): replace(a, lemma=f"{a.lemma}{k}.{i}")
+             for (k, i), a in analyses.items()})
 
 
 # A word that late-binds, the POS of its analysis, the word the chain ends

@@ -768,11 +768,22 @@ def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
 
 @pytest.mark.parametrize("bad,message", [
     ("2\t1\tev", "line 3: expected 4 tab-separated columns, got 3"),
+    ("2\t1\tev\tNoun\tAcc", "line 3: expected 4 tab-separated columns, got 5"),
     ("2\tx\tev\tNoun", "line 3: sentence ordinal and token id must be integers"),
+    ("x\t1\tgöz\tNoun+Acc",
+     "line 3: sentence ordinal and token id must be integers"),
+    ("0\t1\tev\tNoun", "line 3: sentence ordinal and token id must be >= 1"),
+    ("2\t0\tgöz\tNoun+Acc", "line 3: sentence ordinal and token id must be >= 1"),
+    ("0\t1\t\tNoun", "line 3: sentence ordinal and token id must be >= 1"),
+    ("2\t1\t\tNoun", "line 3: empty lemma"),
     ("2\t1\tev\tNoun++Acc", "line 3: unparseable morpheme sequence 'Noun++Acc'"),
     ("1\t2\tev\tNoun", "line 3: duplicate entry for sentence 1 token 2"),
 ])
 def test_sidecar_error_names_its_line_wherever_the_chunks_end(bad, message):
+    # The lines before ``bad`` are good.  Several cases repeat their lemma
+    # and morpheme text, which the reader then has checked already: the
+    # column and position checks still run on every line, and a bad text
+    # fails on its first line.
     text = f"1\t1\tev\tNoun\r\n1\t2\tgöz\tNoun+Acc\r\n{bad}\r\n3\t1\tev\tAdv\n"
     for limit in range(1, len(text) + 1):
         for read in (read_morph_sidecar, lambda t: list(iter_morph_sidecar(t))):

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import ruleparse.lexicon as lexicon_module
 from ruleparse import (ALL_RULES, DEFAULT_RULES, Diagnostics, EngineError,
                        RuleCode, RuleConfig, ablation_steps, assigned_heads,
                        default_lexicon_dir, engine, fold, load_lexicon, run,
@@ -19,9 +20,10 @@ from ruleparse.cli import main
 from ruleparse.engine import EngineState, SentenceView
 from ruleparse.morpho import ROOT_POS_TO_UPOS
 
-from conftest import (DEEP_CHAINS, deep_chain, determiner_chain, ma,
-                      random_conllu_sentence, random_sentence,
-                      reference_pair_keys, sent, sidecar_text, tok)
+from conftest import (DEEP_CHAINS, deep_chain, determiner_chain,
+                      distinct_treebank, ma, random_conllu_sentence,
+                      random_sentence, random_treebank, reference_pair_keys,
+                      sent, sidecar_text, tok)
 
 AV_ENABLED = RuleConfig(enabled=DEFAULT_RULES | {RuleCode.AV})
 EVERYTHING = RuleConfig(enabled=ALL_RULES)
@@ -791,9 +793,11 @@ def reference_runs(sentence, analyses, lexicon, keys):
 
 def assert_runs_match_reference(cases, lexicon, keys):
     """Equal assignment lists and diagnostics under every ablation step,
-    the default rules and all rules, on one view shared by the runs."""
+    the default rules and all rules, on one view shared by the runs.  The
+    views of the cases share their rows, as the views of one call do."""
+    memo = {}
     for sentence, analyses in cases:
-        view = SentenceView(sentence, analyses, lexicon)
+        view = SentenceView(sentence, analyses, lexicon, _memo=memo)
         got = [traced_run(sentence, view, lexicon, config)
                for config in REFERENCE_CONFIGS]
         assert got == reference_runs(sentence, analyses, lexicon, keys), \
@@ -927,3 +931,95 @@ def test_pair_in_matches_bigram_strings_on_odd_forms(tmp_path):
                 assert state.pair_in(cls, 1, 2) == want, (cls, first, second)
                 matched += want
     assert matched >= 8
+
+
+# -- one row per token type and call -----------------------------------------
+
+
+def token_types(sentences, analyses):
+    """The distinct (FORM, LEMMA, UPOS, FEATS, analysis) of a treebank."""
+    return {(t.form, t.lemma, t.upos, t.feats, analyses[ordinal, t.id])
+            for ordinal, sentence in enumerate(sentences, start=1)
+            for t in sentence.tokens}
+
+
+def test_an_annotate_call_folds_each_token_type_once(tmp_path, monkeypatch):
+    calls = []
+    fold = lexicon_module.fold
+    monkeypatch.setattr(lexicon_module, "fold",
+                        lambda text: calls.append(text) or fold(text))
+    load_lexicon(default_lexicon_dir())
+    loading = len(calls)
+
+    def annotate(name, bare, analyses):
+        paths = [tmp_path / f"{name}.conllu", tmp_path / f"{name}.morph"]
+        paths[0].write_text(write_conllu(bare), encoding="utf-8")
+        paths[1].write_text(sidecar_text(analyses), encoding="utf-8")
+        calls.clear()
+        assert main(["annotate", *map(str, paths), "--output",
+                     str(tmp_path / f"{name}.out"), "--diagnostics",
+                     str(tmp_path / f"{name}.json")]) == 0
+        folds = len(calls) - loading
+        assert 0 < folds <= 3 * len(token_types(bare, analyses))
+        return folds
+
+    # The same word pool at ten times the sentences folds no more; with no
+    # token type repeated, each type folds its words once.
+    few = annotate("few", *random_treebank(random.Random(71), 300)[1:])
+    assert annotate("many", *random_treebank(random.Random(72), 3000)[1:]) == few
+    _, bare, analyses = distinct_treebank(random.Random(73), 200)
+    once = annotate("distinct", bare, analyses)
+    # The rows live for one call: the next call folds again.
+    assert annotate("distinct", bare, analyses) == once
+
+
+# Tokens that share FORM and LEMMA with ``ev`` (and ``çok``, a degree
+# adverb) but differ from it in exactly one of UPOS, FEATS, the analysis
+# POS (under UPOS ``_``) and the analysis tags.
+def _variants(form, upos, pos):
+    analysis = ma(form, pos, "A3sg")
+    return [
+        (tok(1, form, upos, form), analysis),
+        (tok(1, form, "ADJ" if upos != "ADJ" else "ADV", form), analysis),
+        (tok(1, form, upos, form, feats=[("Case", "Gen")]), analysis),
+        (tok(1, form, upos, form, feats=[("Number[psor]", "Sing")]), analysis),
+        (tok(1, form, None, form), analysis),
+        (tok(1, form, None, form), ma(form, "Verb", "A3sg")),
+        (tok(1, form, upos, form), ma(form, pos, "A3sg", "P3sg")),
+        (tok(1, form, upos, form), ma(form, pos, "A3sg", "Gen")),
+        (tok(1, form, upos, form), ma(form, pos, "A3sg", "Acc")),
+    ]
+
+
+VARIANTS = _variants("ev", "NOUN", "Noun") + _variants("çok", "ADV", "Adv")
+
+
+def collision_cases(rng):
+    """Every variant in one sentence, twice, and then, one or two to a
+    sentence, in the sentences of a treebank with no other type repeated."""
+    kept = VARIANTS + [(tok(1, "küçük", "ADJ", "küçük"), ma("küçük", "Adj"))]
+    cases = [renumbered(kept + kept[::-1])]
+    _, bare, analyses = distinct_treebank(rng, 3 * len(VARIANTS))
+    for ordinal, sentence in enumerate(bare, start=1):
+        kept = [(t, analyses[ordinal, t.id]) for t in sentence.tokens]
+        for variant in rng.sample(VARIANTS, rng.randint(1, 2)):
+            kept.insert(rng.randint(0, len(kept)), variant)
+        cases.append(renumbered(kept))
+    return cases
+
+
+def test_views_that_share_rows_keep_each_token_types_facts(lexicon):
+    cases = collision_cases(random.Random(74))
+    memo = {}
+    for sentence, analyses in cases:
+        view = SentenceView(sentence, analyses, lexicon, _memo=memo)
+        for token in sentence.tokens:
+            got = {name: getattr(view, name)[token.id] for name in
+                   ("pos", "genitive", "accusative", "possessive", "bare")}
+            got["forms"] = set(view.forms[token.id])
+            assert got == reference_facts(token, analyses[token.id])
+    # Each variant is a type of its own.
+    assert len({(t.form, t.lemma, t.upos, t.feats, a)
+                for t, a in VARIANTS}) == len(VARIANTS)
+    assert_runs_match_reference(cases, lexicon,
+                                reference_pair_keys(default_lexicon_dir()))

@@ -3,12 +3,14 @@
 import json
 import random
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
 from ruleparse import (FeatureBundle, HybridConfig, RuleAssignment, RuleCode,
                        Sentence, Token, bundle_from_token, build_matrix, encode,
                        export, export_jsonl, parse_conllu, write_conllu)
+from ruleparse.conllu import _token_line, format_misc
 from ruleparse.errors import InputFormatError
 from ruleparse.features import (FLAG_MODES, MODE_INFL, MODE_LAST, MODE_RULE,
                                 MODE_SUFVEC, RESERVED_MISC_KEYS,
@@ -376,3 +378,56 @@ def test_exports_check_before_the_first_chunk(example, write):
     with pytest.raises(InputFormatError, match="align"):
         write([sentence, sentence], [bundles], out)
     assert out.chunks == []
+
+
+def test_every_written_line_is_the_token_line_of_its_token():
+    # Tokens equal in every column but MISC, or but one other column,
+    # beside ``_`` fields, range lines and comments.  The writer
+    # reuses column text, and the export MISC text, across tokens; each
+    # line is still the one ``_token_line`` gives its token.
+    word = {"form": "ev", "lemma": "ev", "upos": "NOUN", "xpos": "Noun",
+            "feats": (("Case", "Nom"),), "deprel": "nmod", "deps": "2:nmod"}
+    sentences = [
+        sent(Token(1, head=2, misc=(("SpaceAfter", "No"),), **word),
+             Token(2, "_", lemma="_", upos="_", xpos="_", head=0, deprel="_",
+                   deps="_"),
+             Token(3, head=2, misc=(("SpaceAfter", "No"),), **word),
+             *[Token(k, head=2, **{**word, **change}) for k, change in enumerate(
+                 ({"lemma": "evler"}, {"upos": "PROPN"}, {"xpos": "Noun+Sg"},
+                  {"deprel": "obl"}, {"deps": "4:obj"}), start=4)],
+             comments=("# sent_id = 1",)),
+        sent(Token(1, head=2, misc=(("Translit", "ev"), ("Rule", "NV")), **word),
+             Token(2, head=0, **{**word, "form": "evde",
+                                 "feats": (("Case", "Loc"),)}),
+             comments=("# sent_id = 2", "# text = ev evde"),
+             ranges=((0, "1-2\tevevde\t_\t_\t_\t_\t_\t_\t_\t_"),
+                     (2, "3-4\tx\t_\t_\t_\t_\t_\t_\t_\t_"))),
+    ]
+    tokens = [t for s in sentences for t in s.tokens]
+
+    def token_lines(text):
+        return [line for line in text.splitlines()
+                if line and not line.startswith("#")
+                and "-" not in line.split("\t")[0]]
+
+    assert token_lines(write_conllu(sentences)) == [_token_line(t) for t in tokens]
+    misc = [["A=1", "_", "A=1", "B", "B", "B", "B", "B"], ["A=1", "B"]]
+    assert token_lines(write_conllu(sentences, misc)) == [
+        _token_line(t, m) for t, m in zip(tokens, chain(*misc))]
+
+    # Equal MISC items with bundles that differ only in the sign of a zero,
+    # and different MISC items with equal bundles.
+    bundles = [[FeatureBundle("NV", suffix_vector=(0.0,)), FeatureBundle("NONE"),
+                FeatureBundle("NV", suffix_vector=(-0.0,)),
+                *[FeatureBundle("NV")] * 5],
+               [FeatureBundle("NV", suffix_vector=(0.0,)), FeatureBundle("NONE")]]
+    text = export(sentences, bundles)
+    want = [_token_line(t, format_misc(
+        [item for item in t.misc if item[0] not in RESERVED_MISC_KEYS]
+        + _bundle_misc(b))) for t, b in zip(tokens, chain(*bundles))]
+    assert token_lines(text) == want
+    assert want[0].endswith("\tSpaceAfter=No|Rule=NV|SufVec=0.000000000")
+    assert want[2].endswith("\tSpaceAfter=No|Rule=NV|SufVec=-0.000000000")
+    reparsed = parse_conllu(text)
+    assert export(reparsed, [[bundle_from_token(t) for t in s.tokens]
+                             for s in reparsed]) == text
