@@ -372,17 +372,7 @@ def _token_line(token: Token, misc: str | None = None) -> str:
 def _conllu_chunks(sentences: Iterable[Sentence],
                    misc: Iterable[Sequence[str]] | None) -> Iterator[str]:
     """The text of :func:`write_conllu`, one sentence (and the blank line
-    after it) per chunk.
-
-    Each token line is the one :func:`_token_line` gives.  The UPOS to
-    FEATS text and the DEPREL and DEPS text are cut from the first such
-    line of each distinct value and reused for the rest of the write:
-    a treebank has few distinct values there, but its FORM and LEMMA
-    values may all differ, so those are copied per token, as are ID, HEAD
-    and MISC.
-    """
-    tag_texts: dict[tuple, str] = {}
-    relation_texts: dict[tuple, str] = {}
+    after it) per chunk."""
     for sentence, sentence_misc in zip(sentences,
                                        repeat(None) if misc is None else misc):
         lines = list(sentence.comments)
@@ -391,20 +381,8 @@ def _conllu_chunks(sentences: Iterable[Sentence],
             range_at.setdefault(idx, []).append(raw)
         for i, token in enumerate(sentence.tokens):
             lines.extend(range_at.get(i, ()))
-            text = (format_misc(token.misc) if sentence_misc is None
-                    else sentence_misc[i])
-            tag_key = (token.upos, token.xpos, token.feats)
-            relation_key = (token.deprel, token.deps)
-            tags = tag_texts.get(tag_key)
-            relation = relation_texts.get(relation_key)
-            if tags is None or relation is None:
-                cols = _token_line(token, text).split("\t", MISC)
-                tags = tag_texts[tag_key] = "\t".join(cols[UPOS:HEAD])
-                relation = relation_texts[relation_key] = "\t".join(cols[DEPREL:MISC])
-            lemma = "_" if token.lemma is None else token.lemma
-            head = "_" if token.head is None else token.head
-            lines.append(f"{token.id}\t{token.form}\t{lemma}\t{tags}\t{head}"
-                         f"\t{relation}\t{text}")
+            lines.append(_token_line(
+                token, sentence_misc[i] if sentence_misc is not None else None))
         lines.extend(range_at.get(len(sentence.tokens), ()))
         yield "\n".join(lines) + "\n\n"
 

@@ -55,14 +55,16 @@ one sentence and one lexicon, indexed by token id, so lexicon tests are
 plain lookups in the lexicon's already-folded first-word map: one
 ``dict.get`` and one ``isdisjoint`` per form of a pair's first token.
 They depend only on the token's type (its FORM, LEMMA, UPOS, FEATS and
-analysis) and the lexicon, so a view takes each type's row of facts from
-a memo and computes a row only for a type the memo lacks.  The memo
-lives for one call of ``annotate``, ``features`` or ``ablate``, and the
-views of that call share its rows; a view built alone has a memo of its
-own.  ``run`` uses a view passed as ``analyses`` when it was built for
-the same sentence and lexicon, and builds one from a plain mapping, so a
-caller that runs the same sentence under several rule sets (the
-ablation harness) builds each view once.
+analysis) and the lexicon, so a view can take each type's row of facts
+from a memo and compute a row only for a type the memo lacks.  The memo
+lives for one call of ``annotate`` or ``features``, and the views of that
+call share its rows.  A view built without one computes a row per token:
+``ablate`` builds each view once for all its steps, and on text whose
+types seldom repeat, rows kept across its sentences cost more time and
+memory than they save.  ``run`` uses a view passed as ``analyses`` when
+it was built for the same sentence and lexicon, and builds one from a
+plain mapping, so a caller that runs the same sentence under several
+rule sets (the ablation harness) builds each view once.
 """
 
 from __future__ import annotations
@@ -179,12 +181,11 @@ class SentenceView:
     """The static per-token facts of one sentence under one lexicon, built
     in one pass over its tokens.
 
-    A token's facts are its type's row, taken from ``_memo`` when it
-    holds one and computed into it otherwise; so are the rules scheduled
-    for the sentence's set of first- and second-member bits.  ``_memo`` is
-    a dict that the caller makes for one call and one lexicon and passes
-    to every view it builds, so that the views share their rows and
-    schedules; without it a view shares them among its own tokens only.
+    A token's facts are its type's row.  ``_memo``, when given, is a dict
+    that the caller makes for one call and one lexicon and passes to every
+    view it builds: a row is taken from it when it holds one and computed
+    into it otherwise, so the views share their rows.  Without it a view
+    computes the row of each token.
 
     The per-token tuples are indexed by token id (slot 0 is unused):
 
@@ -212,7 +213,6 @@ class SentenceView:
         pairs = lexicon.pairs
         cpi, nc, redup, pc = pairs["cpi"], pairs["nc"], pairs["redup"], pairs["pc"]
         degree = lexicon.degree_adverbs
-        memo = {} if _memo is None else _memo
         rows = []
         seen = 0
         for token in sentence.tokens:
@@ -224,9 +224,9 @@ class SentenceView:
             tags = analysis.tags
             # The analysis by value: an id would be reused once its object
             # is freed, while the memo outlives the sentence.
-            key = (form, token_lemma, token.upos, token.feats, lemma,
-                   analysis.pos, tags)
-            row = memo.get(key)
+            key = None if _memo is None else (
+                form, token_lemma, token.upos, token.feats, lemma, analysis.pos, tags)
+            row = None if key is None else _memo.get(key)
             if row is None:
                 case = None
                 psor_feature = False
@@ -237,19 +237,16 @@ class SentenceView:
                         psor_feature = True
                 possessive = psor_feature or not _POSSESSIVE_TAGS.isdisjoint(tags)
                 # Each distinct raw word is folded once; the folded words
-                # keep the order of their first occurrence.  A word that
-                # folding leaves as it is stays the object the treebank or
-                # sidecar holds, so the memo keeps no copy of it.
-                folded = fold(form)
-                forms = (form if folded == form else folded,)
+                # keep the order of their first occurrence.
+                forms = (fold(form),)
                 if lemma != form:
                     folded = fold(lemma)
                     if folded != forms[0]:
-                        forms = (forms[0], lemma if folded == lemma else folded)
+                        forms = (forms[0], folded)
                 if token_lemma and token_lemma != form and token_lemma != lemma:
                     folded = fold(token_lemma)
                     if folded not in forms:
-                        forms += (token_lemma if folded == token_lemma else folded,)
+                        forms += (folded,)
                 upos = token.upos
                 pos = upos if upos is not None else ROOT_POS_TO_UPOS.get(analysis.pos)
                 bit = _POS_BITS.get(pos, 0)
@@ -260,7 +257,7 @@ class SentenceView:
                         bit |= _NC_START
                 if bit & _ADV_FIRST and not degree.isdisjoint(forms):
                     bit |= _DEGREE_FIRST
-                row = memo[key] = (
+                row = (
                     pos,
                     forms,
                     "Gen" in tags or case == "Gen",
@@ -270,20 +267,18 @@ class SentenceView:
                     and _OVERT_CASE_TAGS.isdisjoint(tags),
                     bit,
                 )
+                if key is not None:
+                    _memo[key] = row
             seen |= row[-1]
             rows.append(row)
         self.sentence = sentence
         self.lexicon = lexicon
         (self.pos, self.forms, self.genitive, self.accusative, self.possessive,
          self.bare, self.bits) = zip((None, (), False, False, False, False, 0), *rows)
-        # Keyed by the int ``seen``, which no type key (a tuple) equals.
-        schedules = memo.get(seen)
-        if schedules is None:
-            schedules = memo[seen] = tuple(
-                tuple([(code, test, first) for code, test, first, second in schedule
-                       if seen & first and seen & second == second])
-                for schedule in (_ONCE, _REPEATED))
-        self.once, self.repeated = schedules
+        self.once, self.repeated = (
+            tuple([(code, test, first) for code, test, first, second in schedule
+                   if seen & first and seen & second == second])
+            for schedule in (_ONCE, _REPEATED))
 
 
 class EngineState:

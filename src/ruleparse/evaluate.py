@@ -346,9 +346,8 @@ def ablate(gold: Sequence[Sentence],
     Sentences are the outer loop and steps the inner one: each sentence's
     :class:`SentenceView` is built once, run under every step and dropped
     before the next sentence, so one view is alive at a time and each
-    step keeps only its two counters.  The views share the rows of this
-    call, one per token type.  Every run adds to ``diagnostics``, or to
-    one :class:`Diagnostics` of this call when none is given.
+    step keeps only its two counters.  Every run adds to ``diagnostics``,
+    or to one :class:`Diagnostics` of this call when none is given.
     """
     if len(analyses) != len(gold):
         raise ValueError(f"sentence counts differ: gold has {len(gold)}, "
@@ -359,9 +358,8 @@ def ablate(gold: Sequence[Sentence],
     assigned = [0] * len(steps)
     matching = [0] * len(steps)
     total = 0
-    memo: dict = {}
     for sent, sent_analyses in zip(gold, analyses):
-        view = SentenceView(sent, sent_analyses, lexicon, _memo=memo)
+        view = SentenceView(sent, sent_analyses, lexicon)
         tokens = sent.tokens
         total += len(tokens)
         for k, config in enumerate(steps):

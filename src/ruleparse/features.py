@@ -172,24 +172,24 @@ def _check_aligned(sentences: Sequence[Sentence],
 
 
 def _misc_columns(sentence: Sentence, bundles: Sequence[FeatureBundle],
-                  texts: dict[tuple, str]) -> list[str]:
+                  texts: dict[FeatureBundle, str]) -> list[str]:
     """MISC text per token: the non-reserved items, then the bundle's.
 
-    ``texts`` holds the text of each (MISC items, bundle fields) value
-    formatted so far in one export.  A vector is keyed by its float64
-    bytes: the tuple would merge 0.0 with -0.0, which prints differently.
+    ``texts`` holds, for one export, the text of each bundle without a
+    suffix vector formatted so far, which is the whole text of a token
+    with no MISC items: so it holds at most one text per distinct bundle,
+    whatever the MISC values.  Other tokens are formatted one by one.
     """
     columns = []
     for token, bundle in zip(sentence.tokens, bundles):
-        vector = bundle.suffix_vector
-        key = (token.misc, bundle.rule_code, bundle.last_suffix,
-               bundle.inflectional_suffixes,
-               None if vector is None else array("d", vector).tobytes())
-        text = texts.get(key)
+        shared = not token.misc and bundle.suffix_vector is None
+        text = texts.get(bundle) if shared else None
         if text is None:
             items = [item for item in token.misc
                      if item[0] not in RESERVED_MISC_KEYS]
-            text = texts[key] = format_misc(items + _bundle_misc(bundle))
+            text = format_misc(items + _bundle_misc(bundle))
+            if shared:
+                texts[bundle] = text
         columns.append(text)
     return columns
 

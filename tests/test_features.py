@@ -382,9 +382,9 @@ def test_exports_check_before_the_first_chunk(example, write):
 
 def test_every_written_line_is_the_token_line_of_its_token():
     # Tokens equal in every column but MISC, or but one other column,
-    # beside ``_`` fields, range lines and comments.  The writer
-    # reuses column text, and the export MISC text, across tokens; each
-    # line is still the one ``_token_line`` gives its token.
+    # beside ``_`` fields, range lines and comments.  The export reuses a
+    # bundle's MISC text across tokens with no MISC items; each line is
+    # still the one ``_token_line`` gives its token.
     word = {"form": "ev", "lemma": "ev", "upos": "NOUN", "xpos": "Noun",
             "feats": (("Case", "Nom"),), "deprel": "nmod", "deps": "2:nmod"}
     sentences = [
@@ -416,7 +416,8 @@ def test_every_written_line_is_the_token_line_of_its_token():
         _token_line(t, m) for t, m in zip(tokens, chain(*misc))]
 
     # Equal MISC items with bundles that differ only in the sign of a zero,
-    # and different MISC items with equal bundles.
+    # different MISC items with equal bundles, and equal bundles on
+    # tokens with no MISC items in both sentences.
     bundles = [[FeatureBundle("NV", suffix_vector=(0.0,)), FeatureBundle("NONE"),
                 FeatureBundle("NV", suffix_vector=(-0.0,)),
                 *[FeatureBundle("NV")] * 5],

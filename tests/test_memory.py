@@ -8,6 +8,7 @@ would hold on the same input.
 
 import random
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy  # noqa: F401  (imported before tracing: sigtest loads it)
@@ -15,9 +16,9 @@ import numpy  # noqa: F401  (imported before tracing: sigtest loads it)
 from ruleparse import ablate, cli, write_conllu
 from ruleparse.conllu import group_by_sentence
 from ruleparse.engine import SentenceView
-from ruleparse.features import FeatureBundle, export_jsonl
+from ruleparse.features import FeatureBundle, export, export_jsonl
 
-from conftest import random_treebank, sent, tok
+from conftest import distinct_treebank, random_treebank, sent, tok
 
 
 def traced_peak(run) -> int:
@@ -112,13 +113,38 @@ def test_jsonl_export_streams_to_its_output_file(tmp_path):
     assert peak < size / 8
 
 
-def test_ablate_holds_one_sentence_view_at_a_time(lexicon):
-    # About 3,700 tokens.  Every view at once, with its first-member bits,
-    # takes about 1.1 MB.  Ablate's peak above its inputs (the treebank
-    # and the sidecar grouped by sentence) is one view, about 0.02 MB; a
-    # loop that builds every view before the first step runs peaks near
-    # 1.2 MB.
-    gold, _, analyses = random_treebank(random.Random(47), 500)
+def test_conllu_export_streams_whatever_the_misc_values(tmp_path):
+    # No token type repeats and every other token has a MISC item of its
+    # own.  The export keeps the MISC text of a bundle only for tokens
+    # with no MISC items, so it holds no text per token, with rule
+    # bundles or with suffix vectors.
+    gold, _, _ = distinct_treebank(random.Random(53), 3000)
+    sentences = [sent(*[replace(t, misc=(("Offset", f"{k}.{t.id}"),) if t.id % 2 else ())
+                        for t in s.tokens])
+                 for k, s in enumerate(gold, start=1)]
+    rng = random.Random(53)
+    makers = {
+        "rule": lambda: FeatureBundle(rule_code=rng.choice(("NV", "PC", "NONE"))),
+        "vector": lambda: FeatureBundle(
+            rule_code="NONE", suffix_vector=tuple(rng.random() for _ in range(4))),
+    }
+    for name, make in makers.items():
+        bundles = [[make() for _ in s.tokens] for s in sentences]
+        output = tmp_path / f"{name}.conllu"
+        args = SimpleNamespace(command="features", output=str(output), inputs={})
+
+        def write():
+            with cli._output(args, {}) as out:
+                export(sentences, bundles, out)
+
+        peak = traced_peak(write)
+        size = output.stat().st_size
+        print(f"export ({name}): output {size}, peak {peak}")
+        assert size > 1 << 20
+        assert peak < size / 8
+
+
+def assert_ablate_holds_one_view(lexicon, gold, analyses):
     grouped = group_by_sentence(analyses, gold)
 
     def every_view():
@@ -129,3 +155,20 @@ def test_ablate_holds_one_sentence_view_at_a_time(lexicon):
     peak = traced_peak(lambda: ablate(gold, grouped, lexicon))
     print(f"ablate: every view {views}, peak {peak}")
     assert peak < views / 2
+
+
+def test_ablate_holds_one_sentence_view_at_a_time(lexicon):
+    # About 3,700 tokens.  Every view at once, with its first-member bits,
+    # takes about 1.1 MB.  Ablate's peak above its inputs (the treebank
+    # and the sidecar grouped by sentence) is one view, about 0.02 MB; a
+    # loop that builds every view before the first step runs peaks near
+    # 1.2 MB.
+    gold, _, analyses = random_treebank(random.Random(47), 500)
+    assert_ablate_holds_one_view(lexicon, gold, analyses)
+
+
+def test_ablate_holds_one_view_when_no_token_type_repeats(lexicon):
+    # The same bound where every token is a type of its own: rows kept
+    # for every type seen would hold about every view at once.
+    gold, _, analyses = distinct_treebank(random.Random(47), 500)
+    assert_ablate_holds_one_view(lexicon, gold, analyses)
