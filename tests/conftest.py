@@ -1,5 +1,6 @@
 """Shared builders and fixtures for the test suite."""
 
+import importlib.util
 import io
 import random
 from dataclasses import replace
@@ -10,7 +11,6 @@ import pytest
 from ruleparse import MorphAnalysis, Sentence, Token, default_lexicon_dir, load_lexicon
 from ruleparse.lexicon import _FILENAMES, COMPOUND_CLASSES, _read_entries
 
-DEPRELS = ("nsubj", "obj", "nmod", "amod", "advmod", "det", "punct", "conj")
 # The characters other than LF and CR at which ``str.splitlines`` breaks
 # a line.  No reader ends a line at them: to a reader they are text.
 OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
@@ -83,115 +83,35 @@ def lexicon():
 # --------------------------------------------------------------------------
 # Random sentence generation for the engine invariant suite.
 #
-# Each vocabulary item is (form, lemma, upos, analysis).  The pools include
-# words that hit the packaged lexicons so random sentences exercise every
-# rule, not just the POS-driven ones.
+# The vocabulary and the draws are the benchmark's, so both draw the same
+# sentences from a seed.  ``benchmarks/gen.py`` is loaded by its path: its
+# directory also holds modules named ``run`` and ``workloads``.
 
-_NOUNS = [
-    ("makine", "makine", ("A3sg", "Nom")),
-    ("makinenin", "makine", ("A3sg", "Gen")),
-    ("yağı", "yağ", ("A3sg", "P3sg", "Nom")),
-    ("yağını", "yağ", ("A3sg", "P3sg", "Acc")),
-    ("ev", "ev", ("A3sg", "Nom")),
-    ("evin", "ev", ("A3sg", "Gen")),
-    ("eve", "ev", ("A3sg", "Dat")),
-    ("göz", "göz", ("A3sg", "Nom")),
-    ("kuru", "kuru", ("A3sg", "Nom")),
-    ("yemiş", "yemiş", ("A3sg", "Nom")),
-    ("arka", "arka", ("A3sg", "Nom")),
-    ("arkaya", "arka", ("A3sg", "Dat")),
-    ("diş", "diş", ("A3sg", "Nom")),
-    ("fırçası", "fırça", ("A3sg", "P3sg", "Nom")),
-    ("kapı", "kapı", ("A3sg", "Nom")),
-    ("söz", "söz", ("A3sg", "Nom")),
-]
-_VERBS = [
-    ("geldi", "gel", ("Past", "A3sg")),
-    ("etti", "et", ("Past", "A3sg")),
-    ("verdi", "ver", ("Past", "A3sg")),
-    ("getiriyordum", "getir", ("Prog1", "Past", "A1sg")),
-    ("inceledi", "incele", ("Past", "A3sg")),
-    ("oldu", "ol", ("Past", "A3sg")),
-]
-_ADJS = [
-    ("küçük", "küçük", ()),
-    ("eski", "eski", ()),
-    ("kırmızı", "kırmızı", ()),
-    ("anlamsız", "anlamsız", ()),
-    ("bulanık", "bulanık", ()),
-]
-_ADVS = [
-    ("çok", "çok", ()),
-    ("daha", "daha", ()),
-    ("dün", "dün", ()),
-    ("yine", "yine", ()),
-    ("bile", "bile", ()),
-    ("sonra", "sonra", ()),
-    ("dikkatlice", "dikkatlice", ()),
-]
-_OTHERS = [
-    ("Ahmet", "Ahmet", "PROPN", ("Prop", "A3sg", "Nom")),
-    ("Ayşe", "Ayşe", "PROPN", ("Prop", "A3sg", "Nom")),
-    ("İstanbul", "İstanbul", "PROPN", ("Prop", "A3sg", "Nom")),
-    ("bu", "bu", "DET", ()),
-    ("her", "her", "DET", ()),
-    ("ben", "ben", "PRON", ("A1sg", "Nom")),
-    ("bunu", "bu", "PRON", ("A3sg", "Acc")),
-    ("ama", "ama", "CCONJ", ()),
-    ("ve", "ve", "CCONJ", ()),
-    (".", ".", "PUNCT", ()),
-    (",", ",", "PUNCT", ()),
-]
-
-_POOL = (
-    [(f, l, "NOUN", t) for f, l, t in _NOUNS]
-    + [(f, l, "VERB", t) for f, l, t in _VERBS]
-    + [(f, l, "ADJ", t) for f, l, t in _ADJS]
-    + [(f, l, "ADV", t) for f, l, t in _ADVS]
-    + _OTHERS
-)
-
-_POS_OF = {"NOUN": "Noun", "VERB": "Verb", "ADJ": "Adj", "ADV": "Adv",
-           "PROPN": "Noun", "DET": "Det", "PRON": "Pron", "CCONJ": "Conj",
-           "PUNCT": "Punc"}
-
-# Multi-word stretches that hit lexicon entries, spliced in at random.
-_SPLICES = [
-    [("yerine", "yer", "NOUN", ("A3sg", "P3sg", "Dat")),
-     ("getiriyordum", "getir", "VERB", ("Prog1", "Past", "A1sg"))],
-    [("kabul", "kabul", "NOUN", ("A3sg", "Nom")),
-     ("etti", "et", "VERB", ("Past", "A3sg"))],
-    [("göz", "göz", "NOUN", ("A3sg", "Nom")),
-     ("kulak", "kulak", "NOUN", ("A3sg", "Nom")),
-     ("oldu", "ol", "VERB", ("Past", "A3sg"))],
-    [("kuru", "kuru", "NOUN", ("A3sg", "Nom")),
-     ("yemiş", "yemiş", "NOUN", ("A3sg", "Nom"))],
-    [("arka", "arka", "NOUN", ("A3sg", "Nom")),
-     ("arkaya", "arka", "NOUN", ("A3sg", "Dat"))],
-    [("diş", "diş", "NOUN", ("A3sg", "Nom")),
-     ("fırçası", "fırça", "NOUN", ("A3sg", "P3sg", "Nom"))],
-    [("çok", "çok", "ADV", ()),
-     ("küçük", "küçük", "ADJ", ())],
-]
+_GEN = importlib.util.spec_from_file_location(
+    "_ruleparse_bench_gen",
+    Path(__file__).resolve().parent.parent / "benchmarks" / "gen.py")
+gen = importlib.util.module_from_spec(_GEN)
+_GEN.loader.exec_module(gen)
 
 
 def random_sentence(rng: random.Random, max_len: int = 30,
                     length: int | None = None):
     """A random sentence plus its analyses, with occasional lexicon hits.
     ``length`` fixes the number of tokens instead of drawing it."""
-    items = []
-    while len(items) < (length or rng.randint(1, max_len)):
-        if rng.random() < 0.25:
-            items.extend(rng.choice(_SPLICES))
-        else:
-            items.append(rng.choice(_POOL))
-    items = items[:length or max_len]
-    tokens = []
-    analyses = {}
-    for i, (form, lemma, upos, tags) in enumerate(items, start=1):
-        tokens.append(tok(i, form, upos, lemma))
-        analyses[i] = ma(lemma, _POS_OF[upos], *tags)
-    return sent(*tokens), analyses
+    if not length:
+        items = gen.random_sentence(rng, max_len)
+    else:
+        items = []
+        while len(items) < length:
+            if rng.random() < 0.25:
+                items.extend(rng.choice(gen._SPLICES))
+            else:
+                items.append(rng.choice(gen._POOL))
+        items = items[:length]
+    numbered = list(enumerate(items, start=1))
+    return (sent(*[tok(i, form, upos, lemma) for i, (form, lemma, upos, _) in numbered]),
+            {i: ma(lemma, gen._POS_OF[upos], *tags)
+             for i, (_, lemma, upos, tags) in numbered})
 
 
 def reference_pair_keys(directory) -> dict:
@@ -220,12 +140,10 @@ def random_tree_heads(rng: random.Random, n: int) -> list:
 
 def with_random_tree(rng: random.Random, sentence: Sentence) -> Sentence:
     """The same tokens re-headed with a random valid tree and labels."""
-    heads = random_tree_heads(rng, len(sentence))
-    tokens = []
-    for token, head in zip(sentence.tokens, heads):
-        deprel = "root" if head == 0 else rng.choice(DEPRELS)
-        tokens.append(tok(token.id, token.form, token.upos, token.lemma,
-                          feats=token.feats, head=head, deprel=deprel))
+    tokens = [tok(token.id, token.form, token.upos, token.lemma,
+                  feats=token.feats, head=head, deprel=deprel)
+              for token, (head, deprel)
+              in zip(sentence.tokens, gen.random_tree(rng, len(sentence)))]
     return sent(*tokens, comments=sentence.comments, ranges=sentence.ranges)
 
 
@@ -340,7 +258,7 @@ def random_conllu_sentence(rng: random.Random, max_len: int = 12) -> Sentence:
             xpos=_word(rng) if rng.random() < 0.2 else None,
             feats=feats,
             head=head,
-            deprel=("root" if head == 0 else rng.choice(DEPRELS))
+            deprel=("root" if head == 0 else rng.choice(gen.DEPRELS))
             if head is not None else None,
             deps=None,
             misc=misc,

@@ -65,15 +65,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == "0.1.0"
 
 
-def run_child(*args):
+def run_child(*args, cwd=None, **env):
     """``python *args`` in a child that imports the same package as this
-    process, installed or not."""
+    process, installed or not, with ``env`` added to its environment."""
     source_root = str(Path(ruleparse.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [source_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def test_module_entry_point():
