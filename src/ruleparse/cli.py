@@ -36,8 +36,8 @@ from pathlib import Path
 from typing import IO, Callable, Iterator
 
 from . import __version__
-from .conllu import (iter_morph_sidecar, parse_conllu, read_columns,
-                     read_morph_sidecar)
+from .conllu import (SidecarCount, count_morph_sidecar, parse_conllu,
+                     read_columns, read_morph_sidecar)
 # Bound under this name because the benchmark's layer trace wraps
 # ``cli._group_analyses`` to time the grouping step.
 from .conllu import group_by_sentence as _group_analyses
@@ -47,9 +47,10 @@ from .evaluate import (METRICS, ablate, ablation_steps, check_test_args,
                        randomization_test, score)
 from .features import (FLAG_MODES, HybridConfig, MODE_RULE, MODE_SUFVEC,
                        encode, export, export_jsonl)
+from .halves import both
 from .lexicon import default_lexicon_dir, load_lexicon
-from .morpho import (build_matrix, check_cap, load_inventory, read_matrix,
-                     write_matrix)
+from .morpho import (SuffixCounts, build_matrix, check_cap, load_inventory,
+                     read_matrix, write_matrix)
 
 DEFAULT_RULE_FLAG = "cpi,nc,pc,ac,aaj,ajc,ajn"
 ENV_PREFIX = "RULEPARSE_"
@@ -353,14 +354,79 @@ def cmd_features(args) -> int:
     return 0
 
 
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start`` to ``end`` of the file open as ``fd``, read with
+    ``os.pread``: no read moves the file's offset, which a forked child
+    shares with its parent."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        super().__init__()
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._end - self._at), self._at)
+        buffer[:len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _text_range(fd: int, start: int, end: int) -> IO[str]:
+    """A UTF-8 text handle, with universal newlines, on bytes ``start``
+    to ``end`` of the file open as ``fd``, read a buffer at a time."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(fd, start, end)),
+                            encoding="utf-8")
+
+
+def _middle_line_start(fd: int, size: int) -> int:
+    """The offset just past the first LF at or after the middle byte of
+    the file open as ``fd``, or its end.  A line starts there whatever
+    comes before: a CR there may be half of a CRLF."""
+    at = size // 2
+    while chunk := os.pread(fd, 1 << 16, at):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(chunk)
+    return size
+
+
+def _count_corpus(handle: IO[str]) -> SuffixCounts:
+    """:func:`count_morph_sidecar` over the file of ``handle``, split at
+    :func:`_middle_line_start` and its second half counted in a child
+    (:func:`~ruleparse.halves.both`).  Both halves are read through
+    positional reads of the handle's descriptor.  The second half is
+    counted again here, on from the first, when a position appears in
+    both halves: that raises what a count of the whole file raises."""
+    fd = handle.fileno()
+    size = os.fstat(fd).st_size
+    middle = _middle_line_start(fd, size)
+    counted: list[SidecarCount] = []
+
+    def first_half() -> SidecarCount:
+        with _text_range(fd, 0, middle) as text:
+            counted.append(count_morph_sidecar(text))
+        return counted[0]
+
+    def second_half() -> SidecarCount:
+        # In the child the first half is not counted yet: there the
+        # second one is counted on its own, its lines numbered from 1.
+        with _text_range(fd, middle, size) as text:
+            return count_morph_sidecar(text, *counted)
+
+    first, second = both(first_half, second_half)
+    if not first.positions.isdisjoint(second.positions):
+        second = second_half()
+    first.counts.update(second.counts)
+    return first.counts
+
+
 def cmd_matrix(args) -> int:
     inventory = _read(args, args.inventory, load_inventory) if args.inventory else None
-    # Read as the build consumes it: the build counts each analysis as
-    # it reads it, and the reader keeps only the positions for the
-    # duplicate check, not a map from each position to its analysis.
-    matrix = _read(args, args.corpus, lambda handle: build_matrix(
-        (analysis for _, analysis in iter_morph_sidecar(handle)),
-        cap=args.cap, inventory=inventory))
+    matrix = build_matrix(_read(args, args.corpus, _count_corpus),
+                          cap=args.cap, inventory=inventory)
     with _output(args, {"cap": args.cap, "lemmas": len(matrix)}) as out:
         write_matrix(matrix, out)
     return 0
@@ -381,18 +447,41 @@ def _conllu_files(path: str) -> list[Path]:
     return files
 
 
+def _both_reading(args) -> Callable:
+    """:func:`~ruleparse.halves.both` for halves that read inputs through
+    :func:`_read`: the records of what the child read come back with its
+    result and join ``args.inputs`` after those of this process."""
+    def run(first, second):
+        head, (tail, inputs) = both(first, lambda: (second(), args.inputs))
+        args.inputs.update(inputs)
+        return head, tail
+    return run
+
+
 def cmd_sigtest(args) -> int:
     gold = _read(args, args.gold, read_columns)
     files_a = _conllu_files(args.dir_a)
     files_b = _conllu_files(args.dir_b)
-    # Each file is read when the test reaches it and dropped once it is
-    # reduced to its per-sentence counts: side A, then side B, in order.
-    result = randomization_test(gold,
-                                (_read(args, f, read_columns) for f in files_a),
-                                (_read(args, f, read_columns) for f in files_b),
-                                shuffles=args.shuffles,
-                                metric=args.metric,
-                                seed=args.seed)
+    # numpy is not loaded yet.  The kernel's matrix-vector products are
+    # too small to gain from BLAS threads, and a BLAS thread spins after
+    # its work, taking the CPU that the other process of the split runs
+    # on: one BLAS thread per process.  A caller's OMP_NUM_THREADS, or a
+    # BLAS library's own variable, still wins.
+    chosen = "OMP_NUM_THREADS" in os.environ
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    try:
+        # Each file is read when its side's reduction reaches it and
+        # dropped once it is reduced to its per-sentence counts; the
+        # sides, and then the file pairs, are split between this process
+        # and a child.
+        result = randomization_test(
+            gold, (_read(args, f, read_columns) for f in files_a),
+            (_read(args, f, read_columns) for f in files_b),
+            shuffles=args.shuffles, metric=args.metric, seed=args.seed,
+            halves=_both_reading(args))
+    finally:
+        if not chosen:
+            del os.environ["OMP_NUM_THREADS"]
     report = dict(result.to_dict(),
                   files_a=[f.name for f in files_a],
                   files_b=[f.name for f in files_b])

@@ -19,7 +19,7 @@ from itertools import chain, count, repeat
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlignmentError, AnalysisError, ConlluError, SidecarError
-from .morpho import MorphAnalysis
+from .morpho import MorphAnalysis, SuffixCounts
 from .textio import join_or_write, lines_of
 
 ID, FORM, LEMMA, UPOS, XPOS, FEATS, HEAD, DEPREL, DEPS, MISC = range(10)
@@ -400,16 +400,16 @@ def write_conllu(sentences: Iterable[Sentence],
     return join_or_write(_conllu_chunks(sentences, misc), out)
 
 
-def _iter_sidecar(source: str | IO[str]
-                  ) -> Iterator[tuple[int, tuple[int, int], MorphAnalysis]]:
-    """``(line number, position, analysis)`` per entry line, checked.  Each
-    distinct entry text (the lemma and morpheme string columns) of the
-    read is one analysis, checked on its first line, and equal lemmas and
-    tags are one string."""
-    shared: dict[str, MorphAnalysis] = {}
-    text = {}.setdefault
-    for line_no, line in enumerate(lines_of(source), start=1):
+def _sidecar_lines(source: str | IO[str], start: int = 0
+                   ) -> Iterator[tuple[int, int, int, str | None]]:
+    """``(line number, sentence ordinal, token id, entry text)`` per line
+    of ``source``, numbered on from ``start``, its columns checked: the
+    checking core of the sidecar readers.  The entry text is the lemma
+    and morpheme string columns; a blank or comment line gives None for
+    it and zeros for the numbers."""
+    for line_no, line in enumerate(lines_of(source), start=start + 1):
         if not line or line.isspace() or line.startswith("#"):
+            yield line_no, 0, 0, None
             continue
         tabs = line.count("\t")
         if tabs != 3:
@@ -421,49 +421,71 @@ def _iter_sidecar(source: str | IO[str]
             raise SidecarError(line_no, "sentence ordinal and token id must be integers") from None
         if sent_ord < 1 or token_id < 1:
             raise SidecarError(line_no, "sentence ordinal and token id must be >= 1")
-        analysis = shared.get(entry)
-        if analysis is None:
-            lemma, morphemes = entry.split("\t")
-            if not lemma:
-                raise SidecarError(line_no, "empty lemma")
-            parts = morphemes.split("+")
-            if "" in parts:
-                raise SidecarError(line_no, f"unparseable morpheme sequence {morphemes!r}")
-            parts = tuple(map(text, parts, parts))
-            lemma = text(lemma, lemma)
-            analysis = _new(MorphAnalysis)
-            _set_analysis_lemma(analysis, lemma)
-            _set_analysis_pos(analysis, parts[0])
-            _set_analysis_tags(analysis, parts[1:])
-            shared[entry] = analysis
-        yield line_no, (sent_ord, token_id), analysis
+        yield line_no, sent_ord, token_id, entry
 
 
-def _duplicate(line_no: int, key: tuple[int, int]) -> SidecarError:
-    return SidecarError(line_no, f"duplicate entry for sentence {key[0]} token {key[1]}")
+def _entry_parts(line_no: int, entry: str) -> tuple[str, list[str]]:
+    """The lemma and the morpheme tags of an entry text, each checked."""
+    lemma, morphemes = entry.split("\t")
+    if not lemma:
+        raise SidecarError(line_no, "empty lemma")
+    parts = morphemes.split("+")
+    if "" in parts:
+        raise SidecarError(line_no, f"unparseable morpheme sequence {morphemes!r}")
+    return lemma, parts
 
 
-def iter_morph_sidecar(source: str | IO[str]) -> Iterator[tuple[tuple[int, int], MorphAnalysis]]:
-    """Stream ``(sentence_ordinal, token_id) -> analysis`` pairs in file
-    order, rejecting duplicate positions as :func:`read_morph_sidecar` does.
+def _duplicate(line_no: int, ordinal: int, token_id: int) -> SidecarError:
+    return SidecarError(line_no, f"duplicate entry for sentence {ordinal} token {token_id}")
 
-    It keeps the set of positions seen and the distinct analyses, but not
-    a map from every position to its analysis, and reads a handle line by
-    line, so a corpus-scale consumer (``matrix``) holds O(distinct
-    analyses) plus that set.  Each position is kept as one packed int,
-    ``ordinal << 32 | token_id``, so a token id of 2**32 or more is
-    rejected.
+
+@dataclass
+class SidecarCount:
+    """What :func:`count_morph_sidecar` keeps of the sidecar lines it read."""
+
+    lines: int  # the number of the last line read
+    positions: set[int]  # each entry's ``ordinal << 32 | token_id``
+    counts: SuffixCounts
+
+
+def count_morph_sidecar(source: str | IO[str],
+                        after: SidecarCount | None = None) -> SidecarCount:
+    """The analyses of a sidecar stream counted per lemma and tag, with
+    every check :func:`read_morph_sidecar` makes, in its order, and one
+    more: a token id of 2**32 or more is rejected, so that each position
+    is kept as one packed int, ``ordinal << 32 | token_id``, for the
+    duplicate check.
+
+    Each distinct entry text is checked on its first line and counted
+    once for all its lines, so the read holds the position set and one
+    count per distinct entry text, not an analysis per position.  A
+    handle is read line by line.  Given the count of the stream's lines
+    before ``source`` as ``after``, the lines are numbered on from its
+    last one and a position it holds is a duplicate too.
     """
-    seen: set[int] = set()
-    for line_no, key, analysis in _iter_sidecar(source):
-        ordinal, token_id = key
+    line_no = after.lines if after else 0
+    earlier = after.positions if after else frozenset()
+    positions: set[int] = set()
+    # entry text -> [lines holding it, lemma, tags]
+    entries: dict[str, list] = {}
+    for line_no, ordinal, token_id, entry in _sidecar_lines(source, line_no):
+        if entry is None:
+            continue
+        seen = entries.get(entry)
+        if seen is None:
+            lemma, parts = _entry_parts(line_no, entry)
+            seen = entries[entry] = [0, lemma, parts[1:]]
         if token_id >> 32:
             raise SidecarError(line_no, f"token id {token_id} is not below 2**32")
         packed = ordinal << 32 | token_id
-        if packed in seen:
-            raise _duplicate(line_no, key)
-        seen.add(packed)
-        yield key, analysis
+        if packed in positions or packed in earlier:
+            raise _duplicate(line_no, ordinal, token_id)
+        positions.add(packed)
+        seen[0] += 1
+    counts = SuffixCounts()
+    for lines, lemma, tags in entries.values():
+        counts.add(lemma, tags, lines)
+    return SidecarCount(line_no, positions, counts)
 
 
 def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnalysis]:
@@ -471,13 +493,28 @@ def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnal
 
     Format: ``sentence_ordinal<TAB>token_id<TAB>lemma<TAB>tag1+tag2+...``
     with ``#`` comment lines ignored.  Sentence ordinals are 1-based.
-    Positions with the same lemma and morpheme string share one analysis
-    object.
+    Each distinct entry text (the lemma and morpheme string columns) is
+    checked and made into an analysis on its first line, so positions
+    with the same lemma and morpheme string share one analysis object;
+    equal lemmas and tags are one string.
     """
     result: dict[tuple[int, int], MorphAnalysis] = {}
-    for line_no, key, analysis in _iter_sidecar(source):
+    shared: dict[str, MorphAnalysis] = {}
+    text = {}.setdefault
+    for line_no, ordinal, token_id, entry in _sidecar_lines(source):
+        if entry is None:
+            continue
+        analysis = shared.get(entry)
+        if analysis is None:
+            lemma, parts = _entry_parts(line_no, entry)
+            parts = tuple(map(text, parts, parts))
+            analysis = shared[entry] = _new(MorphAnalysis)
+            _set_analysis_lemma(analysis, text(lemma, lemma))
+            _set_analysis_pos(analysis, parts[0])
+            _set_analysis_tags(analysis, parts[1:])
+        key = ordinal, token_id
         if key in result:
-            raise _duplicate(line_no, key)
+            raise _duplicate(line_no, ordinal, token_id)
         result[key] = analysis
     return result
 

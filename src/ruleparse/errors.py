@@ -17,6 +17,13 @@ class ConlluError(InputFormatError):
         super().__init__(f"sentence {sentence}, line {line}: {message}")
         self.sentence = sentence
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        # ``args`` holds the formatted text; a copy or an unpickled error
+        # is made from the parts, as ``__init__`` takes them, and then
+        # gets the attributes, notes included.
+        return type(self), (self.sentence, self.line, self.message), self.__dict__
 
 
 class SidecarError(InputFormatError):
@@ -25,6 +32,10 @@ class SidecarError(InputFormatError):
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line, self.message), self.__dict__
 
 
 class LexiconError(InputFormatError):

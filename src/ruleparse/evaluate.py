@@ -11,17 +11,22 @@ against the observed one.  With add-one smoothing the reported p-value
 is never zero.  Model comparisons are run file-wise: five outputs per
 side yield twenty-five p-values, summarized by their harmonic mean.
 
-The signs of each file pair are those that its own PCG64 generator
-gives when drawn in blocks of 4,096 shuffles with
-``Generator.integers(0, 2, dtype=np.int8)``, which turns each byte of
-the generator's 32-bit word stream into one sign, ``byte >> 7``, low
-byte first, and drops the unused bytes of a call's last word.  A PCG64
-hands out each 64-bit output as two 32-bit words, its low half and then
-its high half, so that word stream is the bytes of its 64-bit outputs
-(``bit_generator.random_raw``), low byte first.  A full block takes
-1,024 words per sentence, an even count, so no block leaves a half-word
-behind: the blocks' signs are one contiguous byte stream, only the last
-block drops bytes, and nothing is drawn after it.  The kernel seeds the
+File pair ``k``, in row-major order over side A's and side B's outputs,
+draws its signs from generator ``k`` of those that
+``SeedSequence(seed)`` spawns, so its p-value is the same whichever
+process computes it and in whatever order: the pairs run as two halves,
+the first ``ceil(pairs / 2)`` and the rest, which ``sigtest`` tests in
+two processes (:mod:`ruleparse.halves`).  The signs of each file pair
+are those that its generator gives when drawn in blocks of 4,096
+shuffles with ``Generator.integers(0, 2, dtype=np.int8)``, which turns
+each byte of the generator's 32-bit word stream into one sign,
+``byte >> 7``, low byte first, and drops the unused bytes of a call's
+last word.  A PCG64 hands out each 64-bit output as two 32-bit words,
+its low half and then its high half, so that word stream is the bytes
+of its 64-bit outputs (``bit_generator.random_raw``), low byte first.
+A full block takes 1,024 words per sentence, an even count, so no block
+leaves a half-word behind: the blocks' signs are one contiguous byte
+stream, only the last block drops bytes, and nothing is drawn after it.  The kernel seeds the
 generator itself and reads that stream in sub-chunks of a multiple of 8
 shuffles, each a whole number of 64-bit outputs, dropping only the rest
 of the last one.  It sums each sub-chunk's shuffles with one
@@ -36,15 +41,18 @@ Scoring reads only the HEAD and DEPREL columns of each sentence
 (:func:`columns`), so ``score`` and ``randomization_test`` take either
 sentences or the columns :func:`~ruleparse.conllu.read_columns` reads.
 ``randomization_test`` takes the outputs of each side as iterables and
-reduces each output to its per-sentence correct counts as soon as it is
-drawn, so a caller that reads files lazily holds one at a time.
+reduces each output to its per-sentence correct counts, plain ints, as
+soon as it is drawn, so a caller that reads files lazily holds one at a
+time.
 
 Rule ablation takes the gold treebank already joined with its sidecar
 (:func:`~ruleparse.conllu.group_by_sentence`): one analysis mapping per
 sentence, as :func:`~ruleparse.engine.run` takes them.
 
 numpy is imported by the functions that use it, so only the significance
-test pays for loading it.
+test pays for loading it, and there only the pair halves: the sides are
+reduced before it is loaded, so a process that forks between the two
+stages has started no BLAS threads.
 """
 
 from __future__ import annotations
@@ -52,7 +60,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from operator import and_, eq
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from .conllu import Columns, Sentence
 from .engine import Diagnostics, RuleCode, RuleConfig, SentenceView, run
@@ -164,16 +173,6 @@ class SigResult:
                     p_values=[list(row) for row in self.p_values])
 
 
-def _per_sentence_correct(gold: Sequence[Columns],
-                          system: Iterable[Sentence | Columns],
-                          metric: str) -> np.ndarray:
-    import numpy as np
-
-    pick = METRICS.index(metric)
-    return np.asarray([counts[pick] for counts in
-                       _correct_counts(gold, columns(system))], dtype=np.int64)
-
-
 def _sum_dtype(diffs: np.ndarray) -> type:
     """The float type in which every partial sum of ``diffs`` is exact:
     float32 below 2**24, float64 otherwise."""
@@ -222,14 +221,41 @@ def _pair_p_value(diffs: np.ndarray, shuffles: int,
 
 def _side_correct(gold: Sequence[Columns],
                   outputs: Iterable[Iterable[Sentence | Columns]],
-                  metric: str) -> list[np.ndarray]:
+                  pick: int) -> list[list[int]]:
+    """Each output's per-sentence correct counts under ``METRICS[pick]``,
+    as plain ints."""
     # ``map`` lets go of each output once its counts are made, before it
     # draws the next one; a loop variable would hold it one draw longer.
-    correct = list(map(lambda out: _per_sentence_correct(gold, out, metric),
+    correct = list(map(lambda out: [counts[pick] for counts in
+                                    _correct_counts(gold, columns(out))],
                        outputs))
     if not correct:
         raise ValueError("both output sets must be non-empty")
     return correct
+
+
+def _p_values(correct_a: Sequence[Sequence[int]],
+              correct_b: Sequence[Sequence[int]], shuffles: int, seed: int,
+              pairs: range) -> list[float]:
+    """The p-values of the file pairs numbered ``pairs``: pair ``k`` is
+    output ``k // len(correct_b)`` of side A against output
+    ``k % len(correct_b)`` of side B, under generator ``k`` of those
+    spawned from ``SeedSequence(seed)``."""
+    import numpy as np
+
+    width = len(correct_b)
+    children = np.random.SeedSequence(seed).spawn(len(correct_a) * width)
+    values = []
+    for k in pairs:
+        a, b = divmod(k, width)
+        diffs = (np.asarray(correct_a[a], dtype=np.int64)
+                 - np.asarray(correct_b[b], dtype=np.int64))
+        values.append(_pair_p_value(diffs, shuffles, children[k]))
+    return values
+
+
+def _in_turn(first: Callable[[], Any], second: Callable[[], Any]) -> tuple:
+    return first(), second()
 
 
 def check_test_args(shuffles: int, metric: str, seed: int) -> None:
@@ -247,7 +273,9 @@ def randomization_test(gold: Iterable[Sentence | Columns],
                        outputs_b: Iterable[Iterable[Sentence | Columns]],
                        shuffles: int = 10000,
                        metric: str = "uas",
-                       seed: int = 0) -> SigResult:
+                       seed: int = 0,
+                       halves: Callable[[Callable[[], Any], Callable[[], Any]],
+                                        tuple] = _in_turn) -> SigResult:
     """Paired permutation test between two sets of parser outputs.
 
     Every output file of side A is tested against every output file of
@@ -260,24 +288,30 @@ def randomization_test(gold: Iterable[Sentence | Columns],
     keeps only ``gold`` and one output in memory.  An empty side is
     reported when it is reached, bad arguments (:func:`check_test_args`)
     before anything is read.
-    """
-    import numpy as np
 
+    The work comes in two pairs of halves, run by ``halves(first,
+    second)``, which returns ``(first(), second())``: the two sides'
+    reductions, and then the first and the second half of the file
+    pairs.  By default they run in turn; :func:`ruleparse.halves.both`
+    runs each second half in a child process.  numpy is imported by the
+    pair halves only, so a fork never copies its threads.
+    """
     check_test_args(shuffles, metric, seed)
     gold = columns(gold)
-    correct_a = _side_correct(gold, outputs_a, metric)
-    correct_b = _side_correct(gold, outputs_b, metric)
-    children = np.random.SeedSequence(seed).spawn(len(correct_a) * len(correct_b))
-    rows = []
-    k = 0
-    for ca in correct_a:
-        row = []
-        for cb in correct_b:
-            row.append(_pair_p_value(ca - cb, shuffles, children[k]))
-            k += 1
-        rows.append(tuple(row))
+    pick = METRICS.index(metric)
+    correct_a, correct_b = halves(lambda: _side_correct(gold, outputs_a, pick),
+                                  lambda: _side_correct(gold, outputs_b, pick))
+    pairs = len(correct_a) * len(correct_b)
+    middle = (pairs + 1) // 2
+    head, tail = halves(
+        lambda: _p_values(correct_a, correct_b, shuffles, seed, range(middle)),
+        lambda: _p_values(correct_a, correct_b, shuffles, seed,
+                          range(middle, pairs)))
+    p_values = head + tail
+    width = len(correct_b)
     return SigResult(metric=metric, shuffles=shuffles, seed=seed,
-                     p_values=tuple(rows))
+                     p_values=tuple(tuple(p_values[k:k + width])
+                                    for k in range(0, pairs, width)))
 
 
 @dataclass(frozen=True)

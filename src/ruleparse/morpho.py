@@ -210,50 +210,87 @@ def check_cap(cap: int) -> None:
         raise ValueError("cap must be a positive integer")
 
 
-def build_matrix(corpus: Iterable[MorphAnalysis],
+class SuffixCounts:
+    """How often each lemma of a corpus occurs, and each tag with it: what
+    :func:`build_matrix` normalizes.
+
+    ``lemmas`` maps a lemma to its count of analyses and ``tags`` maps it
+    to a count per tag of those analyses, every tag counted, whether the
+    inventory lists it or not.  The counts of two parts of a corpus add
+    up (:meth:`update`) to the counts of the whole.
+    """
+
+    __slots__ = ("lemmas", "tags")
+
+    def __init__(self):
+        self.lemmas: dict[str, int] = {}
+        self.tags: dict[str, dict[str, int]] = {}
+
+    def add(self, lemma: str, tags: Iterable[str], count: int = 1) -> None:
+        """Count ``count`` analyses of ``lemma`` with ``tags``."""
+        self.lemmas[lemma] = self.lemmas.get(lemma, 0) + count
+        row = self.tags.get(lemma)
+        if row is None:
+            row = self.tags[lemma] = {}
+        for tag in tags:
+            row[tag] = row.get(tag, 0) + count
+
+    def update(self, other: SuffixCounts) -> None:
+        """Add the counts of ``other`` to these."""
+        for lemma, count in other.lemmas.items():
+            self.lemmas[lemma] = self.lemmas.get(lemma, 0) + count
+        for lemma, other_row in other.tags.items():
+            row = self.tags.setdefault(lemma, {})
+            for tag, count in other_row.items():
+                row[tag] = row.get(tag, 0) + count
+
+
+def build_matrix(corpus: Iterable[MorphAnalysis] | SuffixCounts,
                  cap: int = 40000,
                  inventory: SuffixInventory | None = None,
                  unknown_tags: Counter | None = None) -> LemmaSuffixMatrix:
     """Count suffix tags per lemma over ``corpus`` and normalize rows.
 
-    Keeps the ``cap`` most frequent lemmas (ties broken lexicographically).
-    Tags absent from the inventory are skipped; pass a Counter as
-    ``unknown_tags`` to collect them for diagnostics.  Each analysis is
-    counted as ``corpus`` yields it, so the build holds one count per
-    lemma and per (lemma, tag), whatever the corpus length.  ``cap`` is
-    checked (:func:`check_cap`) before ``corpus`` is read.
+    ``corpus`` is the analyses, each counted as it is drawn, or their
+    :class:`SuffixCounts`, as ``ruleparse matrix`` counts a sidecar, so
+    the build holds one count per lemma and per (lemma, tag) whatever the
+    corpus length.  Keeps the ``cap`` most frequent lemmas (ties broken
+    lexicographically).  Tags absent from the inventory are skipped;
+    pass a Counter as ``unknown_tags`` to collect them for diagnostics.
+    ``cap`` is checked (:func:`check_cap`) before ``corpus`` is read.
     """
     check_cap(cap)
     if inventory is None:
         inventory = default_inventory()
+    if isinstance(corpus, SuffixCounts):
+        counts = corpus
+    else:
+        counts = SuffixCounts()
+        add = counts.add
+        for analysis in corpus:
+            add(analysis.lemma, analysis.tags)
     index = inventory.index
-    # lemma -> {inventory tag: count}, and lemma -> count
-    counts: dict[str, dict[str, int]] = {}
-    freq: dict[str, int] = {}
-    unknown = Counter() if unknown_tags is None else unknown_tags
-    for analysis in corpus:
-        lemma = analysis.lemma
-        freq[lemma] = freq.get(lemma, 0) + 1
-        row = counts.setdefault(lemma, {})
-        for tag in analysis.tags:
-            if tag in index:
-                row[tag] = row.get(tag, 0) + 1
-            elif tag not in ROOT_POS_TAGS:
-                unknown[tag] += 1
+    if unknown_tags is not None:
+        for row in counts.tags.values():
+            for tag, count in row.items():
+                if tag not in index and tag not in ROOT_POS_TAGS:
+                    unknown_tags[tag] += count
     # Most frequent lemmas first; lexicographic order breaks ties so the
     # kept set is deterministic.
+    freq = counts.lemmas
     ranked = sorted(freq, key=lambda lemma: (-freq[lemma], lemma))
     width = len(index)
     rows = {}
     for lemma in sorted(ranked[:cap]):
         # A row counts inventory tags only; a lemma never seen with one
         # keeps the all-zero vector.
-        row = counts[lemma]
+        kept = [(index[tag], count) for tag, count in counts.tags[lemma].items()
+                if tag in index]
         vector = [0.0] * width
-        total = sum(row.values())
+        total = sum(count for _, count in kept)
         if total:
-            for tag, n in row.items():
-                vector[index[tag]] = n / total
+            for column, count in kept:
+                vector[column] = count / total
         rows[lemma] = tuple(vector)
     return LemmaSuffixMatrix(inventory, rows)
 

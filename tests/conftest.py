@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ruleparse import MorphAnalysis, Sentence, Token, default_lexicon_dir, load_lexicon
+from ruleparse import halves
 from ruleparse.lexicon import _FILENAMES, COMPOUND_CLASSES, _read_entries
 
 # The characters other than LF and CR at which ``str.splitlines`` breaks
@@ -78,6 +79,27 @@ class Written:
 @pytest.fixture(scope="session")
 def lexicon():
     return load_lexicon(default_lexicon_dir())
+
+
+def force_path(monkeypatch, path: str) -> None:
+    """Make ``halves.both`` fork (``"split"``) or take its one-process
+    fallback (``"fallback"``), whatever the CPUs of the machine."""
+    monkeypatch.setattr(halves, "_cpus", lambda: 2 if path == "split" else 1)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """``halves.both`` runs its two halves in this process, in turn: what
+    tracemalloc or a patched function sees is then the whole call."""
+    force_path(monkeypatch, "fallback")
+
+
+@pytest.fixture(params=["split", "fallback"])
+def process_path(request, monkeypatch):
+    """The test once with ``halves.both`` forking and once with its
+    one-process fallback."""
+    force_path(monkeypatch, request.param)
+    return request.param
 
 
 # --------------------------------------------------------------------------

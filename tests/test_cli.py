@@ -400,16 +400,23 @@ def test_each_input_is_opened_once_and_its_read_bytes_hashed(
                     [treebank, *runs]),
         "ablate": ([treebank, sidecar], [treebank, sidecar]),
     }[command]
-    opens = Counter()
+    # Each open is logged to a file, so that the opens of the child that
+    # sigtest reads side B in are counted too.
+    log = tmp_path / "opens.log"
 
     def counting_open(file, *args, **kwargs):
         if not isinstance(file, int):  # not a staged output's descriptor
-            opens[os.fspath(file)] += 1
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, os.fsencode(file) + b"\n")
+            finally:
+                os.close(fd)
         return open(file, *args, **kwargs)
 
     monkeypatch.setattr("ruleparse.cli.open", counting_open, raising=False)
     output = tmp_path / "out"
     assert main([command, *map(str, argv), "--output", str(output)]) == 0
+    opens = Counter(log.read_text(encoding="utf-8").splitlines())
     assert opens == {str(f): 1 for f in files}
     manifest = json.loads((tmp_path / "out.manifest.json").read_text())
     assert manifest["inputs"] == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()

@@ -1,5 +1,6 @@
 """Parsing and serialization of CoNLL-U streams and morph sidecars."""
 
+from collections import Counter
 import io
 import random
 import re
@@ -13,7 +14,7 @@ from ruleparse import (AlignmentError, AnalysisError, ConlluError,
                        MorphAnalysis, Sentence, SidecarError, Token,
                        group_by_sentence, parse_conllu, read_morph_sidecar,
                        write_conllu)
-from ruleparse.conllu import iter_morph_sidecar, read_columns
+from ruleparse.conllu import count_morph_sidecar, read_columns
 
 from conftest import (OTHER_BREAKS, ShortReads, random_conllu_sentence,
                       random_treebank, sent, tok)
@@ -329,8 +330,30 @@ def test_sidecar_bare_root_has_no_tags():
     assert entries[(1, 1)].tags == ()
 
 
+def suffix_counts(analyses) -> tuple[dict, dict]:
+    """Per lemma, the count of its analyses and of each tag in them:
+    what :func:`count_morph_sidecar` counts, made from analyses."""
+    lemmas, tags = Counter(), {}
+    for analysis in analyses:
+        lemmas[analysis.lemma] += 1
+        tags.setdefault(analysis.lemma, Counter()).update(analysis.tags)
+    return dict(lemmas), {lemma: dict(row) for lemma, row in tags.items()}
+
+
+def counted(source) -> tuple[dict, dict]:
+    counts = count_morph_sidecar(source).counts
+    return counts.lemmas, counts.tags
+
+
+def as_counted(read_outcome):
+    """A :func:`read_morph_sidecar` outcome as :func:`counted` gives it."""
+    if read_outcome[0] != "ok":
+        return read_outcome
+    return "ok", suffix_counts(read_outcome[1].values())
+
+
 def test_sidecar_streaming_matches_dict():
-    assert dict(iter_morph_sidecar(SIDECAR)) == read_morph_sidecar(SIDECAR)
+    assert counted(SIDECAR) == suffix_counts(read_morph_sidecar(SIDECAR).values())
 
 
 @pytest.mark.parametrize("line,message", [
@@ -721,19 +744,46 @@ def test_read_morph_sidecar_matches_reference():
         text = "\n".join(lines) + "\n"
         expected = reference_read_morph_sidecar(text)
         assert read_morph_sidecar(text) == expected
-        assert dict(iter_morph_sidecar(text)) == expected
+        assert counted(text) == suffix_counts(expected.values())
         for _ in range(200):
             case = mutated(rng, lines, lambda line: mutate_sidecar_line(rng, line))
             got = outcome(read_morph_sidecar, case)
             assert got == outcome(reference_read_morph_sidecar, case), case
-            streamed = outcome(lambda t: dict(iter_morph_sidecar(t)), case)
-            assert streamed == got, case
+            assert outcome(counted, case) == as_counted(got), case
             kinds.add(kind_of(got))
     assert kinds == {
         "ok", "expected  tab-separated columns, got ",
         "sentence ordinal and token id must be integers",
         "sentence ordinal and token id must be >= ", "empty lemma",
         "unparseable morpheme sequence ", "duplicate entry for sentence  token "}
+
+
+def test_a_count_read_on_from_an_earlier_one_counts_the_whole_stream():
+    # What ``matrix`` does when it counts the second half of a corpus
+    # after the first: the same counts, errors and line numbers as one
+    # count of the whole.
+    rng = random.Random(81)
+    lines = [f"{ordinal}\t{token_id}\t{rng.choice(['ev', 'gel', 'göz'])}\t"
+             f"{rng.choice(['Noun+A3sg', 'Verb+Past+A3sg', 'Adv'])}"
+             for ordinal in range(1, 15) for token_id in range(1, 5)]
+
+    def in_two(at):
+        def count(text):
+            first = count_morph_sidecar(text[:at])
+            second = count_morph_sidecar(text[at:], first)
+            first.counts.update(second.counts)
+            return first.counts.lemmas, first.counts.tags
+        return count
+
+    kinds = set()
+    for _ in range(300):
+        case = mutated(rng, lines, lambda line: mutate_sidecar_line(rng, line))
+        breaks = [k + 1 for k, char in enumerate(case) if char == "\n"]
+        at = rng.choice(breaks)
+        whole = outcome(counted, case)
+        assert outcome(in_two(at), case) == whole, (case, at)
+        kinds.add(kind_of(whole))
+    assert {"ok", "duplicate entry for sentence  token "} <= kinds
 
 
 def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
@@ -762,8 +812,8 @@ def test_streamed_readers_match_string_reads_at_any_chunk_boundary():
         limit = rng.randint(1, 64)
         expected = outcome(read_morph_sidecar, case)
         assert outcome(read_morph_sidecar, ShortReads(case, limit)) == expected
-        assert outcome(lambda t: dict(iter_morph_sidecar(t)),
-                       ShortReads(case, limit)) == expected, (case, limit)
+        assert outcome(counted, ShortReads(case, limit)) \
+            == as_counted(expected), (case, limit)
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -786,7 +836,7 @@ def test_sidecar_error_names_its_line_wherever_the_chunks_end(bad, message):
     # fails on its first line.
     text = f"1\t1\tev\tNoun\r\n1\t2\tgöz\tNoun+Acc\r\n{bad}\r\n3\t1\tev\tAdv\n"
     for limit in range(1, len(text) + 1):
-        for read in (read_morph_sidecar, lambda t: list(iter_morph_sidecar(t))):
+        for read in (read_morph_sidecar, count_morph_sidecar):
             with pytest.raises(SidecarError) as excinfo:
                 read(ShortReads(text, limit))
             assert str(excinfo.value) == message, limit

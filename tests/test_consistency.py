@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from ruleparse import parse_conllu, write_conllu
+from ruleparse import parse_conllu, read_matrix, write_conllu, write_matrix
 from ruleparse.cli import main
 from ruleparse.features import bundle_from_token
 
-from conftest import distinct_treebank, random_treebank, sidecar_text, with_random_tree
+from conftest import (distinct_treebank, gen, random_treebank, sidecar_text,
+                      with_random_tree)
 from test_cli import run_child
 
 ALL_RULES = "cpi,nc,pc,ac,aaj,ajc,ajn,av,nv"
@@ -124,6 +125,18 @@ def test_jsonl_and_conllu_features_carry_the_same_bundles(treebank):
     assert from_jsonl == from_conllu
     assert any(rule not in (None, "NONE") for _, _, rule, _ in from_jsonl)
     assert any(suffix is not None for *_, suffix in from_jsonl)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_output_reads_back_and_writes_the_same_text(tmp_path, seed):
+    # Zipf corpora as the benchmark draws them, with tags outside the
+    # inventory; a cap below the distinct lemmas.
+    corpus, distinct = gen.corpus_text(random.Random(seed), 3000, 60)
+    (tmp_path / "corpus.tsv").write_text(corpus, encoding="utf-8")
+    call("matrix", tmp_path / "corpus.tsv", "--cap", 10, "--output", tmp_path / "m.tsv")
+    text = (tmp_path / "m.tsv").read_text(encoding="utf-8")
+    assert distinct > 10 == text.count("\n") - 1
+    assert write_matrix(read_matrix(text)) == text
 
 
 # The commands of the hash-seed check, each run from its own directory so

@@ -122,7 +122,9 @@ def manifest_digest(path) -> str:
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def golden(tmp_path_factory):
+    """The inputs of the pinned calls on disk, the calls, and the gold
+    treebank with its analyses."""
     work = tmp_path_factory.mktemp("golden")
     gold, _, analyses = random_treebank(random.Random(7), 300)
     treebank = work / "gold.conllu"
@@ -165,25 +167,47 @@ def outputs(tmp_path_factory):
                         str(work / "b"), "--shuffles", "1000",
                         "--metric", "las"],
     }
+    return work, calls, gold, analyses
+
+
+def call_digests(work, name: str, argv: list[str]) -> dict[str, str]:
+    """The digests of one pinned call: its output, and for annotate and
+    features its manifest, and for annotate its report."""
+    out = work / f"{name}.out"
+    extra = ["--output", str(out)]
+    if argv[0] == "annotate":
+        extra += ["--diagnostics", str(work / f"{name}_diagnostics.json")]
+    assert main(argv + extra) == 0
+    digests = {name: hashlib.sha256(out.read_bytes()).hexdigest()}
+    if argv[0] in ("annotate", "features"):
+        digests[f"{name}_manifest"] = manifest_digest(
+            out.with_name(out.name + ".manifest.json"))
+    if argv[0] == "annotate":
+        diagnostics = (work / f"{name}_diagnostics.json").read_bytes()
+        digests[f"{name}_diagnostics"] = hashlib.sha256(diagnostics).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def outputs(golden):
+    work, calls, gold, analyses = golden
     digests = {"engine_assignments_per_config":
                engine_assignments_digest(gold, analyses),
                "pair_p_values": pair_p_values_digest()}
     for name, argv in calls.items():
-        out = work / f"{name}.out"
-        extra = ["--output", str(out)]
-        if argv[0] == "annotate":
-            extra += ["--diagnostics", str(work / f"{name}_diagnostics.json")]
-        assert main(argv + extra) == 0
-        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
-        if argv[0] in ("annotate", "features"):
-            digests[f"{name}_manifest"] = manifest_digest(
-                out.with_name(out.name + ".manifest.json"))
-        if argv[0] == "annotate":
-            diagnostics = (work / f"{name}_diagnostics.json").read_bytes()
-            digests[f"{name}_diagnostics"] = hashlib.sha256(diagnostics).hexdigest()
+        digests.update(call_digests(work, name, argv))
     return digests
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_output_digest_is_pinned(outputs, name):
     assert outputs[name] == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", ["matrix_cap10", "sigtest", "sigtest_las"])
+def test_split_and_one_process_digests_are_the_pinned_ones(golden, process_path, name):
+    # ``matrix`` and ``sigtest`` split their work with ``halves.both``;
+    # the split and its one-process fallback write the same bytes.
+    work, calls, _, _ = golden
+    label = f"{name}_{process_path}"
+    assert call_digests(work, label, calls[name])[label] == EXPECTED[name]

@@ -3,8 +3,12 @@ measured with tracemalloc.
 
 Each bound is set between what the streamed code holds and what a
 whole-file read, a whole-text write or a view of every sentence at once
-would hold on the same input.
+would hold on the same input.  tracemalloc sees this process only, so
+``matrix`` and ``sigtest`` are traced with the one-process fallback of
+``halves.both``: the whole call then runs here.
 """
+
+import os
 
 import random
 import tracemalloc
@@ -40,7 +44,7 @@ def traced_size(build):
         tracemalloc.stop()
 
 
-def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path):
+def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path, one_process):
     # 30,000 analyses of 5 distinct (lemma, morpheme string) pairs, with
     # long lemmas: the text is several times the position set.
     n = 30_000
@@ -66,7 +70,7 @@ def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path):
     assert peak < positions + (1 << 20)
 
 
-def test_sigtest_memory_is_near_one_parsed_file(tmp_path):
+def test_sigtest_memory_is_near_one_parsed_file(tmp_path, one_process):
     gold, _, _ = random_treebank(random.Random(41), 500, max_len=60)
     text = write_conllu(gold)
     gold_path = tmp_path / "gold.conllu"
@@ -86,6 +90,32 @@ def test_sigtest_memory_is_near_one_parsed_file(tmp_path):
     # fixed working memory; the four system files together hold more.
     assert 4 * resident > parse_peak + (1 << 19)
     assert peak < resident + parse_peak + (1 << 19)
+
+
+def test_the_range_reader_streams_its_byte_range(tmp_path):
+    # The reader of a half of the matrix corpus holds a buffer of its
+    # range, not the range.
+    path = tmp_path / "corpus.tsv"
+    path.write_text("".join(f"{k}\t1\tlemma{k}\tNoun+A3sg\n" for k in range(200_000)),
+                    encoding="utf-8")
+    size = path.stat().st_size
+    start, end = size // 4, size - size // 4
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        def read():
+            with cli._text_range(fd, start, end) as text:
+                return sum(map(len, text))
+        tracemalloc.start()
+        try:
+            chars = read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        os.close(fd)
+    print(f"range reader: range {end - start}, peak {peak}")
+    assert chars == end - start > 2 << 20
+    assert peak < (end - start) / 16
 
 
 def test_jsonl_export_streams_to_its_output_file(tmp_path):
