@@ -462,26 +462,16 @@ def cmd_sigtest(args) -> int:
     gold = _read(args, args.gold, read_columns)
     files_a = _conllu_files(args.dir_a)
     files_b = _conllu_files(args.dir_b)
-    # numpy is not loaded yet.  The kernel's matrix-vector products are
-    # too small to gain from BLAS threads, and a BLAS thread spins after
-    # its work, taking the CPU that the other process of the split runs
-    # on: one BLAS thread per process.  A caller's OMP_NUM_THREADS, or a
-    # BLAS library's own variable, still wins.
-    chosen = "OMP_NUM_THREADS" in os.environ
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    try:
-        # Each file is read when its side's reduction reaches it and
-        # dropped once it is reduced to its per-sentence counts; the
-        # sides, and then the file pairs, are split between this process
-        # and a child.
-        result = randomization_test(
-            gold, (_read(args, f, read_columns) for f in files_a),
-            (_read(args, f, read_columns) for f in files_b),
-            shuffles=args.shuffles, metric=args.metric, seed=args.seed,
-            halves=_both_reading(args))
-    finally:
-        if not chosen:
-            del os.environ["OMP_NUM_THREADS"]
+    # Each file is read when its side's reduction reaches it and dropped
+    # once it is reduced to its per-sentence counts; the sides, and then
+    # the file pairs, are split between this process and a child.  numpy
+    # is not loaded yet, so no BLAS thread stops the fork, and while the
+    # two run each keeps one BLAS thread (halves.both).
+    result = randomization_test(
+        gold, (_read(args, f, read_columns) for f in files_a),
+        (_read(args, f, read_columns) for f in files_b),
+        shuffles=args.shuffles, metric=args.metric, seed=args.seed,
+        halves=_both_reading(args))
     report = dict(result.to_dict(),
                   files_a=[f.name for f in files_a],
                   files_b=[f.name for f in files_b])

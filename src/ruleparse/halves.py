@@ -8,12 +8,18 @@ error, as file descriptors and as Python streams, go to ``os.devnull``.
 A child that fails or dies without a result costs only time, because
 the caller then runs the second piece itself: the errors a call raises,
 and their order, are those of running the two pieces in turn.
+
+A fork copies only the thread that calls it, so :func:`both` forks only
+a process that runs one thread.  Each of the two processes is to take
+one of two CPUs, so while they run ``OMP_NUM_THREADS`` is 1 unless the
+caller set it.  A library that reads it once, when it loads, keeps that
+value: numpy first imported during a split call keeps one OpenBLAS
+thread in this process after the call.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import sys
 from typing import Callable, TypeVar
 
@@ -29,6 +35,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _threads() -> int:
+    """The threads this process runs: every thread of the operating
+    system where Linux lists them, else the ones Python started."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:  # no /proc: only Python's own threads can be seen
+        import threading
+        return threading.active_count()
+
+
 def both(first: Callable[[], First],
          second: Callable[[], Second]) -> tuple[First, Second]:
     """``(first(), second())``, with ``second`` run in a forked child
@@ -37,16 +53,29 @@ def both(first: Callable[[], First],
     If ``first`` raises, the child is killed and the error goes on.  If
     the child fails or dies without a result, ``second`` runs here after
     ``first``.  The child is reaped on every path.  Where ``os.fork`` is
-    missing or fails, or only one CPU is usable, the two run here in
-    turn.
+    missing or fails, only one CPU is usable, or this process runs more
+    than one thread, the two run here in turn.
 
     ``second`` runs in the child on the state the fork copied, before
-    ``first`` ran, and its result must pickle.  The caller must not
-    have started threads: a fork copies only the thread that calls it.
+    ``first`` ran, and its result must pickle.
     """
-    if not hasattr(os, "fork") or _cpus() < 2:
+    if not hasattr(os, "fork") or _cpus() < 2 or _threads() > 1:
         return first(), second()
-    import pickle  # here, so that a call that never forks does not load it
+    chosen = "OMP_NUM_THREADS" in os.environ
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    try:
+        return _split(first, second)
+    finally:
+        if not chosen:
+            os.environ.pop("OMP_NUM_THREADS", None)
+
+
+def _split(first: Callable[[], First],
+           second: Callable[[], Second]) -> tuple[First, Second]:
+    """:func:`both` with the fork."""
+    # Here, so that a call that never forks does not load them.
+    import pickle
+    import signal
 
     read_end, write_end = os.pipe()
     try:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import io
+import os
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,12 @@ import pytest
 from ruleparse import MorphAnalysis, Sentence, Token, default_lexicon_dir, load_lexicon
 from ruleparse import halves
 from ruleparse.lexicon import _FILENAMES, COMPOUND_CLASSES, _read_entries
+
+# halves.both forks only a process that runs one thread, and OpenBLAS
+# starts its threads when numpy is imported unless this says otherwise.
+# Set before any test module imports numpy, it keeps the test process to
+# one thread, so a test that forces the split does fork.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 # The characters other than LF and CR at which ``str.splitlines`` breaks
 # a line.  No reader ends a line at them: to a reader they are text.
@@ -84,6 +91,8 @@ def lexicon():
 def force_path(monkeypatch, path: str) -> None:
     """Make ``halves.both`` fork (``"split"``) or take its one-process
     fallback (``"fallback"``), whatever the CPUs of the machine."""
+    if path == "split":
+        assert halves._threads() == 1, "a process that runs threads never forks"
     monkeypatch.setattr(halves, "_cpus", lambda: 2 if path == "split" else 1)
 
 

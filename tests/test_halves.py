@@ -12,12 +12,15 @@ import json
 import os
 import random
 import signal
+import subprocess
 import sys
+import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
-from ruleparse import cli, write_conllu
+from ruleparse import cli, halves, write_conllu
 from ruleparse.halves import both
 
 from conftest import force_path, random_treebank, with_random_tree
@@ -151,6 +154,90 @@ def test_a_fork_that_fails_leaves_both_halves_to_this_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert both(lambda: os.getpid(), lambda: os.getpid()) == (os.getpid(),) * 2
+
+
+@contextmanager
+def a_second_thread():
+    """A thread that waits while the block runs, and is gone after it."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join()
+        # The system may list the thread for a moment after join returns.
+        deadline = time.monotonic() + 10
+        while halves._threads() > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+
+def test_a_process_that_runs_a_thread_does_not_fork(monkeypatch):
+    force_path(monkeypatch, "split")
+    with a_second_thread():
+        assert both(os.getpid, os.getpid) == (os.getpid(),) * 2
+    assert_no_child_left()
+
+
+def test_without_a_thread_list_python_threads_still_stop_the_fork(monkeypatch):
+    force_path(monkeypatch, "split")
+    listdir = os.listdir
+
+    def no_proc(path="."):
+        if str(path).startswith("/proc"):
+            raise FileNotFoundError(2, "No such file or directory", path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", no_proc)
+    assert both(lambda: 1, os.getpid)[1] != os.getpid()
+    assert_no_child_left()
+    with a_second_thread():
+        assert both(lambda: 1, os.getpid) == (1, os.getpid())
+
+
+def test_numpy_with_its_blas_threads_is_not_forked():
+    # A fresh process with the BLAS library's default thread count.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(halves.__file__)),
+                      env.get("PYTHONPATH")]))
+    script = (
+        "import json, os, numpy\n"
+        "from ruleparse import halves\n"
+        "halves._cpus = lambda: 2\n"
+        "threads = halves._threads()\n"
+        "pids = halves.both(os.getpid, os.getpid)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    reaped = False\n"
+        "except ChildProcessError:\n"
+        "    reaped = True\n"
+        "print(json.dumps([threads, pids, reaped]))\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    threads, (first, second), reaped = json.loads(done.stdout)
+    if threads < 2:
+        pytest.skip("this numpy started no BLAS thread when imported")
+    assert first == second and reaped
+
+
+@pytest.mark.parametrize("caller", [None, "3"])
+def test_the_two_processes_keep_one_blas_thread_while_they_run(
+        monkeypatch, process_path, caller):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if caller:
+        monkeypatch.setenv("OMP_NUM_THREADS", caller)
+
+    def seen():
+        return os.environ.get("OMP_NUM_THREADS")
+
+    split = process_path == "split"
+    assert both(seen, seen) == ((caller or "1", caller or "1") if split
+                                else (caller, caller))
+    assert seen() == caller
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Each bound is set between what the streamed code holds and what a
 whole-file read, a whole-text write or a view of every sentence at once
 would hold on the same input.  tracemalloc sees this process only, so
 ``matrix`` and ``sigtest`` are traced with the one-process fallback of
-``halves.both``: the whole call then runs here.
+``halves.both``: the whole call then runs here.  ``matrix`` is traced
+on the split too, where this process holds its half and what the child
+sends back of the other.
 """
 
 import os
@@ -44,7 +46,7 @@ def traced_size(build):
         tracemalloc.stop()
 
 
-def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path, one_process):
+def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path, process_path):
     # 30,000 analyses of 5 distinct (lemma, morpheme string) pairs, with
     # long lemmas: the text is several times the position set.
     n = 30_000
@@ -58,14 +60,16 @@ def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path, one_process):
     text_size = corpus.stat().st_size
     # The reader keeps each position as one packed int; a set of
     # (sentence, token) tuples holds about half as much again, more than
-    # the bound below allows.
+    # the bound below allows.  On the split this process holds its half's
+    # positions, the child's pickled result and then its positions too,
+    # under the same bound.
     _, positions = traced_size(lambda: {(i // 20 + 1) << 32 | (i % 20 + 1)
                                         for i in range(n)})
     output = tmp_path / "m.tsv"
     peak = traced_peak(lambda: cli.main(["matrix", str(corpus),
                                          "--output", str(output)]))
     assert output.read_text(encoding="utf-8").count("\n") == 6
-    print(f"matrix: text {text_size}, positions {positions}, peak {peak}")
+    print(f"matrix {process_path}: text {text_size}, positions {positions}, peak {peak}")
     assert text_size > 4 << 20
     assert peak < positions + (1 << 20)
 
