@@ -397,30 +397,30 @@ def _count_corpus(handle: IO[str]) -> SuffixCounts:
     """:func:`count_morph_sidecar` over the file of ``handle``, split at
     :func:`_middle_line_start` and its second half counted in a child
     (:func:`~ruleparse.halves.both`).  Both halves are read through
-    positional reads of the handle's descriptor.  The second half is
-    counted again here, on from the first, when a position appears in
-    both halves: that raises what a count of the whole file raises."""
+    positional reads of the handle's descriptor, so ``handle`` is still
+    at its start after them.  When a half raises, or a position appears
+    in both halves, the halves' counts are dropped and the whole file is
+    counted again through ``handle``: that raises what one count of the
+    whole file raises, with its line number."""
     fd = handle.fileno()
     size = os.fstat(fd).st_size
     middle = _middle_line_start(fd, size)
-    counted: list[SidecarCount] = []
 
-    def first_half() -> SidecarCount:
-        with _text_range(fd, 0, middle) as text:
-            counted.append(count_morph_sidecar(text))
-        return counted[0]
+    def count(start: int, end: int) -> SidecarCount:
+        with _text_range(fd, start, end) as text:
+            return count_morph_sidecar(text)
 
-    def second_half() -> SidecarCount:
-        # In the child the first half is not counted yet: there the
-        # second one is counted on its own, its lines numbered from 1.
-        with _text_range(fd, middle, size) as text:
-            return count_morph_sidecar(text, *counted)
-
-    first, second = both(first_half, second_half)
-    if not first.positions.isdisjoint(second.positions):
-        second = second_half()
-    first.counts.update(second.counts)
-    return first.counts
+    try:
+        first, second = both(lambda: count(0, middle), lambda: count(middle, size))
+    except InputFormatError:
+        pass
+    else:
+        if first.positions.isdisjoint(second.positions):
+            first.counts.update(second.counts)
+            return first.counts
+        # Held through the count below, they would double its peak.
+        del first, second
+    return count_morph_sidecar(handle).counts
 
 
 def cmd_matrix(args) -> int:

@@ -400,14 +400,14 @@ def write_conllu(sentences: Iterable[Sentence],
     return join_or_write(_conllu_chunks(sentences, misc), out)
 
 
-def _sidecar_lines(source: str | IO[str], start: int = 0
+def _sidecar_lines(source: str | IO[str]
                    ) -> Iterator[tuple[int, int, int, str | None]]:
     """``(line number, sentence ordinal, token id, entry text)`` per line
-    of ``source``, numbered on from ``start``, its columns checked: the
-    checking core of the sidecar readers.  The entry text is the lemma
-    and morpheme string columns; a blank or comment line gives None for
-    it and zeros for the numbers."""
-    for line_no, line in enumerate(lines_of(source), start=start + 1):
+    of ``source``, numbered from 1, its columns checked: the checking
+    core of the sidecar readers.  The entry text is the lemma and
+    morpheme string columns; a blank or comment line gives None for it
+    and zeros for the numbers."""
+    for line_no, line in enumerate(lines_of(source), start=1):
         if not line or line.isspace() or line.startswith("#"):
             yield line_no, 0, 0, None
             continue
@@ -441,15 +441,15 @@ def _duplicate(line_no: int, ordinal: int, token_id: int) -> SidecarError:
 
 @dataclass
 class SidecarCount:
-    """What :func:`count_morph_sidecar` keeps of the sidecar lines it read."""
+    """What :func:`count_morph_sidecar` keeps of the sidecar lines it
+    read: the counts, and the positions, which ``matrix`` checks across
+    the two halves of its corpus."""
 
-    lines: int  # the number of the last line read
     positions: set[int]  # each entry's ``ordinal << 32 | token_id``
     counts: SuffixCounts
 
 
-def count_morph_sidecar(source: str | IO[str],
-                        after: SidecarCount | None = None) -> SidecarCount:
+def count_morph_sidecar(source: str | IO[str]) -> SidecarCount:
     """The analyses of a sidecar stream counted per lemma and tag, with
     every check :func:`read_morph_sidecar` makes, in its order, and one
     more: a token id of 2**32 or more is rejected, so that each position
@@ -459,16 +459,12 @@ def count_morph_sidecar(source: str | IO[str],
     Each distinct entry text is checked on its first line and counted
     once for all its lines, so the read holds the position set and one
     count per distinct entry text, not an analysis per position.  A
-    handle is read line by line.  Given the count of the stream's lines
-    before ``source`` as ``after``, the lines are numbered on from its
-    last one and a position it holds is a duplicate too.
+    handle is read line by line, its lines numbered from 1.
     """
-    line_no = after.lines if after else 0
-    earlier = after.positions if after else frozenset()
     positions: set[int] = set()
     # entry text -> [lines holding it, lemma, tags]
     entries: dict[str, list] = {}
-    for line_no, ordinal, token_id, entry in _sidecar_lines(source, line_no):
+    for line_no, ordinal, token_id, entry in _sidecar_lines(source):
         if entry is None:
             continue
         seen = entries.get(entry)
@@ -478,14 +474,14 @@ def count_morph_sidecar(source: str | IO[str],
         if token_id >> 32:
             raise SidecarError(line_no, f"token id {token_id} is not below 2**32")
         packed = ordinal << 32 | token_id
-        if packed in positions or packed in earlier:
+        if packed in positions:
             raise _duplicate(line_no, ordinal, token_id)
         positions.add(packed)
         seen[0] += 1
     counts = SuffixCounts()
     for lines, lemma, tags in entries.values():
         counts.add(lemma, tags, lines)
-    return SidecarCount(line_no, positions, counts)
+    return SidecarCount(positions, counts)
 
 
 def read_morph_sidecar(source: str | IO[str]) -> dict[tuple[int, int], MorphAnalysis]:

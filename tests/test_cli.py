@@ -89,6 +89,15 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_testing_no_file_pair_does_not_load_numpy():
+    # The child of a sigtest with one file per side tests no pair.
+    proc = run_child("-c", "import sys; from ruleparse.evaluate import _p_values; "
+                           "print(_p_values([[1]], [[0]], 10, 0, range(1, 1)), "
+                           "'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] False"
+
+
 def test_version_run_does_not_load_numpy():
     # ``-X importtime`` lists every module the run imports on stderr.
     proc = run_child("-X", "importtime", "-m", "ruleparse", "--version")

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruleparse import (AlignmentError, AnalysisError, ConlluError,
-                       MorphAnalysis, Sentence, SidecarError, Token,
+                       MorphAnalysis, Sentence, SidecarError, Token, cli,
                        group_by_sentence, parse_conllu, read_morph_sidecar,
                        write_conllu)
 from ruleparse.conllu import count_morph_sidecar, read_columns
 
-from conftest import (OTHER_BREAKS, ShortReads, random_conllu_sentence,
-                      random_treebank, sent, tok)
+from conftest import (OTHER_BREAKS, ShortReads, force_path,
+                      random_conllu_sentence, random_treebank, sent, tok)
 
 BASIC = """\
 # sent_id = 1
@@ -758,32 +758,48 @@ def test_read_morph_sidecar_matches_reference():
         "unparseable morpheme sequence ", "duplicate entry for sentence  token "}
 
 
-def test_a_count_read_on_from_an_earlier_one_counts_the_whole_stream():
-    # What ``matrix`` does when it counts the second half of a corpus
-    # after the first: the same counts, errors and line numbers as one
-    # count of the whole.
+def test_matrix_split_at_any_line_counts_as_one_count_of_the_whole(
+        tmp_path, capfd, monkeypatch):
+    # ``matrix`` counts its corpus in two halves, and again whole when a
+    # half fails or the halves share a position.  Wherever the halves
+    # meet, it gives the counts, or the error text and line number, of
+    # one count of the whole text: every case on the one-process path,
+    # every fifteenth on the split too.
     rng = random.Random(81)
     lines = [f"{ordinal}\t{token_id}\t{rng.choice(['ev', 'gel', 'göz'])}\t"
              f"{rng.choice(['Noun+A3sg', 'Verb+Past+A3sg', 'Adv'])}"
              for ordinal in range(1, 15) for token_id in range(1, 5)]
+    built = []
+    build_matrix = cli.build_matrix
 
-    def in_two(at):
-        def count(text):
-            first = count_morph_sidecar(text[:at])
-            second = count_morph_sidecar(text[at:], first)
-            first.counts.update(second.counts)
-            return first.counts.lemmas, first.counts.tags
-        return count
+    def recording_build(counts, **options):
+        built.append((counts.lemmas, counts.tags))
+        return build_matrix(counts, **options)
 
-    kinds = set()
-    for _ in range(300):
+    monkeypatch.setattr(cli, "build_matrix", recording_build)
+    corpus = tmp_path / "corpus.tsv"
+    argv = ["matrix", str(corpus), "--output", str(tmp_path / "m.tsv")]
+    kinds = {"split": set(), "fallback": set()}
+    for case_no in range(300):
         case = mutated(rng, lines, lambda line: mutate_sidecar_line(rng, line))
-        breaks = [k + 1 for k, char in enumerate(case) if char == "\n"]
-        at = rng.choice(breaks)
+        data = case.encode("utf-8")
+        corpus.write_bytes(data)
+        at = rng.choice(sorted({0, len(data)} | {k + 1 for k, byte in enumerate(data)
+                                                 if byte == ord("\n")}))
+        monkeypatch.setattr(cli, "_middle_line_start", lambda fd, size: at)
         whole = outcome(counted, case)
-        assert outcome(in_two(at), case) == whole, (case, at)
-        kinds.add(kind_of(whole))
-    assert {"ok", "duplicate entry for sentence  token "} <= kinds
+        for path in ("fallback", "split") if case_no % 15 == 0 else ("fallback",):
+            force_path(monkeypatch, path)
+            built.clear()
+            code = cli.main(argv)
+            _, err = capfd.readouterr()
+            if whole[0] == "ok":
+                assert (code, err, built) == (0, "", [whole[1]]), (case, at, path)
+            else:
+                assert (code, err) == (2, f"error: {corpus}: {whole[1]}\n"), (case, at, path)
+            kinds[path].add(kind_of(whole))
+    assert {"ok", "duplicate entry for sentence  token "} <= kinds["fallback"]
+    assert "ok" in kinds["split"] and len(kinds["split"]) > 2
 
 
 def test_streamed_readers_match_string_reads_at_any_chunk_boundary():

@@ -6,6 +6,8 @@ Every call here runs once with the split and once with the one-process
 fallback forced (the ``process_path`` fixture), and both must give the
 same output, exit code and message.  After every call no child of this
 process is left, and nothing from a child reached stdout or stderr.
+The tests that count the calls of a function force the one-process
+path, where every call is made in this process.
 """
 
 import json
@@ -368,6 +370,55 @@ def test_a_matrix_child_killed_mid_run_leaves_its_half_to_this_process(
 
     monkeypatch.setattr(cli, "count_morph_sidecar", dying_count)
     assert matrix_output(tmp_path, capfd, corpus) == expected
+
+
+def counting_calls(monkeypatch, corpus) -> list:
+    """The calls of ``cli.count_morph_sidecar`` from now on, in order:
+    whether each read a half or the whole ``corpus``, and the positions
+    it counted, or None if it raised."""
+    calls = []
+    count = cli.count_morph_sidecar
+
+    def counting(source):
+        # Only the handle on the whole file has the file's name.
+        calls.append(["whole" if getattr(source, "name", None) == str(corpus)
+                      else "half", None])
+        result = count(source)
+        calls[-1][1] = len(result.positions)
+        return result
+
+    monkeypatch.setattr(cli, "count_morph_sidecar", counting)
+    return calls
+
+
+def test_a_clean_matrix_corpus_is_counted_once_per_half(tmp_path, capfd, one_process,
+                                                        monkeypatch):
+    corpus = tmp_path / "corpus.tsv"
+    write_lines(corpus, sidecar_lines(400))
+    first = split_line(corpus) - 1
+    calls = counting_calls(monkeypatch, corpus)
+    assert run_main(capfd, "matrix", corpus)[0] == 0
+    assert calls == [["half", first], ["half", 400 - first]]
+
+
+@pytest.mark.parametrize("bad", ["not integers", "position of line 1"])
+def test_a_bad_second_half_adds_one_count_of_the_whole_file(
+        tmp_path, capfd, one_process, monkeypatch, bad):
+    lines = sidecar_lines(400)
+    corpus = tmp_path / "corpus.tsv"
+    write_lines(corpus, lines)
+    first = split_line(corpus) - 1
+    n = first + 51
+    replace, message = BAD_LINES[bad]
+    lines[n - 1] = replace(lines[n - 1])
+    write_lines(corpus, lines)
+    calls = counting_calls(monkeypatch, corpus)
+    code, out, err = run_main(capfd, "matrix", corpus)
+    assert (code, out, err) == (2, "", f"error: {corpus}: line {n}: {message}\n")
+    # A bad line fails its half; a repeated position is found only when
+    # both halves are counted.  Either way one count of the whole follows.
+    second = None if bad == "not integers" else 400 - first
+    assert calls == [["half", first], ["half", second], ["whole", None]]
 
 
 # --------------------------------------------------------------------------

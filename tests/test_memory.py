@@ -18,9 +18,10 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy  # noqa: F401  (imported before tracing: sigtest loads it)
+import pytest
 
-from ruleparse import ablate, cli, write_conllu
-from ruleparse.conllu import group_by_sentence
+from ruleparse import SidecarError, ablate, cli, write_conllu
+from ruleparse.conllu import count_morph_sidecar, group_by_sentence
 from ruleparse.engine import SentenceView
 from ruleparse.features import FeatureBundle, export, export_jsonl
 
@@ -72,6 +73,31 @@ def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path, process_path):
     print(f"matrix {process_path}: text {text_size}, positions {positions}, peak {peak}")
     assert text_size > 4 << 20
     assert peak < positions + (1 << 20)
+
+
+def test_a_matrix_recount_holds_no_half(tmp_path, capsys, one_process):
+    # The last line repeats the position of the first: each half counts
+    # clean, and the whole file is then counted again to report the
+    # duplicate.  That count holds one position set; the halves' sets,
+    # still held through it, would hold about as much again.
+    n = 30_000
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(f"{i // 20 + 1}\t{i % 20 + 1}\tev\tNoun+A3sg\n"
+                              for i in [*range(n), 0]), encoding="utf-8")
+
+    def count_whole():
+        with open(corpus, encoding="utf-8") as handle, pytest.raises(SidecarError):
+            count_morph_sidecar(handle)
+
+    whole = traced_peak(count_whole)
+    _, positions = traced_size(lambda: {(i // 20 + 1) << 32 | (i % 20 + 1)
+                                        for i in range(n)})
+    peak = traced_peak(lambda: cli.main(["matrix", str(corpus)]))
+    assert capsys.readouterr().err == (f"error: {corpus}: line {n + 1}: "
+                                       "duplicate entry for sentence 1 token 1\n")
+    print(f"matrix recount: positions {positions}, one count {whole}, peak {peak}")
+    assert whole > positions
+    assert peak < whole + positions / 4
 
 
 def test_sigtest_memory_is_near_one_parsed_file(tmp_path, one_process):
