@@ -3,7 +3,8 @@
 Subcommands: annotate, features, matrix, score, sigtest, ablate.
 Configuration precedence is flags > RULEPARSE_* environment variables >
 built-in defaults.  Exit codes: 0 success, 2 a bad argument, malformed or
-mismatched input or an OSError on a path, 3 broken internal invariant.
+mismatched input, an OSError on a path or a stdout that does not flush,
+3 broken internal invariant.
 
 Whenever a command writes to an output file, a ``<output>.manifest.json``
 is written beside it recording the command, configuration, tool version,
@@ -24,12 +25,14 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import gc
 import hashlib
 import io
 import json
 import os
 import secrets
 import sys
+from array import array
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
@@ -410,13 +413,27 @@ def _count_corpus(handle: IO[str]) -> SuffixCounts:
         with _text_range(fd, start, end) as text:
             return count_morph_sidecar(text)
 
+    def count_second() -> tuple[SuffixCounts, array | set[int]] | None:
+        # A bad line gives None, not an error: ``both`` would count again
+        # here a half that raised in the child, only for the count of the
+        # whole file to find the same line.
+        try:
+            second = count(middle, size)
+        except InputFormatError:
+            return None
+        # Packed, the positions load several times faster than as a set.
+        try:
+            return second.counts, array("Q", second.positions)
+        except OverflowError:  # a sentence ordinal of 2**32 or more
+            return second.counts, second.positions
+
     try:
-        first, second = both(lambda: count(0, middle), lambda: count(middle, size))
+        first, second = both(lambda: count(0, middle), count_second)
     except InputFormatError:
         pass
     else:
-        if first.positions.isdisjoint(second.positions):
-            first.counts.update(second.counts)
+        if second is not None and first.positions.isdisjoint(second[1]):
+            first.counts.update(second[0])
             return first.counts
         # Held through the count below, they would double its peak.
         del first, second
@@ -516,7 +533,26 @@ def main(argv=None) -> int:
 
 
 def run_main() -> None:
-    raise SystemExit(main())
+    """The process entry of ``python -m ruleparse`` and the ``ruleparse``
+    script: :func:`main` with the cyclic garbage collector off, then a
+    flush of stdout and stderr and ``os._exit``, without the teardown
+    that would free every object the call made.  No cycle that a call
+    leaves grows with its input, so the collector would only traverse
+    the parsed input again and again.  A flush that fails exits 2 with
+    ``error: <message>``, unless the call failed already and said so.
+    What escapes :func:`main` (argparse's ``SystemExit``, an interrupt or
+    a traceback) leaves as usual."""
+    gc.disable()
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            if code == 0:
+                code = 2
+                with suppress(OSError):
+                    print(f"error: {exc}", file=sys.stderr)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,10 @@ handler or buffer flush of the caller, and its standard output and
 error, as file descriptors and as Python streams, go to ``os.devnull``.
 A child that fails or dies without a result costs only time, because
 the caller then runs the second piece itself: the errors a call raises,
-and their order, are those of running the two pieces in turn.
+and their order, are those of running the two pieces in turn.  The
+child inherits the caller's garbage collector setting: under the
+``ruleparse`` process entry (``cli.run_main``) the cyclic collector is
+off in both processes.
 
 A fork copies only the thread that calls it, so :func:`both` forks only
 a process that runs one thread.  Each of the two processes is to take

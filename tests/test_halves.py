@@ -421,6 +421,40 @@ def test_a_bad_second_half_adds_one_count_of_the_whole_file(
     assert calls == [["half", first], ["half", second], ["whole", None]]
 
 
+@pytest.mark.parametrize("bad", ["not integers", "position of line 1"])
+def test_a_bad_second_half_is_not_counted_again_here_before_the_whole_file(
+        tmp_path, capfd, monkeypatch, bad):
+    # The child counts the second half; this process counts only its own
+    # half and then the whole file.
+    force_path(monkeypatch, "split")
+    lines = sidecar_lines(400)
+    corpus = tmp_path / "corpus.tsv"
+    write_lines(corpus, lines)
+    first = split_line(corpus) - 1
+    n = first + 51
+    replace, message = BAD_LINES[bad]
+    lines[n - 1] = replace(lines[n - 1])
+    write_lines(corpus, lines)
+    calls = counting_calls(monkeypatch, corpus)
+    code, out, err = run_main(capfd, "matrix", corpus)
+    assert (code, out, err) == (2, "", f"error: {corpus}: line {n}: {message}\n")
+    assert calls == [["half", first], ["whole", None]]
+
+
+def test_a_second_half_ordinal_of_2_to_the_32_gives_one_matrix_on_both_paths(
+        tmp_path, capfd, monkeypatch):
+    # Its position does not fit the child's packed positions.
+    corpus = tmp_path / "corpus.tsv"
+    lines = sidecar_lines(400)
+    lines[-1] = f"{2**32}\t0001\tev0\tNoun+A3sg"
+    write_lines(corpus, lines)
+    outputs = set()
+    for path in ("split", "fallback"):
+        force_path(monkeypatch, path)
+        outputs.add(matrix_output(tmp_path, capfd, corpus))
+    assert len(outputs) == 1
+
+
 # --------------------------------------------------------------------------
 # sigtest: side A here, side B in the child; then half the pairs each.
 

@@ -62,8 +62,8 @@ def test_matrix_memory_is_distinct_pairs_plus_positions(tmp_path, process_path):
     # The reader keeps each position as one packed int; a set of
     # (sentence, token) tuples holds about half as much again, more than
     # the bound below allows.  On the split this process holds its half's
-    # positions, the child's pickled result and then its positions too,
-    # under the same bound.
+    # positions and the child's result, with its positions packed, under
+    # the same bound.
     _, positions = traced_size(lambda: {(i // 20 + 1) << 32 | (i % 20 + 1)
                                         for i in range(n)})
     output = tmp_path / "m.tsv"
